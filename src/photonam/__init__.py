@@ -49,7 +49,6 @@ from .fock import (
 from .radial import (
     CavityConfig,
     NormalizedMode,
-    QuadratureError,
     RadialProfile,
     ZoneReport,
     f_oam,

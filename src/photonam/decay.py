@@ -43,10 +43,10 @@ class DecayParams:
     time_grid: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.omega0 <= 0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        for name in ("omega0", "gamma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.omega0 / self.gamma < MIN_OMEGA0_OVER_GAMMA:
             raise ValueError(
                 f"omega0/gamma must be >= {MIN_OMEGA0_OVER_GAMMA} for Markov validity, "
@@ -58,8 +58,8 @@ class DecayParams:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise ValueError("time_grid must be a non-empty 1-d array")
-        if np.any(grid < 0):
-            raise ValueError("time_grid entries must be >= 0")
+        if not np.all(np.isfinite(grid) & (grid >= 0)):
+            raise ValueError("time_grid entries must be finite and >= 0")
         object.__setattr__(self, "time_grid", grid)
 
 

@@ -16,22 +16,24 @@ the wave zone both contribute equally when averaged over a wavelength.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from math import factorial, prod
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial.polynomial import polyval
 
 #: Below this argument the closed forms lose digits to cancellation and the
 #: power series is machine-exact; both branches agree to ~5e-14 at the seam.
 SERIES_SWITCH = 0.1
 
+#: Per-ell seam of the shell antiderivative: below it the closed forms cancel
+#: (for ell = 2, 1.2e-7 relative error at x = 0.1) and the series is used.
+#: Both then stay within 8.4e-16 relative of exact over x in [1e-4, 2e4].
+_LOMMEL_SWITCH = {0: 2.0, 2: 3.0}
+_SERIES_TERMS = 24
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 MIN_KR = 20.0
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,12 @@ class CavityConfig:
     hbar_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
-        if self.R <= 0:
-            raise ValueError(f"R must be > 0, got {self.R}")
+        for name in ("k", "R", "hbar_scale"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.kR < MIN_KR:
             raise ValueError(f"kR must be >= {MIN_KR}, got {self.kR}")
-        if self.hbar_scale <= 0:
-            raise ValueError(f"hbar_scale must be > 0, got {self.hbar_scale}")
 
     @property
     def kR(self) -> float:
@@ -95,29 +95,55 @@ def spherical_bessel(ell: int, x):
     return out
 
 
-def _j0_series(x):
-    x2 = np.square(x)
-    # sum_s (-x^2/2)^s / (s! (2s+1)!!), through s = 5
-    return (
-        1.0
-        - x2 / 6.0
-        + x2**2 / 120.0
-        - x2**3 / 5040.0
-        + x2**4 / 362880.0
-        - x2**5 / 39916800.0
+def _series_coefficients(ell: int) -> np.ndarray:
+    """a_s in j_ell(x) = x^ell sum_s a_s x^(2s), a_s = (-1/2)^s / (s! (2 ell + 2s + 1)!!)."""
+    return np.array(
+        [
+            (-0.5) ** s / (factorial(s) * prod(range(2 * ell + 2 * s + 1, 0, -2)))
+            for s in range(_SERIES_TERMS)
+        ]
     )
+
+
+_BESSEL_SERIES = {ell: _series_coefficients(ell) for ell in (0, 2)}
+
+#: c_n in A_ell(x) = x^(2 ell + 3) sum_n c_n x^(2n): the squared j_ell series
+#: integrated term by term.
+_LOMMEL_SERIES = {
+    ell: np.convolve(a, a)[:_SERIES_TERMS] / (2 * ell + 2 * np.arange(_SERIES_TERMS) + 3)
+    for ell, a in _BESSEL_SERIES.items()
+}
+
+
+def _j0_series(x):
+    return polyval(np.square(x), _BESSEL_SERIES[0])
 
 
 def _j2_series(x):
     x2 = np.square(x)
-    # x^2 sum_s (-x^2/2)^s / (2^s s! (2s+5)!!/15 ...), through s = 4
-    return (
-        x2 / 15.0
-        - x2**2 / 210.0
-        + x2**3 / 7560.0
-        - x2**4 / 498960.0
-        + x2**5 / 51891840.0
-    )
+    return x2 * polyval(x2, _BESSEL_SERIES[2])
+
+
+def _shell_antiderivative(ell: int, x) -> np.ndarray:
+    """A_ell(x) = int_0^x t^2 j_ell(t)^2 dt for ell = 0, 2 (Lommel, DLMF 10.22).
+
+    From _LOMMEL_SWITCH[ell] on, the closed forms x/2 - sin(2x)/4 and
+    (x^3/2)(j2^2 - j1 j3), with j1, j2 and j3 by upward recurrence from
+    j0 = sin(x)/x; below it, the Taylor series.
+    """
+    x = np.asarray(x, dtype=float)
+    small = x < _LOMMEL_SWITCH[ell]
+    xs = np.where(small, x, 0.0)
+    series = xs ** (2 * ell + 3) * polyval(xs * xs, _LOMMEL_SERIES[ell])
+    xc = np.where(small, _LOMMEL_SWITCH[ell], x)  # keep the unused branch finite
+    if ell == 0:
+        closed = xc / 2.0 - np.sin(2.0 * xc) / 4.0
+    else:
+        j0 = np.sin(xc) / xc
+        j1 = (j0 - np.cos(xc)) / xc
+        j2 = 3.0 * j1 / xc - j0
+        closed = xc**3 / 2.0 * (j2 * j2 - j1 * (5.0 * j2 / xc - j1))
+    return np.where(small, series, closed)
 
 
 @dataclass(frozen=True)
@@ -126,33 +152,17 @@ class NormalizedMode:
 
     ell: int
     c_ell: float
-    quad_error: float = field(default=0.0, compare=False)
 
     def evaluate(self, kr):
         return self.c_ell * spherical_bessel(self.ell, kr)
 
 
-@lru_cache(maxsize=256)
-def _normalize_cached(k: float, R: float, ell: int) -> NormalizedMode:
-    kR = k * R
-    volume = 4.0 * np.pi * R**3 / 3.0
-    integrand = lambda x: spherical_bessel(ell, x) ** 2 * x * x
-    raw, err = integrate.quad(
-        integrand, 0.0, kR, epsabs=0.0, epsrel=1e-12, limit=max(200, int(2 * kR))
-    )
-    raw /= k**3
-    if not np.isfinite(raw) or raw <= 0.0 or err / (raw * k**3) > 1e-10:
-        raise QuadratureError(
-            f"mode normalization integral did not converge (ell={ell}, kR={kR})"
-        )
-    return NormalizedMode(ell=ell, c_ell=float(np.sqrt(volume / raw)), quad_error=float(err))
-
-
 def normalize_mode(config: CavityConfig, ell: int) -> NormalizedMode:
-    """Normalization amplitude from the adaptive shell integral, rel err < 1e-10."""
+    """c_ell = sqrt(V k^3 / A_ell(kR)) from the exact shell antiderivative, rel err < 1e-15."""
     if ell not in (0, 2):
         raise ValueError(f"ell must be 0 or 2, got {ell}")
-    return _normalize_cached(config.k, config.R, ell)
+    raw = float(_shell_antiderivative(ell, config.kR))
+    return NormalizedMode(ell=ell, c_ell=float(np.sqrt(config.volume * config.k**3 / raw)))
 
 
 def _density_prefactors(config: CavityConfig) -> tuple[float, float]:
@@ -196,12 +206,6 @@ def _panel_integrals(func, edges: np.ndarray) -> np.ndarray:
     return half * (values @ _GL_WEIGHTS)
 
 
-def _shell_integrand(config: CavityConfig, kind: str):
-    f = f_spin if kind == "spin" else f_oam
-    k3 = config.k**3
-    return lambda x: f(x, config) * x * x / k3
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """Sampled spin/OAM densities and their running shell integrals."""
@@ -221,22 +225,22 @@ class RadialProfile:
 def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile:
     """Uniform kr grid over (0, kR] with cumulative shell integrals.
 
-    Cumulative columns accumulate 16-point Gauss-Legendre panel integrals of
-    f(kr) r^2 from the origin, panel by panel in grid order, so halving the
-    step leaves the totals unchanged to well below 1e-8 and the endpoint
-    reproduces hbar/2 for both densities.
+    The cumulative columns are exact, with a_ell = A_ell(kr) / A_ell(kR):
+    cum_spin = (hbar/3)(2 a0 - a2/2) and cum_oam = (hbar/2) a2. Both end at
+    hbar/2 by construction, so they do not check the normalization.
     """
     if n_samples < 100:
         raise ValueError(f"n_samples must be >= 100, got {n_samples}")
     kR = config.kR
     grid = np.linspace(kR / n_samples, kR, n_samples)
-    edges = np.concatenate(([0.0], grid))
+    a0 = _shell_antiderivative(0, grid) / _shell_antiderivative(0, kR)
+    a2 = _shell_antiderivative(2, grid) / _shell_antiderivative(2, kR)
     arrays = dict(
         kr=grid,
         f_spin=f_spin(grid, config),
         f_oam=f_oam(grid, config),
-        cum_spin=np.cumsum(_panel_integrals(_shell_integrand(config, "spin"), edges)),
-        cum_oam=np.cumsum(_panel_integrals(_shell_integrand(config, "oam"), edges)),
+        cum_spin=config.hbar_scale * (2.0 * a0 - 0.5 * a2) / 3.0,
+        cum_oam=config.hbar_scale * a2 / 2.0,
     )
     for arr in arrays.values():
         arr.setflags(write=False)
@@ -262,15 +266,24 @@ def _golden_section_max(func, lo: float, hi: float, tol: float = 1e-11) -> float
     return 0.5 * (a + b)
 
 
+def shell_integrals(config: CavityConfig, edges: np.ndarray) -> tuple[float, float]:
+    """Gauss-Legendre shell integrals of f_spin and f_oam over the panels between edges.
+
+    They keep their digits far out in the wave zone, where differences of the
+    antiderivatives do not, and check the normalization without sharing its formula.
+    """
+    k3 = config.k**3
+    i_s = float(np.sum(_panel_integrals(lambda x: f_spin(x, config) * x * x / k3, edges)))
+    i_l = float(np.sum(_panel_integrals(lambda x: f_oam(x, config) * x * x / k3, edges)))
+    return i_s, i_l
+
+
 def window_shell_integrals(config: CavityConfig, start_kr: float) -> tuple[float, float]:
     """Shell integrals of f_spin and f_oam over one wavelength from start_kr."""
     width = 2.0 * np.pi
     if start_kr < 0 or start_kr + width > config.kR:
         raise ValueError("window must lie inside the cavity")
-    edges = np.linspace(start_kr, start_kr + width, 257)
-    i_s = float(np.sum(_panel_integrals(_shell_integrand(config, "spin"), edges)))
-    i_l = float(np.sum(_panel_integrals(_shell_integrand(config, "oam"), edges)))
-    return i_s, i_l
+    return shell_integrals(config, np.linspace(start_kr, start_kr + width, 257))
 
 
 def wave_zone_discrepancy(config: CavityConfig, start_kr: float) -> float:

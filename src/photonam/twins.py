@@ -30,6 +30,7 @@ from .fock import (
     fock_state,
     total_number_operator,
 )
+from .radial import _golden_section_max
 
 #: Projection order shared by all 3x3 amplitude blocks.
 M_VALUES = (1, 0, -1)
@@ -173,7 +174,7 @@ def maximize_entanglement(measure_scale: float = 1.0, grid_points: int = 10001) 
     best = int(np.argmax(mu_of(grid)))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid_points - 1)]
-    a_star = _golden_section_max(mu_of, lo, hi)
+    a_star = _golden_section_max(mu_of, lo, hi, tol=1e-12)
     for _ in range(2):
         a_star += (1.0 - 3.0 * a_star * a_star) / (6.0 * a_star)
     c1 = float(a_star)
@@ -193,24 +194,6 @@ def maximize_entanglement(measure_scale: float = 1.0, grid_points: int = 10001) 
         local_expectation_max_abs=max_abs,
         variational_pass=variational_pass,
     )
-
-
-def _golden_section_max(func, lo: float, hi: float, tol: float = 1e-12) -> float:
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = func(c), func(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = func(d)
-    return 0.5 * (a + b)
 
 
 ATOM_LEVELS = ("g", "e")

@@ -58,7 +58,7 @@ def test_single_photon_blocks_are_spin_one_matrices(space, triple):
     np.testing.assert_allclose(single_photon_block(triple.jz, space), SPIN1_JZ, atol=1e-15)
 
 
-@pytest.mark.parametrize("cutoff", [2, 3, 4])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
 def test_su2_closure(cutoff):
     report = verify_su2(j_operators(three_mode_space(cutoff)))
     assert report.passed
@@ -92,6 +92,12 @@ def test_verify_su2_detects_perturbation(space, triple):
     report = verify_su2(bad)
     assert not report.passed
     assert report.max_residual > 1e-3
+    # at cutoff 1 the check must still see the single-photon sector
+    single = j_operators(three_mode_space(1))
+    doubled = type(single)(jx=single.jx, jy=single.jy, jz=2.0 * single.jz)
+    report = verify_su2(doubled)
+    assert not report.passed
+    assert report.max_residual > 0.5
 
 
 def test_verify_su2_zero_triple_degenerate(space):

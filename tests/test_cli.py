@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from photonam.cli import ConfigError, RunConfig, load_config, main
+from photonam import radial
+from photonam.cli import ConfigError, RunConfig, _json_text, load_config, main
 
 
 def run_cli(capsys, *args):
@@ -88,6 +89,25 @@ def test_verify_all_passes(capsys):
     assert len(payload["checks"]) == 10
 
 
+def test_verify_all_shell_conservation_detects_bad_normalization(capsys, monkeypatch):
+    exact = radial.normalize_mode
+
+    def scaled(config, ell):
+        return radial.NormalizedMode(ell, exact(config, ell).c_ell * (1.0 + 1e-5))
+
+    monkeypatch.setattr(radial, "normalize_mode", scaled)
+    code, out, _ = run_cli(capsys, "verify-all")
+    checks = {check["name"]: check for check in json.loads(out)["checks"]}
+    assert code == 1
+    assert checks["shell_conservation"]["pass"] is False
+    assert checks["shell_conservation"]["max_deviation"] == pytest.approx(1e-5, rel=0.01)
+
+
+def test_json_output_is_strict():
+    with pytest.raises(ValueError):
+        _json_text({"value": float("inf")})
+
+
 def test_verify_all_byte_identical(tmp_path):
     first = tmp_path / "run1.json"
     second = tmp_path / "run2.json"
@@ -159,6 +179,18 @@ def test_invalid_parameter_value_exit_2(capsys):
     code, _, err = run_cli(capsys, "radial", "--kR", "5")
     assert code == 2
     assert "kR" in err
+    # non-finite values are refused before any output
+    for args in (
+        ("radial", "--kR", "nan"),
+        ("radial", "--kR", "inf"),
+        ("decay", "--omega0-over-gamma", "nan"),
+        ("decay", "--omega0-over-gamma", "inf"),
+        ("decay", "--omega0-over-gamma", "inf", "--format", "json"),
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2, args
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_io_failure_exit_3(capsys):

@@ -38,6 +38,13 @@ def test_params_validation():
         DecayParams(omega0=100.0, gamma=1.0, time_grid=np.array([-1.0]))
     with pytest.raises(ValueError):
         DecayParams(omega0=100.0, gamma=1.0, time_grid=np.array([]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            DecayParams(omega0=bad, gamma=1.0)
+        with pytest.raises(ValueError):
+            DecayParams(omega0=100.0, gamma=bad)
+        with pytest.raises(ValueError):
+            DecayParams(omega0=100.0, gamma=1.0, time_grid=np.array([0.0, bad]))
 
 
 def test_excited_amplitude_values(params):

@@ -1,19 +1,22 @@
 """Spherical Bessel modes, normalization, density profiles, zone diagnostics.
 
-Closed-form antiderivatives provide independent oracles for the cumulative
-shell integrals:
+The package computes shell integrals from the Lommel antiderivatives
 
     int_0^X j0(x)^2 x^2 dx = X/2 - sin(2X)/4
-    int_0^X j2(x)^2 x^2 dx = (X^3/2) [j2(X)^2 - j1(X) j3(X)]
+    int_0^X j2(x)^2 x^2 dx = (X^3/2) [j2(X)^2 - j1(X) j3(X)].
 
-evaluated with scipy's Bessel routines, against the package's panel
-quadrature.
+The tests check them against the same formulas evaluated with scipy's Bessel
+routines, and against oracles that share no formula with them: adaptive
+`quad` for the normalization, and fixed 16-point Gauss-Legendre panels over
+scipy's spherical_jn for the cumulative columns and the wave-zone windows.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import spherical_jn
@@ -51,6 +54,32 @@ def reference_cumulatives(config: CavityConfig, x: float) -> tuple[float, float]
     cum_s = base * (2.0 * c0 * c0 * cum_j0_sq(x) - 0.5 * c2 * c2 * cum_j2_sq(x))
     cum_l = base * 1.5 * c2 * c2 * cum_j2_sq(x)
     return cum_s, cum_l
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def gl_panels(ell: int, edges) -> np.ndarray:
+    """int t^2 j_ell(t)^2 dt over each panel between consecutive edges."""
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = mid[:, None] + half[:, None] * _GL_NODES
+    return half * ((t * spherical_jn(ell, t)) ** 2 @ _GL_WEIGHTS)
+
+
+def gl_cumulative(ell: int, points) -> np.ndarray:
+    """int_0^x t^2 j_ell(t)^2 dt at each x of an ascending array, panels <= 1 wide."""
+    points = np.asarray(points, dtype=float)
+    edges = np.union1d(np.linspace(0.0, points[-1], int(np.ceil(points[-1])) + 1), points)
+    cum = np.concatenate(([0.0], np.cumsum(gl_panels(ell, edges))))
+    return cum[np.searchsorted(edges, points)]
+
+
+def oracle_densities_integrated(w0, w2, n0, n2):
+    """(spin, oam) shell integrals from raw j0^2, j2^2 integrals w and norms n."""
+    a0, a2 = w0 / n0, w2 / n2
+    return (2.0 * a0 - 0.5 * a2) / 3.0, a2 / 2.0
 
 
 # ---------------------------------------------------------------- bessel
@@ -111,6 +140,10 @@ def test_cavity_config_validation():
         CavityConfig(k=1.0, R=10.0)  # kR below the enforced floor
     with pytest.raises(ValueError):
         CavityConfig(k=1.0, R=100.0, hbar_scale=0.0)
+    for bad in (np.nan, np.inf):
+        for field in ("k", "R", "hbar_scale"):
+            with pytest.raises(ValueError, match=field):
+                CavityConfig(**{field: bad})
     config = CavityConfig(k=2.0, R=50.0)
     assert config.kR == 100.0
     assert config.volume == pytest.approx(4.0 * np.pi * 50.0**3 / 3.0)
@@ -129,6 +162,14 @@ def test_normalization_round_trip(kR, ell):
         lambda x: mode.evaluate(x) ** 2 * x * x, 0.0, kR, limit=2000, epsrel=1e-12
     )
     assert abs(integral - config.volume) < 1e-8 * config.volume
+
+
+@pytest.mark.parametrize("ell", [0, 2])
+def test_shell_antiderivative_across_series_seam(ell):
+    seam = radial._LOMMEL_SWITCH[ell]
+    x = np.array([1e-3, 0.1, 1.0, np.nextafter(seam, 0.0), seam, 5.0])
+    want = np.cumsum(gl_panels(ell, np.concatenate(([0.0], x))))
+    np.testing.assert_allclose(radial._shell_antiderivative(ell, x), want, rtol=1e-14)
 
 
 def test_c0_large_argument_asymptotic():
@@ -230,6 +271,22 @@ def test_cumulative_against_closed_form(config):
         assert profile.cum_oam[idx] == pytest.approx(ref_l, abs=1e-9)
 
 
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    kR=st.floats(20.0, 2e4),
+    n_samples=st.integers(100, 4000),
+    picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+)
+def test_cumulative_columns_match_quadrature_oracle(kR, n_samples, picks):
+    profile = radial_profile(CavityConfig(k=1.0, R=kR), n_samples)
+    idx = np.unique([min(int(p * n_samples), n_samples - 1) for p in picks])
+    points = np.append(profile.kr[idx], kR)
+    c0, c2 = gl_cumulative(0, points), gl_cumulative(2, points)
+    spin, oam = oracle_densities_integrated(c0[:-1], c2[:-1], c0[-1], c2[-1])
+    np.testing.assert_allclose(profile.cum_spin[idx], spin, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(profile.cum_oam[idx], oam, rtol=0, atol=1e-12)
+
+
 def test_cumulative_oam_monotone(config):
     profile = radial_profile(config, 1000)
     assert np.all(np.diff(profile.cum_oam) >= 0.0)
@@ -288,6 +345,19 @@ def test_wave_zone_discrepancy_monotone_octaves():
     starts = (12.5, 25.0, 50.0, 100.0, 200.0, 400.0, 800.0)
     values = [wave_zone_discrepancy(wide, s) for s in starts]
     assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
+
+
+def test_wave_zone_discrepancy_against_quadrature_oracle():
+    # the discrepancy is ~5e-6 at start 800, so every sum here is exact-rounded
+    wide = CavityConfig(k=1.0, R=1000.0)
+    cavity_edges = np.linspace(0.0, wide.kR, 1001)
+    n0, n2 = (math.fsum(gl_panels(ell, cavity_edges)) for ell in (0, 2))
+    for start in (100.0, 200.0, 400.0, 800.0):
+        edges = np.linspace(start, start + 2.0 * np.pi, 8)
+        w0, w2 = (math.fsum(gl_panels(ell, edges)) for ell in (0, 2))
+        spin, oam = oracle_densities_integrated(w0, w2, n0, n2)
+        want = abs(spin - oam) / spin
+        assert wave_zone_discrepancy(wide, start) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_wave_zone_asymptotic_magnitude():
