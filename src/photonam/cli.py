@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import angular, decay, radial, twins
+from . import angular, decay, output, radial, twins
 
 SCHEMA_VERSION = 1
 
@@ -25,6 +25,16 @@ COMMANDS = ("radial", "algebra", "variance", "decay", "entangle", "verify-all")
 ENTANGLE_OMEGA = 1.0
 ENTANGLE_OMEGA0 = 2.0
 ENTANGLE_COUPLING = 0.05
+
+#: The fixed tolerance of verify-all's algebra, variance and density checks.
+VERIFY_TOL = 1e-12
+
+#: Radii and operator pairs of the nine density-commutator identities.
+DENSITY_RADII = (0.5, 3.0, 50.0)
+DENSITY_PAIRS = (("spin", "spin"), ("oam", "oam"), ("oam", "spin"))
+
+#: Largest radial or decay grid; it is checked before anything is allocated.
+MAX_SAMPLES = 10**6
 
 
 class ConfigError(Exception):
@@ -84,29 +94,33 @@ def load_config(path: str) -> RunConfig:
     return config
 
 
-def _round12(value: float) -> float:
-    return float(f"{float(value):.12g}")
+def _rounded(value):
+    """value with every float at the output precision, through dicts, lists and tuples."""
+    if isinstance(value, float):
+        return float(output.g12(value))
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return value
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _check(name: str, passed: bool, **details) -> dict:
-    entry = {"name": name, "pass": bool(passed)}
-    for key, value in details.items():
-        if isinstance(value, float):
-            entry[key] = _round12(value)
-        elif isinstance(value, (list, tuple)):
-            entry[key] = [_round12(v) if isinstance(v, float) else v for v in value]
-        else:
-            entry[key] = value
-    return entry
+    return {"name": name, "pass": bool(passed), **details}
 
 
-def _report_text(checks: list[dict]) -> tuple[str, bool]:
+def _report_check(name: str, report: angular.AlgebraReport) -> dict:
+    return _check(name, report.passed, max_residual=report.max_residual,
+                  tolerance=report.tolerance)
+
+
+def _report_text(checks: list[dict]) -> tuple[str, int]:
     ok = all(c["pass"] for c in checks)
-    return _json_text({"schema": SCHEMA_VERSION, "checks": checks, "pass": ok}), ok
+    return _json_text({"schema": SCHEMA_VERSION, "checks": checks, "pass": ok}), 0 if ok else 1
 
 
 def _cavity(cfg: RunConfig) -> radial.CavityConfig:
@@ -121,42 +135,34 @@ def cmd_radial(cfg: RunConfig) -> tuple[str, int]:
         profile = radial.radial_profile(cavity, samples)
         return "\n".join(radial.profile_csv_lines(profile)) + "\n", 0
     report = radial.zone_report(cavity, samples)
-    payload = {"schema": SCHEMA_VERSION}
-    payload.update({k: _round12(v) for k, v in report.to_json_dict().items()})
-    return _json_text(payload), 0
+    return _json_text({"schema": SCHEMA_VERSION, **report.to_json_dict()}), 0
 
 
-def _algebra_checks(cfg: RunConfig) -> list[dict]:
+def _algebra_reports(
+    cfg: RunConfig, tol: float
+) -> tuple[angular.AlgebraReport, list[tuple[float, angular.AlgebraReport]], float]:
+    """SU(2) closure, the nine (kr, density report) pairs, the SU(3) dependence residual."""
     space = angular.three_mode_space(cfg.cutoff)
     triple = angular.j_operators(space)
     cavity = _cavity(cfg)
-    su2 = angular.verify_su2(triple, cfg.tol)
-    checks = [
-        _check(su2.identity, su2.passed, max_residual=su2.max_residual,
-               tolerance=su2.tolerance)
+    densities = [
+        (kr, angular.density_commutator_check(a, b, kr, tol, config=cavity, triple=triple))
+        for kr in DENSITY_RADII
+        for a, b in DENSITY_PAIRS
     ]
-    for kr in (0.5, 3.0, 50.0):
-        for kind_a, kind_b in (("spin", "spin"), ("oam", "oam"), ("oam", "spin")):
-            rep = angular.density_commutator_check(
-                kind_a, kind_b, kr, cfg.tol, config=cavity, triple=triple
-            )
-            checks.append(
-                _check(f"{rep.identity} @ kr={kr}", rep.passed,
-                       max_residual=rep.max_residual, tolerance=rep.tolerance)
-            )
-    gens = angular.su3_generators(space)
-    dependence = sum(op.matrix for op in gens.diagonal_raw)
-    residual = float(np.max(np.abs(dependence)))
-    checks.append(
-        _check("su3_diagonal_dependence", residual < cfg.tol, max_residual=residual,
-               tolerance=cfg.tol)
-    )
-    return checks
+    dependence = sum(op.matrix for op in angular.su3_generators(space).diagonal_raw)
+    return angular.verify_su2(triple, tol), densities, float(np.max(np.abs(dependence)))
 
 
 def cmd_algebra(cfg: RunConfig) -> tuple[str, int]:
-    text, ok = _report_text(_algebra_checks(cfg))
-    return text, 0 if ok else 1
+    su2, densities, su3_residual = _algebra_reports(cfg, cfg.tol)
+    checks = [_report_check(su2.identity, su2)]
+    checks += [_report_check(f"{rep.identity} @ kr={kr}", rep) for kr, rep in densities]
+    checks.append(
+        _check("su3_diagonal_dependence", su3_residual < cfg.tol, max_residual=su3_residual,
+               tolerance=cfg.tol)
+    )
+    return _report_text(checks)
 
 
 def cmd_variance(cfg: RunConfig) -> tuple[str, int]:
@@ -164,9 +170,9 @@ def cmd_variance(cfg: RunConfig) -> tuple[str, int]:
     payload = {
         "schema": SCHEMA_VERSION,
         "m": cfg.m,
-        "varJx": _round12(var_x),
-        "varJy": _round12(var_y),
-        "varJz": _round12(var_z),
+        "varJx": var_x,
+        "varJy": var_y,
+        "varJz": var_z,
     }
     return _json_text(payload), 0
 
@@ -189,59 +195,49 @@ def cmd_decay(cfg: RunConfig) -> tuple[str, int]:
     ok = abs(residual) < 0.02
     payload = {
         "schema": SCHEMA_VERSION,
-        "omega0_over_gamma": _round12(cfg.omega0_over_gamma),
-        "sz_over_hbar_final": _round12(decay.sz_expectation(10.0 / params.gamma, params)),
-        "norm_residual_at_10_over_gamma": _round12(residual),
+        "omega0_over_gamma": cfg.omega0_over_gamma,
+        "sz_over_hbar_final": decay.sz_expectation(10.0 / params.gamma, params),
+        "norm_residual_at_10_over_gamma": residual,
         "pass": ok,
     }
     return _json_text(payload), 0 if ok else 1
 
 
-def cmd_entangle(cfg: RunConfig) -> tuple[str, int]:
-    optimum = twins.maximize_entanglement()
+def _entangle_reports() -> tuple[twins.EntanglementOptimum, twins.SelectionRuleReport]:
+    """The entanglement optimum and the selection rule of the resonant pair Hamiltonian."""
     space = twins.atom_field_space()
     hamiltonian = twins.interaction_hamiltonian(
         space, ENTANGLE_OMEGA, ENTANGLE_OMEGA0, ENTANGLE_COUPLING
     )
-    rule = twins.selection_rule_check(
-        hamiltonian, space, ENTANGLE_OMEGA, ENTANGLE_COUPLING
-    )
-    payload = {"schema": SCHEMA_VERSION}
-    for key, value in optimum.to_json_dict().items():
-        payload[key] = _round12(value) if isinstance(value, float) else value
-    rule_dict = rule.to_json_dict()
-    payload["selection_rule"] = {
-        key: (
-            _round12(value)
-            if isinstance(value, float)
-            else [_round12(v) for v in value] if isinstance(value, list) else value
-        )
-        for key, value in rule_dict.items()
-    }
+    rule = twins.selection_rule_check(hamiltonian, space, ENTANGLE_OMEGA, ENTANGLE_COUPLING)
+    return twins.maximize_entanglement(), rule
+
+
+def cmd_entangle(cfg: RunConfig) -> tuple[str, int]:
+    optimum, rule = _entangle_reports()
     ok = optimum.variational_pass and rule.passed
-    payload["pass"] = ok
+    payload = {
+        "schema": SCHEMA_VERSION,
+        **optimum.to_json_dict(),
+        "selection_rule": rule.to_json_dict(),
+        "pass": ok,
+    }
     return _json_text(payload), 0 if ok else 1
 
 
 def _verify_all_checks(cfg: RunConfig) -> list[dict]:
     checks: list[dict] = []
 
-    space = angular.three_mode_space(cfg.cutoff)
-    triple = angular.j_operators(space)
-    su2 = angular.verify_su2(triple, 1e-12)
-    checks.append(
-        _check("su2_closure", su2.passed, max_residual=su2.max_residual, tolerance=1e-12)
-    )
+    su2, densities, _ = _algebra_reports(cfg, VERIFY_TOL)
+    checks.append(_report_check("su2_closure", su2))
 
     expected = {0: (1.0, 1.0, 0.0), 1: (0.5, 0.5, 0.0), -1: (0.5, 0.5, 0.0)}
-    worst = 0.0
-    for m, want in expected.items():
-        got = angular.am_variances(m, cfg.cutoff)
-        worst = max(worst, max(abs(g - w) for g, w in zip(got, want)))
-    ordering = angular.am_variances(0, cfg.cutoff)[0] > angular.am_variances(1, cfg.cutoff)[0]
+    got = {m: angular.am_variances(m, cfg.cutoff) for m in expected}
+    worst = max(abs(g - w) for m, want in expected.items() for g, w in zip(got[m], want))
+    ordering = got[0][0] > got[1][0]
     checks.append(
-        _check("variance_table", worst < 1e-12 and ordering, max_deviation=worst,
-               tolerance=1e-12)
+        _check("variance_table", worst < VERIFY_TOL and ordering, max_deviation=worst,
+               tolerance=VERIFY_TOL)
     )
 
     # quadrature of the densities: the profile's cum_* columns end at 1/2 anyway
@@ -259,11 +255,10 @@ def _verify_all_checks(cfg: RunConfig) -> list[dict]:
 
     cavity = _cavity(cfg)
     zone = radial.zone_report(cavity)
-    profile = radial.radial_profile(cavity, 2000)
     near_ok = (
         zone.near_ratio > 100.0
         and radial.f_oam(0.0, cavity) == 0.0
-        and int(np.argmax(profile.f_spin)) == 0
+        and int(np.argmax(zone.profile.f_spin)) == 0
     )
     checks.append(_check("near_zone_spin_dominance", near_ok, near_ratio=zone.near_ratio))
 
@@ -279,16 +274,10 @@ def _verify_all_checks(cfg: RunConfig) -> list[dict]:
     )
     checks.append(_check("wave_zone_equality", wave_ok, discrepancies=discrepancies))
 
-    worst_dens = 0.0
-    for kr in (0.5, 3.0, 50.0):
-        for kind_a, kind_b in (("spin", "spin"), ("oam", "oam"), ("oam", "spin")):
-            rep = angular.density_commutator_check(
-                kind_a, kind_b, kr, 1e-12, config=cavity, triple=triple
-            )
-            worst_dens = max(worst_dens, rep.max_residual)
+    reports = [rep for _, rep in densities]
     checks.append(
-        _check("density_commutators", worst_dens < 1e-12, max_residual=worst_dens,
-               tolerance=1e-12)
+        _check("density_commutators", all(rep.passed for rep in reports),
+               max_residual=max(rep.max_residual for rep in reports), tolerance=VERIFY_TOL)
     )
 
     residuals = []
@@ -308,7 +297,7 @@ def _verify_all_checks(cfg: RunConfig) -> list[dict]:
                closed_form_deviation=float(closed_form))
     )
 
-    optimum = twins.maximize_entanglement()
+    optimum, rule = _entangle_reports()
     target_c1 = 1.0 / np.sqrt(3.0)
     target_c2 = np.sqrt(2.0 / 3.0)
     target_mu = 2.0 / (3.0 * np.sqrt(3.0))
@@ -323,12 +312,6 @@ def _verify_all_checks(cfg: RunConfig) -> list[dict]:
                c2_abs=optimum.c2_abs, mu_max=optimum.mu_max,
                local_expectation_max_abs=optimum.local_expectation_max_abs)
     )
-
-    space2 = twins.atom_field_space()
-    hamiltonian = twins.interaction_hamiltonian(
-        space2, ENTANGLE_OMEGA, ENTANGLE_OMEGA0, ENTANGLE_COUPLING
-    )
-    rule = twins.selection_rule_check(hamiltonian, space2, ENTANGLE_OMEGA, ENTANGLE_COUPLING)
     checks.append(
         _check("selection_rule", rule.passed, coupling_to_odd=rule.coupling_to_odd,
                eigen_residual=rule.eigen_residual,
@@ -338,8 +321,7 @@ def _verify_all_checks(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_verify_all(cfg: RunConfig) -> tuple[str, int]:
-    text, ok = _report_text(_verify_all_checks(cfg))
-    return text, 0 if ok else 1
+    return _report_text(_verify_all_checks(cfg))
 
 
 _DISPATCH = {
@@ -353,52 +335,50 @@ _DISPATCH = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one set of flags, accepted before and after the command name; a flag not
+    # given sets nothing, so it cannot overwrite one given in the other position
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", help="key = value config file; flags override")
+    common.add_argument("--kR", type=float,
+                        help="dimensionless cavity size k*R (default 100)")
+    common.add_argument("--samples", type=int,
+                        help="grid size (default: 2000 radial, 200 decay)")
+    common.add_argument("--m", type=int, choices=(-1, 0, 1),
+                        help="AM projection for variance (default 0)")
+    common.add_argument("--omega0-over-gamma", type=float, dest="omega0_over_gamma",
+                        help="transition frequency over decay width (default 1000)")
+    common.add_argument("--cutoff", type=int,
+                        help="Fock-space total-occupation cutoff (default 3)")
+    common.add_argument("--tol", type=float,
+                        help="tolerance for algebra checks (default 1e-12)")
+    common.add_argument("--out", help="output path (default stdout)")
+    common.add_argument("--format", choices=("csv", "json"),
+                        help="output format (default depends on command)")
     parser = argparse.ArgumentParser(
         prog="photonam",
         description="Angular-momentum structure of dipole-emitted photons: "
         "radial density profiles, operator-algebra checks, decay curves, "
         "and photon-twin entanglement.",
+        parents=[common],
     )
-    parser.add_argument("--config", default=None,
-                        help="key = value config file; flags override")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None,
-                       help="key = value config file; flags override")
-        p.add_argument("--kR", type=float, default=None,
-                       help="dimensionless cavity size k*R (default 100)")
-        p.add_argument("--samples", type=int, default=None,
-                       help="grid size (default: 2000 radial, 200 decay)")
-        p.add_argument("--m", type=int, choices=(-1, 0, 1), default=None,
-                       help="AM projection for variance (default 0)")
-        p.add_argument("--omega0-over-gamma", type=float, default=None,
-                       dest="omega0_over_gamma",
-                       help="transition frequency over decay width (default 1000)")
-        p.add_argument("--cutoff", type=int, default=None,
-                       help="Fock-space total-occupation cutoff (default 3)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance for algebra checks (default 1e-12)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default depends on command)")
-
     for name in COMMANDS:
-        add_common(sub.add_parser(name, help=f"run the {name} computation"))
+        sub.add_parser(name, parents=[common], help=f"run the {name} computation")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    if args.command is not None:
-        config.command = args.command
-    for field_info in fields(RunConfig):
-        if field_info.name == "command":
-            continue
-        value = getattr(args, field_info.name, None)
-        if value is not None:
-            setattr(config, field_info.name, value)
-    return config
+    overrides = {key: value for key, value in vars(args).items() if value is not None}
+    path = overrides.pop("config", None)
+    return replace(load_config(path) if path else RunConfig(), **overrides)
+
+
+def _validate(cfg: RunConfig) -> None:
+    """Refuse a tolerance that judges nothing and a grid too large to allocate."""
+    if not (np.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {cfg.tol}")
+    if cfg.samples is not None and cfg.samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {cfg.samples}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -413,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unknown command {config.command!r}", file=sys.stderr)
         return 2
     try:
+        _validate(config)
         text, code = _DISPATCH[config.command](config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
+from .output import csv_lines
+
 #: Natural units: the speed of light fixes the dispersion w_k = k.
 C_LIGHT = 1.0
 
@@ -206,22 +208,6 @@ CSV_HEADER = "t,sz_over_hbar,excited_pop,norm_residual"
 
 
 def decay_csv_lines(curve: DecayCurve) -> list[str]:
-    lines = [CSV_HEADER]
-    for i in range(len(curve.t)):
-        lines.append(
-            ",".join(
-                f"{v:.12g}"
-                for v in (
-                    curve.t[i],
-                    curve.sz_expect[i],
-                    curve.excited_pop[i],
-                    curve.norm_residual[i],
-                )
-            )
-        )
-    return lines
-
-
-def write_decay_csv(curve: DecayCurve, stream) -> None:
-    for line in decay_csv_lines(curve):
-        stream.write(line + "\n")
+    """CSV rows at 12 significant digits, header included."""
+    columns = (curve.t, curve.sz_expect, curve.excited_pop, curve.norm_residual)
+    return csv_lines(CSV_HEADER, columns)

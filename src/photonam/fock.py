@@ -10,6 +10,7 @@ behavior).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Sequence
@@ -17,6 +18,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+
+#: Largest basis build_space admits, because dense operators are dim x dim
+#: complex matrices (16 MiB at this size): cutoff <= 16 for three modes, <= 6 for six.
+MAX_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,11 @@ def build_space(modes: Sequence[ModeLabel], cutoff: int) -> FockSpace:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if len(set(modes)) != len(modes):
         raise ValueError("mode labels must be unique")
+    dim = math.comb(cutoff + len(modes), len(modes))
+    if dim > MAX_DIM:
+        raise ValueError(
+            f"{len(modes)} modes at cutoff {cutoff} give dimension {dim} > {MAX_DIM}"
+        )
     basis = tuple(
         occ for occ in product(range(cutoff + 1), repeat=len(modes)) if sum(occ) <= cutoff
     )

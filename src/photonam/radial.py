@@ -21,6 +21,8 @@ from math import factorial, prod
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
+from .output import csv_lines
+
 #: Below this argument the closed forms lose digits to cancellation and the
 #: power series is machine-exact; both branches agree to ~5e-14 at the seam.
 SERIES_SWITCH = 0.1
@@ -55,6 +57,12 @@ class CavityConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.kR < MIN_KR:
             raise ValueError(f"kR must be >= {MIN_KR}, got {self.kR}")
+        try:
+            cubes = (self.volume, self.k**3)
+        except OverflowError:  # a Python float cubed past the float range
+            cubes = (np.inf,)
+        if not np.all(np.isfinite(cubes)):
+            raise ValueError(f"volume and k^3 must be finite, got R={self.R}, k={self.k}")
 
     @property
     def kR(self) -> float:
@@ -298,12 +306,16 @@ def wave_zone_discrepancy(config: CavityConfig, start_kr: float) -> float:
 
 @dataclass(frozen=True)
 class ZoneReport:
-    """Near-, intermediate-, and wave-zone diagnostics of the density split."""
+    """Near-, intermediate-, and wave-zone diagnostics of the density split.
+
+    `profile` is the sampled profile the diagnostics were read from.
+    """
 
     near_ratio: float
     oam_peak_r: float
     wave_zone_discrepancy: float
     config: CavityConfig
+    profile: RadialProfile = field(repr=False, compare=False)
 
     @property
     def oam_peak_over_lambda(self) -> float:
@@ -344,6 +356,7 @@ def zone_report(config: CavityConfig, n_samples: int = 2000) -> ZoneReport:
         oam_peak_r=x_peak / config.k,
         wave_zone_discrepancy=wave_zone_discrepancy(config, start),
         config=config,
+        profile=profile,
     )
 
 
@@ -352,23 +365,5 @@ CSV_HEADER = "kr,f_spin,f_oam,cum_spin,cum_oam"
 
 def profile_csv_lines(profile: RadialProfile) -> list[str]:
     """CSV rows at 12 significant digits, header included."""
-    lines = [CSV_HEADER]
-    for i in range(profile.n_samples):
-        lines.append(
-            ",".join(
-                f"{v:.12g}"
-                for v in (
-                    profile.kr[i],
-                    profile.f_spin[i],
-                    profile.f_oam[i],
-                    profile.cum_spin[i],
-                    profile.cum_oam[i],
-                )
-            )
-        )
-    return lines
-
-
-def write_profile_csv(profile: RadialProfile, stream) -> None:
-    for line in profile_csv_lines(profile):
-        stream.write(line + "\n")
+    columns = (profile.kr, profile.f_spin, profile.f_oam, profile.cum_spin, profile.cum_oam)
+    return csv_lines(CSV_HEADER, columns)

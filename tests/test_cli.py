@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from photonam import radial
-from photonam.cli import ConfigError, RunConfig, _json_text, load_config, main
+from photonam.cli import MAX_SAMPLES, ConfigError, RunConfig, _json_text, load_config, main
 
 
 def run_cli(capsys, *args):
@@ -145,6 +145,23 @@ def test_config_defaults_and_precedence(tmp_path, capsys):
     assert float(lines[-1].split(",")[0]) == 100.0  # kR from flag wins
 
 
+@pytest.mark.parametrize("before", [True, False])
+def test_config_before_or_after_command(tmp_path, capsys, before):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("samples = 100\n")
+
+    def args(path):
+        return ["--config", str(path), "radial"] if before else ["radial", "--config", str(path)]
+
+    code, out, _ = run_cli(capsys, *args(config_file))
+    assert code == 0
+    assert len(out.splitlines()) == 101
+    code, out, err = run_cli(capsys, *args(tmp_path / "missing.cfg"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config file")
+
+
 def test_config_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("kR = 50\nthis line has no equals sign\n")
@@ -186,6 +203,17 @@ def test_invalid_parameter_value_exit_2(capsys):
         ("decay", "--omega0-over-gamma", "nan"),
         ("decay", "--omega0-over-gamma", "inf"),
         ("decay", "--omega0-over-gamma", "inf", "--format", "json"),
+        # R**3 past the float range
+        ("radial", "--kR", "1e300"),
+        # a tolerance must be able to pass and to fail
+        ("algebra", "--tol", "0"),
+        ("algebra", "--tol", "-1"),
+        ("algebra", "--tol", "nan"),
+        ("algebra", "--tol", "inf"),
+        # the first values past the size bounds, refused before allocation
+        ("radial", "--samples", str(MAX_SAMPLES + 1)),
+        ("decay", "--samples", str(MAX_SAMPLES + 1)),
+        ("algebra", "--cutoff", "17"),
     ):
         code, out, err = run_cli(capsys, *args)
         assert code == 2, args

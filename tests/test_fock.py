@@ -39,6 +39,7 @@ def test_build_space_sizes():
     assert build_space([M1], 0).dim == 1
     assert build_space([M1, M2, M3], 1).dim == 4
     assert build_space([M1, M2, M3], 3).dim == len(brute_force_basis(3, 3)) == 20
+    assert build_space([M1, M2, M3], 16).dim == 969
 
 
 def test_basis_matches_brute_force_enumeration():
@@ -62,6 +63,11 @@ def test_build_space_errors():
         build_space([M1], -1)
     with pytest.raises(ValueError):
         build_space([M1, M1], 2)
+    # the first cutoffs past MAX_DIM = 1024 for three and six modes
+    with pytest.raises(ValueError, match="dimension 1140"):
+        build_space([M1, M2, M3], 17)
+    with pytest.raises(ValueError, match="dimension 1716"):
+        build_space([ModeLabel(str(i)) for i in range(6)], 7)
 
 
 def test_annihilation_matches_hand_built_single_mode_matrix():

@@ -11,7 +11,6 @@ routines, and against oracles that share no formula with them: adaptive
 scipy's spherical_jn for the cumulative columns and the wave-zone windows.
 """
 
-import io
 import math
 
 import numpy as np
@@ -32,7 +31,6 @@ from photonam.radial import (
     radial_profile,
     spherical_bessel,
     wave_zone_discrepancy,
-    write_profile_csv,
     zone_report,
 )
 
@@ -402,10 +400,8 @@ def test_csv_shape_and_precision(config):
 
 
 def test_csv_writer(config):
+    # the shared row formatter against a per-index loop over the columns
     profile = radial_profile(config, 120)
-    buffer = io.StringIO()
-    write_profile_csv(profile, buffer)
-    text = buffer.getvalue()
-    assert text.startswith(CSV_HEADER + "\n")
-    assert text.endswith("\n")
-    assert len(text.splitlines()) == 121
+    columns = (profile.kr, profile.f_spin, profile.f_oam, profile.cum_spin, profile.cum_oam)
+    rows = [",".join(f"{col[i]:.12g}" for col in columns) for i in range(120)]
+    assert profile_csv_lines(profile) == [CSV_HEADER] + rows

@@ -1,6 +1,7 @@
 """Photon-twin pair states, entanglement measure, and the radiation selection rule."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -232,6 +233,9 @@ def test_selection_rule_report(space, hamiltonian):
     payload = report.to_json_dict()
     assert payload["pass"] is True
     assert len(payload["evolution_overlaps"]) == 3
+    # a failing report is plain JSON too: zero coupling is not below a zero tolerance
+    failed = selection_rule_check(hamiltonian, space, 1.0, 0.05, coupling_tol=0.0)
+    assert json.loads(json.dumps(failed.to_json_dict()))["pass"] is False
 
 
 def test_evolution_actually_radiates(space, hamiltonian, basis):
