@@ -15,15 +15,12 @@ the decay of the excited population.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate  # unused: perfbench/spans.py counts quad calls through this name
+from scipy import special
 
 from .output import csv_lines
-
-#: Natural units: the speed of light fixes the dispersion w_k = k.
-C_LIGHT = 1.0
 
 #: Integration window half-width in units of the decay width.
 WINDOW_WIDTHS = 40.0
@@ -31,9 +28,9 @@ WINDOW_WIDTHS = 40.0
 #: Markov validity floor for the transition-frequency-to-width ratio.
 MIN_OMEGA0_OVER_GAMMA = 50.0
 
-
-class QuadratureError(RuntimeError):
-    """k-space quadrature failed to reach the requested accuracy."""
+#: Past this G t the damped oscillatory weight is 0: E1 in it overflows near
+#: 720, and e^{-G t} is below 1e-304 already.
+_DAMPED_TAU_MAX = 700.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,21 +71,16 @@ def excited_amplitude(t, params: DecayParams):
     return complex(out) if arr.ndim == 0 else out
 
 
-@lru_cache(maxsize=256)
 def _base_weight_integral(omega0: float, gamma: float) -> float:
     """Steady-state photon weight in dimensionless detuning units.
 
     With u = (k - w0)/G the uncalibrated weight is (w0^3/G) I0 where
-    I0 = int_{-40}^{40} (1 + eps u)^3 / (1 + u^2) du, eps = G/w0.
+    I0 = int_{-L}^{L} (1 + eps u)^3 / (1 + u^2) du, eps = G/w0, L = WINDOW_WIDTHS.
+    The odd part cancels on the symmetric window, and the even part is
+    3 eps^2 + (1 - 3 eps^2)/(1 + u^2), so I0 = 6 eps^2 L + 2 (1 - 3 eps^2) arctan L.
     """
-    eps = gamma / omega0
-    integrand = lambda u: (1.0 + eps * u) ** 3 / (1.0 + u * u)
-    value, err = integrate.quad(
-        integrand, -WINDOW_WIDTHS, WINDOW_WIDTHS, epsabs=0.0, epsrel=1e-10, limit=400
-    )
-    if not np.isfinite(value) or value <= 0.0 or err / value > 1e-8:
-        raise QuadratureError("steady-state photon weight integral did not converge")
-    return float(value)
+    eps2 = (gamma / omega0) ** 2
+    return float(6.0 * eps2 * WINDOW_WIDTHS + 2.0 * (1.0 - 3.0 * eps2) * np.arctan(WINDOW_WIDTHS))
 
 
 def calibration_constant(params: DecayParams) -> float:
@@ -117,53 +109,57 @@ def photon_amplitude(k, t, params: DecayParams):
     return out
 
 
-def _oscillatory_weight_integral(omega0: float, gamma: float, tau: float) -> float:
-    """int (1 + eps u)^3 / (1 + u^2) cos(u tau) du over the detuning window."""
-    eps = gamma / omega0
-    integrand = lambda u: (1.0 + eps * u) ** 3 / (1.0 + u * u)
-    value, err = integrate.quad(
-        integrand,
-        -WINDOW_WIDTHS,
-        WINDOW_WIDTHS,
-        weight="cos",
-        wvar=tau,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=max(400, int(40 * tau) + 50),
-    )
-    if not np.isfinite(value):
-        raise QuadratureError("oscillatory photon weight integral did not converge")
-    return float(value)
+def _damped_oscillatory_weight(eps: float, tau: np.ndarray) -> np.ndarray:
+    """e^{-tau} int (1 + eps u)^3 / (1 + u^2) cos(u tau) du over the window; 0 at tau = 0.
+
+    With the even part as in the base weight, the integral is
+    6 eps^2 sin(L tau)/tau + (1 - 3 eps^2) [pi e^{-tau} - 2 Re T], where by partial
+    fractions (DLMF 6.2) the tail T = int_L^inf e^{i u tau}/(1 + u^2) du
+    = [e^{-tau} E1(-tau (1 + i L)) - e^{tau} E1(tau (1 - i L))] / 2i. Damping
+    the tail first keeps e^{tau} out of the arithmetic.
+    """
+    length, eps2 = WINDOW_WIDTHS, eps * eps
+    out = np.zeros_like(tau)
+    live = (tau > 0.0) & (tau <= _DAMPED_TAU_MAX)
+    tau = tau[live]
+    decay = np.exp(-tau)
+    # Im(tail) = 2 Re(e^{-tau} T)
+    tail = decay * (decay * special.exp1(-tau * (1.0 + 1j * length)))
+    tail -= special.exp1(tau * (1.0 - 1j * length))
+    sine = 6.0 * eps2 * decay * np.sin(length * tau) / tau
+    out[live] = sine + (1.0 - 3.0 * eps2) * (np.pi * decay * decay - tail.imag)
+    return out
 
 
-def photon_weight(params: DecayParams, t: float) -> float:
-    """Calibrated photon probability int rho K |B(k, t)|^2 dk at one time.
+def photon_weight(params: DecayParams, t):
+    """Calibrated photon probability int rho K |B(k, t)|^2 dk, scalar or array t.
 
     |B(k, t)|^2 factors into the steady-state Lorentzian weight times
     1 - 2 e^{-G t} cos((k - w0) t) + e^{-2 G t}; the smooth and oscillatory
-    parts are integrated separately so the t = 0 cancellation is exact.
+    parts are integrated separately, and the weight is exactly 0 at t = 0.
     """
-    if t < 0:
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0):
         raise ValueError("t must be >= 0")
-    tau = params.gamma * t
-    if tau == 0.0:
-        return 0.0  # the 1 - exp(...) factor vanishes identically
+    tau = params.gamma * arr.ravel()
     base = _base_weight_integral(params.omega0, params.gamma)
-    osc = _oscillatory_weight_integral(params.omega0, params.gamma, tau)
+    damped = _damped_oscillatory_weight(params.gamma / params.omega0, tau)
     decay = np.exp(-tau)
-    return ((1.0 + decay * decay) * base - 2.0 * decay * osc) / base
+    weight = np.where(tau == 0.0, 0.0, ((1.0 + decay * decay) * base - 2.0 * damped) / base)
+    return float(weight[0]) if arr.ndim == 0 else weight.reshape(arr.shape)
 
 
-def conservation_check(params: DecayParams, t: float) -> float:
-    """Residual |C(t)|^2 + int rho K |B(k, t)|^2 dk - 1.
+def conservation_check(params: DecayParams, t):
+    """Residual |C(t)|^2 + int rho K |B(k, t)|^2 dk - 1, scalar or array t.
 
     Zero exactly at t = 0. The finite window leaves a transient deficit of
     order 0.03 exp(-2 G t) at early times; by t ~ 1/G the magnitude is well
     below 0.02 for omega0/gamma >= 1e3, and at fixed G t it shrinks as
     omega0/gamma grows.
     """
-    excited = np.exp(-2.0 * params.gamma * t)
-    return float(excited + photon_weight(params, t) - 1.0)
+    excited = np.exp(-2.0 * params.gamma * np.asarray(t, dtype=float))
+    out = excited + photon_weight(params, t) - 1.0
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def sz_expectation(t, params: DecayParams):
@@ -197,7 +193,7 @@ def sz_curve(params: DecayParams) -> DecayCurve:
         t=t.copy(),
         sz_expect=sz_expectation(t, params),
         excited_pop=np.exp(-2.0 * params.gamma * t),
-        norm_residual=np.array([conservation_check(params, float(ti)) for ti in t]),
+        norm_residual=conservation_check(params, t),
     )
     for arr in arrays.values():
         arr.setflags(write=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -81,9 +81,11 @@ def build_space(modes: Sequence[ModeLabel], cutoff: int) -> FockSpace:
         raise ValueError(
             f"{len(modes)} modes at cutoff {cutoff} give dimension {dim} > {MAX_DIM}"
         )
-    basis = tuple(
-        occ for occ in product(range(cutoff + 1), repeat=len(modes)) if sum(occ) <= cutoff
-    )
+    # stars and bars: each choice of len(modes) bars among cutoff + len(modes)
+    # slots is one admitted occupation, the gaps before each bar, and the
+    # bar choices come in the lexicographic order of their gaps
+    bars = combinations(range(cutoff + len(modes)), len(modes))
+    basis = tuple(tuple(b - a - 1 for a, b in zip((-1, *c), c)) for c in bars)
     index = {occ: i for i, occ in enumerate(basis)}
     return FockSpace(modes=modes, cutoff=cutoff, basis=basis, _index=index)
 

@@ -91,12 +91,11 @@ def spherical_bessel(ell: int, x):
         raise ValueError("argument must be >= 0")
     small = arr < SERIES_SWITCH
     safe = np.where(small, 1.0, arr)  # avoid 0/0 in the unused branch
+    series = _bessel_series(ell, np.where(small, arr, 0.0))  # and overflow in the unused series
     if ell == 0:
         closed = np.sin(safe) / safe
-        series = _j0_series(arr)
     else:
         closed = (3.0 / safe**3 - 1.0 / safe) * np.sin(safe) - 3.0 * np.cos(safe) / safe**2
-        series = _j2_series(arr)
     out = np.where(small, series, closed)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
@@ -123,13 +122,8 @@ _LOMMEL_SERIES = {
 }
 
 
-def _j0_series(x):
-    return polyval(np.square(x), _BESSEL_SERIES[0])
-
-
-def _j2_series(x):
-    x2 = np.square(x)
-    return x2 * polyval(x2, _BESSEL_SERIES[2])
+def _bessel_series(ell: int, x):
+    return x**ell * polyval(np.square(x), _BESSEL_SERIES[ell])
 
 
 def _shell_antiderivative(ell: int, x) -> np.ndarray:
@@ -256,13 +250,16 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
 
 
 def _golden_section_max(func, lo: float, hi: float, tol: float = 1e-11) -> float:
-    """Deterministic golden-section maximizer on [lo, hi]."""
+    """Deterministic golden-section maximizer on [lo, hi].
+
+    Stops at width tol, or once rounding no longer puts both probes strictly inside.
+    """
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = func(c), func(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -336,18 +333,20 @@ def zone_report(config: CavityConfig, n_samples: int = 2000) -> ZoneReport:
     near_ratio is f_spin/f_oam at the grid point nearest r = 0.1 lambda
     (the ratio is monotone decreasing there, so this is the near-zone
     minimum on the grid). The OAM peak is the grid argmax over (0, lambda]
-    refined by golden section. The wave-zone discrepancy uses a window of
-    one wavelength starting at 0.8 R, clipped to fit inside the cavity.
+    refined by golden section between its neighbours, or the ends 0 and
+    lambda where the grid has none. The wave-zone discrepancy uses a window
+    of one wavelength starting at 0.8 R, clipped to fit inside the cavity.
     """
     profile = radial_profile(config, n_samples)
     x_near = 0.2 * np.pi
     idx_near = int(np.argmin(np.abs(profile.kr - x_near)))
     near_ratio = float(profile.f_spin[idx_near] / profile.f_oam[idx_near])
 
-    in_lambda = profile.kr <= 2.0 * np.pi
-    idx_peak = int(np.argmax(np.where(in_lambda, profile.f_oam, -np.inf)))
-    lo = profile.kr[max(idx_peak - 1, 0)]
-    hi = profile.kr[min(idx_peak + 1, profile.n_samples - 1)]
+    x_lambda = 2.0 * np.pi
+    inside = profile.kr <= x_lambda
+    kr = np.concatenate(([0.0], profile.kr[inside], [x_lambda]))
+    idx_peak = int(np.argmax(np.concatenate(([-np.inf], profile.f_oam[inside], [-np.inf]))))
+    lo, hi = kr[max(idx_peak - 1, 0)], kr[idx_peak + 1]
     x_peak = _golden_section_max(lambda x: f_oam(x, config), lo, hi)
 
     start = min(0.8 * config.kR, config.kR - 2.0 * np.pi)

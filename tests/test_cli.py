@@ -238,3 +238,17 @@ def test_module_invocation():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["varJx"] == 0.5
+
+
+@pytest.mark.parametrize("kR", ["1e8", "1e9"])
+def test_radial_json_far_past_the_sampled_wavelength(kR):
+    # 2000 samples leave no grid point in the first wavelength
+    result = subprocess.run(
+        [sys.executable, "-m", "photonam", "radial", "--kR", kR, "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["oam_peak_over_lambda"] == pytest.approx(0.5319107, abs=1e-6)

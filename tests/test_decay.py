@@ -3,6 +3,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 
@@ -120,6 +121,44 @@ def test_photon_weight_against_simpson_oracle(params):
 
 def test_conservation_zero_at_t0(params):
     assert conservation_check(params, 0.0) == 0.0
+
+
+def quad_residual(ratio: float, tau: float) -> float:
+    """|C|^2 + photon weight - 1 at G t = tau from adaptive QAWO window integrals."""
+    eps = 1.0 / ratio
+    lorentz = lambda u: (1.0 + eps * u) ** 3 / (1.0 + u * u)
+    base, _ = quad(lorentz, -40.0, 40.0, epsabs=0.0, epsrel=1e-13, limit=400)
+    osc, _ = quad(
+        lorentz, -40.0, 40.0, weight="cos", wvar=tau, epsabs=1e-14, epsrel=1e-13,
+        limit=max(400, int(40 * tau) + 50),
+    )
+    decay = np.exp(-tau)
+    return decay * decay + ((1.0 + decay * decay) * base - 2.0 * decay * osc) / base - 1.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(ratio=st.floats(50.0, 1e4), log_tau=st.floats(-6.0, np.log10(50.0)))
+def test_closed_form_window_weights_match_quadrature_oracle(ratio, log_tau):
+    tau = 10.0**log_tau
+    p = DecayParams(omega0=ratio, gamma=1.0)
+    assert conservation_check(p, tau) == pytest.approx(quad_residual(ratio, tau), rel=0, abs=1e-12)
+
+
+def test_conservation_finite_at_extreme_times(params):
+    taus = np.array([0.0, 1e-12, 700.0, 710.0, 1e6])
+    residuals = conservation_check(params, taus / params.gamma)
+    assert np.all(np.isfinite(residuals))
+    assert residuals[0] == 0.0
+    assert photon_weight(params, 0.0) == 0.0
+    assert abs(residuals[1]) < 1e-10
+    assert np.all(residuals[2:] == 0.0)  # the oscillatory part has underflowed
+
+
+def test_curve_residual_matches_pointwise_check():
+    grid = np.linspace(0.0, 10.0, 41)
+    p = DecayParams(omega0=1000.0, gamma=1.0, time_grid=grid)
+    pointwise = [conservation_check(p, float(t)) for t in grid]
+    np.testing.assert_array_equal(sz_curve(p).norm_residual, pointwise)
 
 
 def test_conservation_small_at_late_time(params):

@@ -47,6 +47,22 @@ def test_basis_matches_brute_force_enumeration():
     assert list(space.basis) == brute_force_basis(3, 3)
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 4])
+def test_basis_matches_brute_force_for_small_cases(n_modes, cutoff):
+    modes = [ModeLabel(str(i)) for i in range(n_modes)]
+    assert list(build_space(modes, cutoff).basis) == brute_force_basis(n_modes, cutoff)
+
+
+def test_build_space_many_modes():
+    # only the admitted states are enumerated: (cutoff + 1)^modes would be 2^20 and 2^2000
+    space = build_space([ModeLabel(str(i)) for i in range(20)], 1)
+    assert space.dim == 21
+    assert space.basis[1] == (0,) * 19 + (1,)
+    assert space.basis[-1] == (1,) + (0,) * 19
+    assert build_space([ModeLabel(str(i)) for i in range(2000)], 0).basis == ((0,) * 2000,)
+
+
 def test_basis_ordering_deterministic_and_bijective():
     a = build_space([M1, M2, M3], 3)
     b = build_space([M1, M2, M3], 3)

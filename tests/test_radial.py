@@ -12,6 +12,7 @@ scipy's spherical_jn for the cumulative columns and the wave-zone windows.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,8 +111,8 @@ def test_bessel_series_seam():
     seam = radial.SERIES_SWITCH
     j0_closed = np.sin(seam) / seam
     j2_closed = (3.0 / seam**3 - 1.0 / seam) * np.sin(seam) - 3.0 * np.cos(seam) / seam**2
-    assert abs(radial._j0_series(seam) - j0_closed) < 1e-12
-    assert abs(radial._j2_series(seam) - j2_closed) < 1e-12
+    assert abs(radial._bessel_series(0, seam) - j0_closed) < 1e-12
+    assert abs(radial._bessel_series(2, seam) - j2_closed) < 1e-12
 
 
 def test_bessel_errors():
@@ -331,6 +332,32 @@ def test_oam_peak_location(config):
     )
     assert report.oam_peak_r * config.k == pytest.approx(res.x, abs=1e-6)
     assert 0.4 <= report.oam_peak_over_lambda <= 0.65
+
+
+@pytest.mark.parametrize("kR, n_samples", [(100.0, 100), (5e3, 2000), (8e3, 2000), (1e8, 2000)])
+def test_oam_peak_bracketed_inside_first_wavelength(kR, n_samples):
+    # grid spacings 1, 2.5, 4 and 5e4: the last two leave at most one sample in (0, lambda]
+    report = zone_report(CavityConfig(k=1.0, R=kR), n_samples)
+    res = minimize_scalar(
+        lambda x: -spherical_jn(2, x) ** 2, bounds=(2.0, 5.0), method="bounded",
+        options={"xatol": 1e-12},
+    )
+    assert report.oam_peak_r == pytest.approx(res.x, abs=1e-6)
+
+
+def test_golden_section_ends_where_floats_are_coarser_than_tol():
+    # near 5e5 adjacent floats are 5.8e-11 apart, wider than the 1e-11 stopping width
+    x = radial._golden_section_max(lambda x: -((x - 500000.3) ** 2), 500000.0, 500001.0)
+    assert x == pytest.approx(500000.3, abs=1e-9)
+
+
+def test_bessel_large_arguments_without_overflow_warning():
+    x = np.array([0.05, 1e8, 1e100])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = spherical_bessel(2, x)
+    assert np.all(np.isfinite(values))
+    assert values[1] == pytest.approx(spherical_jn(2, 1e8), rel=1e-6, abs=1e-14)
 
 
 def test_wave_zone_discrepancy_small_at_kr200():
