@@ -41,7 +41,6 @@ from .fock import (
     expectation,
     fock_state,
     number_operator,
-    occupation_projector,
     total_number_operator,
     vacuum_state,
     variance,

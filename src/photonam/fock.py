@@ -207,12 +207,6 @@ def identity_operator(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.eye(space.dim, dtype=complex))
 
 
-def occupation_projector(space: FockSpace, max_total: int) -> OperatorMatrix:
-    """Diagonal projector onto basis states with total occupation <= max_total."""
-    diag = np.array([1.0 if sum(occ) <= max_total else 0.0 for occ in space.basis])
-    return OperatorMatrix(space, np.diag(diag).astype(complex))
-
-
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB - BA on a shared space."""
     _require_same_space(a, b)

@@ -37,13 +37,18 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 MIN_KR = 20.0
 
+#: Largest kR: below it the one-wavelength window at 0.8 R still has 257
+#: distinct panel edges (kR eps 257 < 2 pi); past ~4e16 they all coincide.
+MAX_KR = 1e14
+
 
 @dataclass(frozen=True)
 class CavityConfig:
     """Spherical cavity of radius R with a single radiated wavenumber k.
 
-    kR >= 20 is enforced: the two mode normalizations differ by O(1/kR), and
-    the zone diagnostics assume the cavity spans well past the wave zone.
+    20 <= kR <= MAX_KR is enforced: the two mode normalizations differ by
+    O(1/kR), the zone diagnostics assume the cavity spans well past the wave
+    zone, and the wave-zone window must resolve one wavelength in floats.
     """
 
     k: float = 1.0
@@ -57,6 +62,8 @@ class CavityConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.kR < MIN_KR:
             raise ValueError(f"kR must be >= {MIN_KR}, got {self.kR}")
+        if self.kR > MAX_KR:
+            raise ValueError(f"kR must be <= {MAX_KR:g}, got {self.kR}")
         try:
             cubes = (self.volume, self.k**3)
         except OverflowError:  # a Python float cubed past the float range
@@ -126,6 +133,13 @@ def _bessel_series(ell: int, x):
     return x**ell * polyval(np.square(x), _BESSEL_SERIES[ell])
 
 
+def _spherical_j1_j2(x):
+    """(j1, j2) at x > 0 by upward recurrence from j0 = sin(x)/x; they cancel below x ~ 1."""
+    j0 = np.sin(x) / x
+    j1 = (j0 - np.cos(x)) / x
+    return j1, 3.0 * j1 / x - j0
+
+
 def _shell_antiderivative(ell: int, x) -> np.ndarray:
     """A_ell(x) = int_0^x t^2 j_ell(t)^2 dt for ell = 0, 2 (Lommel, DLMF 10.22).
 
@@ -141,9 +155,7 @@ def _shell_antiderivative(ell: int, x) -> np.ndarray:
     if ell == 0:
         closed = xc / 2.0 - np.sin(2.0 * xc) / 4.0
     else:
-        j0 = np.sin(xc) / xc
-        j1 = (j0 - np.cos(xc)) / xc
-        j2 = 3.0 * j1 / xc - j0
+        j1, j2 = _spherical_j1_j2(xc)
         closed = xc**3 / 2.0 * (j2 * j2 - j1 * (5.0 * j2 / xc - j1))
     return np.where(small, series, closed)
 
@@ -249,28 +261,6 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
     return RadialProfile(config=config, **arrays)
 
 
-def _golden_section_max(func, lo: float, hi: float, tol: float = 1e-11) -> float:
-    """Deterministic golden-section maximizer on [lo, hi].
-
-    Stops at width tol, or once rounding no longer puts both probes strictly inside.
-    """
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = func(c), func(d)
-    while b - a > tol and a < c < d < b:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = func(d)
-    return 0.5 * (a + b)
-
-
 def shell_integrals(config: CavityConfig, edges: np.ndarray) -> tuple[float, float]:
     """Gauss-Legendre shell integrals of f_spin and f_oam over the panels between edges.
 
@@ -305,7 +295,8 @@ def wave_zone_discrepancy(config: CavityConfig, start_kr: float) -> float:
 class ZoneReport:
     """Near-, intermediate-, and wave-zone diagnostics of the density split.
 
-    `profile` is the sampled profile the diagnostics were read from.
+    `profile` is the sampled profile at the requested size; the diagnostics
+    are exact and do not read it.
     """
 
     near_ratio: float
@@ -327,35 +318,42 @@ class ZoneReport:
         }
 
 
+def _oam_peak_kr() -> float:
+    """The first maximum of j2: the single root of j2' = j1 - 3 j2 / x in (0, 2 pi].
+
+    j2' (DLMF 10.51.2) is positive below the root (~3.342) and -0.12 at 2 pi,
+    so bisection on its sign needs no bracket from a grid. It stops when the
+    midpoint rounds onto an end, 5e-16 from the root: the rounding noise of j2'.
+    """
+    lo, hi = 0.0, 2.0 * np.pi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        j1, j2 = _spherical_j1_j2(mid)
+        if j1 - 3.0 * j2 / mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return float(mid)
+
+
 def zone_report(config: CavityConfig, n_samples: int = 2000) -> ZoneReport:
     """Zone diagnostics: near-zone spin dominance, OAM peak, wave-zone equality.
 
-    near_ratio is f_spin/f_oam at the grid point nearest r = 0.1 lambda
-    (the ratio is monotone decreasing there, so this is the near-zone
-    minimum on the grid). The OAM peak is the grid argmax over (0, lambda]
-    refined by golden section between its neighbours, or the ends 0 and
-    lambda where the grid has none. The wave-zone discrepancy uses a window
-    of one wavelength starting at 0.8 R, clipped to fit inside the cavity.
+    near_ratio is f_spin/f_oam at exactly r = 0.1 lambda, where the ratio
+    is monotone decreasing. The OAM peak is the root of j2' inside the first
+    wavelength. Neither depends on n_samples, which sizes only the attached
+    profile. The wave-zone discrepancy uses a window of one wavelength
+    starting at 0.8 R, clipped to fit inside the cavity.
     """
-    profile = radial_profile(config, n_samples)
     x_near = 0.2 * np.pi
-    idx_near = int(np.argmin(np.abs(profile.kr - x_near)))
-    near_ratio = float(profile.f_spin[idx_near] / profile.f_oam[idx_near])
-
-    x_lambda = 2.0 * np.pi
-    inside = profile.kr <= x_lambda
-    kr = np.concatenate(([0.0], profile.kr[inside], [x_lambda]))
-    idx_peak = int(np.argmax(np.concatenate(([-np.inf], profile.f_oam[inside], [-np.inf]))))
-    lo, hi = kr[max(idx_peak - 1, 0)], kr[idx_peak + 1]
-    x_peak = _golden_section_max(lambda x: f_oam(x, config), lo, hi)
-
     start = min(0.8 * config.kR, config.kR - 2.0 * np.pi)
     return ZoneReport(
-        near_ratio=near_ratio,
-        oam_peak_r=x_peak / config.k,
+        near_ratio=f_spin(x_near, config) / f_oam(x_near, config),
+        oam_peak_r=_oam_peak_kr() / config.k,
         wave_zone_discrepancy=wave_zone_discrepancy(config, start),
         config=config,
-        profile=profile,
+        profile=radial_profile(config, n_samples),
     )
 
 

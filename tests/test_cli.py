@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from photonam import radial
+from photonam import radial, twins
 from photonam.cli import MAX_SAMPLES, ConfigError, RunConfig, _json_text, load_config, main
 
 
@@ -101,6 +102,16 @@ def test_verify_all_shell_conservation_detects_bad_normalization(capsys, monkeyp
     assert code == 1
     assert checks["shell_conservation"]["pass"] is False
     assert checks["shell_conservation"]["max_deviation"] == pytest.approx(1e-5, rel=0.01)
+
+
+@pytest.mark.parametrize("command", ["entangle", "verify-all"])
+def test_failed_variational_check_is_reported_not_raised(capsys, monkeypatch, command):
+    monkeypatch.setattr(twins, "local_expectations", lambda state: np.full(16, 0.5))
+    code, out, err = run_cli(capsys, command)
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-strict {name}"))
+    assert payload["pass"] is False
 
 
 def test_json_output_is_strict():
@@ -203,8 +214,10 @@ def test_invalid_parameter_value_exit_2(capsys):
         ("decay", "--omega0-over-gamma", "nan"),
         ("decay", "--omega0-over-gamma", "inf"),
         ("decay", "--omega0-over-gamma", "inf", "--format", "json"),
-        # R**3 past the float range
+        # past MAX_KR the wave-zone window edges merge in floats
         ("radial", "--kR", "1e300"),
+        ("radial", "--kR", "2e14"),
+        ("radial", "--kR", "1e17"),
         # a tolerance must be able to pass and to fail
         ("algebra", "--tol", "0"),
         ("algebra", "--tol", "-1"),
@@ -251,4 +264,7 @@ def test_radial_json_far_past_the_sampled_wavelength(kR):
     )
     assert result.returncode == 0
     assert result.stderr == ""
-    assert json.loads(result.stdout)["oam_peak_over_lambda"] == pytest.approx(0.5319107, abs=1e-6)
+    payload = json.loads(result.stdout)
+    assert payload["oam_peak_over_lambda"] == pytest.approx(0.531910725846, abs=1e-12)
+    # read at 0.1 lambda, not at the nearest grid point ~5e4 or ~5e5 out
+    assert payload["near_ratio"] == pytest.approx(1782.25, rel=1e-5)

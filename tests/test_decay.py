@@ -1,6 +1,7 @@
 """Decay amplitudes, calibration, conservation, and the AM expectation curve."""
 
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,27 @@ def test_closed_form_window_weights_match_quadrature_oracle(ratio, log_tau):
     tau = 10.0**log_tau
     p = DecayParams(omega0=ratio, gamma=1.0)
     assert conservation_check(p, tau) == pytest.approx(quad_residual(ratio, tau), rel=0, abs=1e-12)
+
+
+def mpmath_residual(ratio: float, tau: float) -> float:
+    """|C|^2 + photon weight - 1 at G t = tau from 30-digit Gauss-Legendre window integrals."""
+    with mpmath.workdps(30):
+        eps, tau = 1 / mpmath.mpf(ratio), mpmath.mpf(tau)
+        lorentz = lambda u: (1 + eps * u) ** 3 / (1 + u * u)
+        panels = mpmath.linspace(-40, 40, 17)
+        base = mpmath.quad(lorentz, panels, method="gauss-legendre")
+        osc = mpmath.quad(lambda u: lorentz(u) * mpmath.cos(u * tau), panels,
+                          method="gauss-legendre")
+        decay = mpmath.exp(-tau)
+        return float(decay**2 + ((1 + decay**2) * base - 2 * decay * osc) / base - 1)
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e3, 1e4])
+@pytest.mark.parametrize("tau", [0.5, 5.0, 10.0])
+def test_conservation_residual_to_full_relative_precision(ratio, tau):
+    # at tau = 10 the residual is ~3e-9 and must not be a difference of O(1) terms
+    p = DecayParams(omega0=ratio, gamma=1.0)
+    assert conservation_check(p, tau) == pytest.approx(mpmath_residual(ratio, tau), rel=1e-12)
 
 
 def test_conservation_finite_at_extreme_times(params):

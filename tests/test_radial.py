@@ -9,16 +9,20 @@ The tests check them against the same formulas evaluated with scipy's Bessel
 routines, and against oracles that share no formula with them: adaptive
 `quad` for the normalization, and fixed 16-point Gauss-Legendre panels over
 scipy's spherical_jn for the cumulative columns and the wave-zone windows.
+The OAM peak is checked against root finders on scipy's and mpmath's j2'.
 """
+
+import functools
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from photonam import radial
@@ -73,6 +77,25 @@ def gl_cumulative(ell: int, points) -> np.ndarray:
     edges = np.union1d(np.linspace(0.0, points[-1], int(np.ceil(points[-1])) + 1), points)
     cum = np.concatenate(([0.0], np.cumsum(gl_panels(ell, edges))))
     return cum[np.searchsorted(edges, points)]
+
+
+@functools.cache
+def mpmath_oam_peak() -> float:
+    """First root of d/dx [sqrt(pi / 2x) J_{5/2}(x)] = j2'(x) at 40 digits."""
+    with mpmath.workdps(40):
+        j2 = lambda x: mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(mpmath.mpf(5) / 2, x)
+        return float(mpmath.findroot(lambda x: mpmath.diff(j2, x), 3.3))
+
+
+def scipy_oam_peak() -> float:
+    return brentq(lambda x: spherical_jn(2, x, derivative=True), 2.0, 5.0, xtol=1e-15)
+
+
+def near_ratio_oracle(kR: float) -> float:
+    """f_spin / f_oam at kr = 0.2 pi from spherical_jn and the Lommel shell integrals."""
+    x = 0.2 * np.pi
+    j0, j2 = spherical_jn(0, x), spherical_jn(2, x)
+    return (4.0 / 3.0) * (cum_j2_sq(kR) / cum_j0_sq(kR)) * (j0 / j2) ** 2 - 1.0 / 3.0
 
 
 def oracle_densities_integrated(w0, w2, n0, n2):
@@ -139,6 +162,9 @@ def test_cavity_config_validation():
         CavityConfig(k=1.0, R=10.0)  # kR below the enforced floor
     with pytest.raises(ValueError):
         CavityConfig(k=1.0, R=100.0, hbar_scale=0.0)
+    with pytest.raises(ValueError, match="kR"):
+        CavityConfig(k=1.0, R=np.nextafter(radial.MAX_KR, np.inf))
+    assert CavityConfig(k=1.0, R=radial.MAX_KR).kR == radial.MAX_KR
     for bad in (np.nan, np.inf):
         for field in ("k", "R", "hbar_scale"):
             with pytest.raises(ValueError, match=field):
@@ -313,24 +339,18 @@ def test_profile_deterministic(config):
 
 def test_near_zone_ratio_matches_closed_form(config):
     report = zone_report(config)
-    profile = radial_profile(config, 2000)
-    idx = int(np.argmin(np.abs(profile.kr - 0.2 * np.pi)))
-    x = profile.kr[idx]
+    x = 0.2 * np.pi
     c0 = normalize_mode(config, 0).c_ell
     c2 = normalize_mode(config, 2).c_ell
     j0, j2 = spherical_jn(0, x), spherical_jn(2, x)
     expected = (2.0 * c0**2 * j0**2 - 0.5 * c2**2 * j2**2) / (1.5 * c2**2 * j2**2)
-    assert report.near_ratio == pytest.approx(expected, rel=1e-9)
+    assert report.near_ratio == pytest.approx(expected, rel=1e-12)
     assert report.near_ratio > 1e3
 
 
 def test_oam_peak_location(config):
     report = zone_report(config)
-    res = minimize_scalar(
-        lambda x: -spherical_jn(2, x) ** 2, bounds=(2.0, 5.0), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    assert report.oam_peak_r * config.k == pytest.approx(res.x, abs=1e-6)
+    assert report.oam_peak_r * config.k == pytest.approx(scipy_oam_peak(), abs=1e-14)
     assert 0.4 <= report.oam_peak_over_lambda <= 0.65
 
 
@@ -338,17 +358,22 @@ def test_oam_peak_location(config):
 def test_oam_peak_bracketed_inside_first_wavelength(kR, n_samples):
     # grid spacings 1, 2.5, 4 and 5e4: the last two leave at most one sample in (0, lambda]
     report = zone_report(CavityConfig(k=1.0, R=kR), n_samples)
-    res = minimize_scalar(
-        lambda x: -spherical_jn(2, x) ** 2, bounds=(2.0, 5.0), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    assert report.oam_peak_r == pytest.approx(res.x, abs=1e-6)
+    assert report.oam_peak_r == pytest.approx(scipy_oam_peak(), abs=1e-14)
 
 
-def test_golden_section_ends_where_floats_are_coarser_than_tol():
-    # near 5e5 adjacent floats are 5.8e-11 apart, wider than the 1e-11 stopping width
-    x = radial._golden_section_max(lambda x: -((x - 500000.3) ** 2), 500000.0, 500001.0)
-    assert x == pytest.approx(500000.3, abs=1e-9)
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    log_kR=st.floats(np.log10(20.0), 14.0),
+    n_samples=st.integers(100, 5000),
+)
+def test_zone_diagnostics_independent_of_the_grid(log_kR, n_samples):
+    config = CavityConfig(k=1.0, R=10.0**log_kR)
+    report = zone_report(config, n_samples)
+    other = zone_report(config, 100 if n_samples > 100 else 5000)
+    assert report.oam_peak_r == other.oam_peak_r
+    assert report.near_ratio == other.near_ratio
+    assert abs(report.oam_peak_r * config.k - mpmath_oam_peak()) <= 1e-15
+    assert report.near_ratio == pytest.approx(near_ratio_oracle(config.kR), rel=1e-12)
 
 
 def test_bessel_large_arguments_without_overflow_warning():

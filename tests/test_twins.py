@@ -142,16 +142,6 @@ def test_maximize_entanglement_targets():
     assert result.variational_pass
 
 
-def test_maximize_entanglement_scale_invariance():
-    base = maximize_entanglement()
-    scaled = maximize_entanglement(measure_scale=7.0)
-    assert scaled.c1_abs == pytest.approx(base.c1_abs, abs=1e-12)
-    assert scaled.c2_abs == pytest.approx(base.c2_abs, abs=1e-12)
-    assert scaled.mu_max == pytest.approx(7.0 * base.mu_max, rel=1e-12)
-    with pytest.raises(ValueError):
-        maximize_entanglement(measure_scale=0.0)
-
-
 def test_variational_condition_unique_and_matches_optimum():
     def occupation_balance(a: float) -> float:
         state = RadiatedState(a, np.sqrt(1.0 - a * a)).to_two_qutrit()
