@@ -1,9 +1,12 @@
 """Total angular-momentum operators on the three-mode (m = +1, 0, -1) photon space.
 
-Builds the AM component operators from ladder operators, the eight hermitian
-SU(3) generators with the cyclic lower-index convention, and the
-position-scaled spin/orbital density operators. Verification routines report
-commutator residuals rather than raising, so callers can aggregate them.
+Every operator here conserves photon number, so each is fixed by its 3x3
+single-photon block over the modes (+1, 0, -1) and built from it by
+`fock.bilinear`: the spin-1 matrices give the AM components, and the cyclic
+lower-index convention gives the eight hermitian SU(3) generators. The
+position-scaled spin/orbital density operators are the J triple times
+f_spin(kr) or f_oam(kr). Verification routines report commutator residuals
+rather than raising, so callers can aggregate them.
 """
 
 from __future__ import annotations
@@ -17,12 +20,10 @@ from .fock import (
     FockSpace,
     ModeLabel,
     OperatorMatrix,
+    bilinear,
     build_space,
     commutator,
-    creation,
-    annihilation,
     fock_state,
-    number_operator,
     variance,
 )
 
@@ -35,9 +36,22 @@ AM_MODES = (M_PLUS, M_ZERO, M_MINUS)
 
 DEFAULT_CUTOFF = 3
 
+#: Spin-1 matrices (Jx, Jy, Jz) in the (+1, 0, -1) basis.
+SPIN1_BLOCKS = (
+    np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2.0),
+    np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / np.sqrt(2.0),
+    np.diag([1.0, 0.0, -1.0]),
+)
+
 
 def three_mode_space(cutoff: int = DEFAULT_CUTOFF) -> FockSpace:
-    """Fock space of the three AM-projection modes with the default cutoff."""
+    """Fock space of the three AM-projection modes with the default cutoff.
+
+    The cutoff must admit one photon: on the vacuum alone every AM operator is
+    zero and each identity would hold vacuously.
+    """
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1 to hold a photon, got {cutoff}")
     return build_space(AM_MODES, cutoff)
 
 
@@ -59,45 +73,14 @@ class AmOperatorTriple:
         return AmOperatorTriple(factor * self.jx, factor * self.jy, factor * self.jz)
 
 
-def _am_mode_triple(
-    space: FockSpace, modes: tuple[ModeLabel, ModeLabel, ModeLabel] | None
-) -> tuple[ModeLabel, ModeLabel, ModeLabel]:
-    if modes is None:
-        modes = AM_MODES
-    if len(modes) != 3:
-        raise ValueError("need exactly the three modes m = +1, 0, -1")
-    for mode in modes:
-        space.mode_position(mode)  # raises on unknown label
-    return tuple(modes)
+def j_operators(space: FockSpace) -> AmOperatorTriple:
+    """Total AM components J_a = sum_mm' (J_a)_mm' a_m^dagger a_m'.
 
-
-def j_operators(
-    space: FockSpace,
-    modes: tuple[ModeLabel, ModeLabel, ModeLabel] | None = None,
-) -> AmOperatorTriple:
-    """Total AM components built from the (+1, 0, -1) ladder operators.
-
-    Jx = [a0+ (a+ + a-) + h.c.] / sqrt(2)
-    Jy = i [a0+ (a+ - a-) - h.c.] / sqrt(2)
-    Jz = a++ a+  -  a-+ a-
-
-    `modes` selects which labels play (+1, 0, -1); defaults to the canonical
-    three-mode set. Each component is number-conserving, so products of the
-    truncated matrices are exact on every occupation sector of the basis.
+    (J_a)_mm' are the SPIN1_BLOCKS over the modes (+1, 0, -1), so Jz = n_+ - n_-
+    and Jx, Jy move one photon to or from m = 0, exactly on every occupation
+    sector. A space without the three AM modes raises ValueError.
     """
-    mp, m0, mm = _am_mode_triple(space, modes)
-    a_p, a_0, a_m = (annihilation(space, m) for m in (mp, m0, mm))
-    c_0 = creation(space, m0)
-    raise_term = c_0 @ (a_p + a_m)
-    jx = (1.0 / np.sqrt(2.0)) * (raise_term + raise_term.dag())
-    diff_term = c_0 @ (a_p - a_m)
-    jy = (1j / np.sqrt(2.0)) * (diff_term - diff_term.dag())
-    jz = number_operator(space, mp) - number_operator(space, mm)
-    return AmOperatorTriple(
-        jx=OperatorMatrix(space, jx.matrix, hermitian=True),
-        jy=OperatorMatrix(space, jy.matrix, hermitian=True),
-        jz=OperatorMatrix(space, jz.matrix, hermitian=True),
-    )
+    return AmOperatorTriple(*(bilinear(space, AM_MODES, block) for block in SPIN1_BLOCKS))
 
 
 @dataclass(frozen=True)
@@ -106,63 +89,62 @@ class Su3GeneratorSet:
 
     `diagonal_raw` holds the three occupation differences n_m - n_{m-1}
     with the cyclic convention m-1 = +1 when m = -1; they sum to zero, so
-    only the first two enter the independent set.
+    only the first two enter the independent set. The entries are operators
+    on a Fock space, or in SU3_BLOCKS their 3x3 single-photon blocks.
     """
 
     diagonal_raw: tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]
-    diagonal: tuple[OperatorMatrix, OperatorMatrix]
     offdiag_real: tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]
     offdiag_imag: tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]
+
+    @property
+    def diagonal(self) -> tuple[OperatorMatrix, OperatorMatrix]:
+        return self.diagonal_raw[:2]
 
     def all_generators(self) -> tuple[OperatorMatrix, ...]:
         return self.diagonal + self.offdiag_real + self.offdiag_imag
 
 
-def su3_generators(
-    space: FockSpace,
-    modes: tuple[ModeLabel, ModeLabel, ModeLabel] | None = None,
-) -> Su3GeneratorSet:
+def _unit(row: int, col: int) -> np.ndarray:
+    return np.outer(np.eye(3)[row], np.eye(3)[col])
+
+
+#: Cyclic pairs (m, m-1) = (+1, 0), (0, -1), (-1, +1) as positions in AM_MODES.
+_CYCLIC_PAIRS = ((0, 1), (1, 2), (2, 0))
+
+#: Single-photon blocks of the SU(3) generators: per cyclic pair, n_m - n_{m-1}
+#: and the hermitian and anti-hermitian parts of the hop a_m^dagger a_{m-1}.
+SU3_BLOCKS = Su3GeneratorSet(
+    diagonal_raw=tuple(_unit(m, m) - _unit(n, n) for m, n in _CYCLIC_PAIRS),
+    offdiag_real=tuple(0.5 * (_unit(m, n) + _unit(n, m)) for m, n in _CYCLIC_PAIRS),
+    offdiag_imag=tuple((1.0 / 2j) * (_unit(m, n) - _unit(n, m)) for m, n in _CYCLIC_PAIRS),
+)
+
+
+def su3_generators(space: FockSpace) -> Su3GeneratorSet:
     """Hermitian SU(3) generator set with the cyclic lower-index convention."""
-    triple = _am_mode_triple(space, modes)
-    # cyclic pairs (m, m-1): (+1, 0), (0, -1), (-1, +1)
-    pairs = [(triple[0], triple[1]), (triple[1], triple[2]), (triple[2], triple[0])]
-    diag_raw = []
-    off_real = []
-    off_imag = []
-    for upper, lower in pairs:
-        diag_raw.append(number_operator(space, upper) - number_operator(space, lower))
-        hop = creation(space, upper) @ annihilation(space, lower)
-        off_real.append(0.5 * (hop + hop.dag()))
-        off_imag.append((1.0 / 2j) * (hop - hop.dag()))
-    mark = lambda op: OperatorMatrix(space, op.matrix, hermitian=True)
-    diag_raw = tuple(mark(op) for op in diag_raw)
+    def lift(blocks):
+        return tuple(bilinear(space, AM_MODES, block) for block in blocks)
+
     return Su3GeneratorSet(
-        diagonal_raw=diag_raw,
-        diagonal=diag_raw[:2],
-        offdiag_real=tuple(mark(op) for op in off_real),
-        offdiag_imag=tuple(mark(op) for op in off_imag),
+        diagonal_raw=lift(SU3_BLOCKS.diagonal_raw),
+        offdiag_real=lift(SU3_BLOCKS.offdiag_real),
+        offdiag_imag=lift(SU3_BLOCKS.offdiag_imag),
     )
 
 
-def single_photon_block(
-    op: OperatorMatrix,
-    space: FockSpace,
-    modes: tuple[ModeLabel, ModeLabel, ModeLabel] | None = None,
-) -> np.ndarray:
+def single_photon_block(op: OperatorMatrix, space: FockSpace) -> np.ndarray:
     """3x3 restriction of an operator to the single-photon subspace.
 
-    Rows and columns follow the (+1, 0, -1) mode order.
+    Rows and columns follow the (+1, 0, -1) mode order; for a bilinear
+    operator this is the block it was built from.
     """
-    triple = _am_mode_triple(space, modes)
-    indices = [space.index_of(fock_occ) for fock_occ in _single_photon_tuples(space, triple)]
-    return op.matrix[np.ix_(indices, indices)]
-
-
-def _single_photon_tuples(space, triple):
-    for mode in triple:
+    indices = []
+    for mode in AM_MODES:
         occ = [0] * len(space.modes)
         occ[space.mode_position(mode)] = 1
-        yield tuple(occ)
+        indices.append(space.index_of(tuple(occ)))
+    return op.matrix[np.ix_(indices, indices)]
 
 
 @dataclass(frozen=True)
@@ -184,11 +166,8 @@ class AlgebraReport:
         }
 
 
-_CYCLIC = (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
-
-
-def _component_map(triple: AmOperatorTriple) -> dict[str, OperatorMatrix]:
-    return {"x": triple.jx, "y": triple.jy, "z": triple.jz}
+#: Component positions (a, b, c) of the cyclic identities [J_a, J_b] = i J_c.
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def verify_su2(triple: AmOperatorTriple, tol: float = 1e-12) -> AlgebraReport:
@@ -198,8 +177,8 @@ def verify_su2(triple: AmOperatorTriple, tol: float = 1e-12) -> AlgebraReport:
     products are exact. A triple of zero operators is reported as degenerate:
     the identities hold vacuously.
     """
-    comps = _component_map(triple)
-    scale = max(op.max_abs() for op in triple.components())
+    comps = triple.components()
+    scale = max(op.max_abs() for op in comps)
     if scale == 0.0:
         return AlgebraReport("su2_closure", 0.0, tol, True, degenerate=True)
     residual = 0.0
@@ -263,14 +242,12 @@ def density_commutator_check(
         config = radial.CavityConfig(k=1.0, R=50.0)
     dens_a = density_operator(kind_a, kr, config, triple)
     dens_b = density_operator(kind_b, kr, config, triple=dens_a.triple)
-    a_ops = _component_map(dens_a.triple.scaled(dens_a.scale))
-    b_ops = _component_map(dens_b.triple.scaled(dens_b.scale))
+    a_ops = dens_a.components()
+    b_ops = dens_b.components()
     identity = (
         f"[{kind_a}_a(r),{kind_b}_b(r)] = i eps_abc f_{kind_a}(kr) {kind_b}_c(r)"
     )
-    scale = max(op.max_abs() for op in a_ops.values()) * max(
-        op.max_abs() for op in b_ops.values()
-    )
+    scale = max(op.max_abs() for op in a_ops) * max(op.max_abs() for op in b_ops)
     if scale == 0.0:
         return AlgebraReport(identity, 0.0, tol, True, degenerate=True)
     residual = 0.0

@@ -2,10 +2,12 @@
 
 The basis enumerates occupation tuples with a total-occupation cutoff in
 lexicographic order, so basis indices are reproducible across runs and
-platforms. Ladder operators are dense complex matrices on that basis;
-a creation operator acting on a state at the cutoff boundary maps out of
-the truncated basis and is represented as zero (documented truncation
-behavior).
+platforms. Operators are dense complex matrices on that basis. `bilinear`
+builds every number-conserving one, sum_ij block[i, j] a_i^dagger a_j, by
+index arithmetic on the basis, exact on every occupation sector. Ladder
+operators serve the rest: a creation operator acting on a state at the
+cutoff boundary maps out of the truncated basis and is represented as zero
+(documented truncation behavior).
 """
 
 from __future__ import annotations
@@ -192,15 +194,43 @@ def creation(space: FockSpace, mode: ModeLabel) -> OperatorMatrix:
     return annihilation(space, mode).dag()
 
 
+def bilinear(space: FockSpace, modes: Sequence[ModeLabel], block) -> OperatorMatrix:
+    """sum_ij block[i, j] a_i^dagger a_j over the distinct `modes`.
+
+    Built by index arithmetic on the basis: the diagonal holds
+    sum_i block[i, i] n_i, exact for integer-valued blocks, and a_i^dagger a_j
+    moves |n> to |n + e_i - e_j> with amplitude sqrt(n_i + 1) sqrt(n_j). The
+    operator conserves the total occupation, so no state leaves the truncated
+    basis. An exactly hermitian block gives an exactly hermitian operator.
+    """
+    block = np.asarray(block, dtype=complex)
+    positions = [space.mode_position(mode) for mode in modes]
+    if len(set(positions)) != len(positions):
+        raise ValueError("bilinear modes must be distinct")
+    if block.shape != (len(positions), len(positions)):
+        raise ValueError(f"block shape {block.shape} does not match {len(positions)} modes")
+    # mixed-radix keys rise with the lexicographic basis order; Python ints
+    # once the largest key, cutoff * weights[0], would overflow int64
+    weights = [(space.cutoff + 1) ** k for k in reversed(range(len(space.modes)))]
+    key_type = np.int64 if space.cutoff * weights[0] < 2**63 else object
+    basis = np.array(space.basis)
+    keys = basis.astype(key_type) @ np.array(weights, dtype=key_type)
+    occ = basis[:, positions]
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    np.fill_diagonal(mat, occ @ np.diag(block))
+    for i, j in zip(*np.nonzero(block - np.diag(np.diag(block)))):
+        src = np.flatnonzero(occ[:, j])
+        dst = np.searchsorted(keys, keys[src] + (weights[positions[i]] - weights[positions[j]]))
+        mat[dst, src] = block[i, j] * (np.sqrt(occ[src, i] + 1.0) * np.sqrt(occ[src, j]))
+    return OperatorMatrix(space, mat, hermitian=is_hermitian(block, 0.0))
+
+
 def number_operator(space: FockSpace, mode: ModeLabel) -> OperatorMatrix:
-    return creation(space, mode) @ annihilation(space, mode)
+    return bilinear(space, (mode,), [[1.0]])
 
 
 def total_number_operator(space: FockSpace) -> OperatorMatrix:
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for mode in space.modes:
-        mat += number_operator(space, mode).matrix
-    return OperatorMatrix(space, mat)
+    return bilinear(space, space.modes, np.eye(len(space.modes)))
 
 
 def identity_operator(space: FockSpace) -> OperatorMatrix:

@@ -13,11 +13,10 @@ vanishing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .angular import AM_MODES, single_photon_block, su3_generators, three_mode_space
+from .angular import AM_MODES, SU3_BLOCKS
 from .fock import (
     FockSpace,
     ModeLabel,
@@ -25,7 +24,6 @@ from .fock import (
     StateVector,
     annihilation,
     build_space,
-    creation,
     fock_state,
     total_number_operator,
 )
@@ -38,6 +36,9 @@ BACKWARD_MODES = tuple(ModeLabel(m.name, "bwd") for m in AM_MODES)
 
 NORM_TOL = 1e-12
 VARIATIONAL_TOL = 1e-8
+#: Bounds on the odd-state coupling and eigen-residual, and on its evolved overlap.
+COUPLING_TOL = 1e-12
+OVERLAP_TOL = 1e-10
 
 #: |c1| grid whose argmax of mu seeds the Newton steps, 1e-4 apart.
 _C1_GRID = np.linspace(0.0, 1.0, 10001)
@@ -117,20 +118,12 @@ def entanglement_measure(state: RadiatedState) -> float:
     return abs(state.c1) * abs(state.c2) ** 2
 
 
-@lru_cache(maxsize=1)
-def _su3_blocks() -> tuple[np.ndarray, ...]:
-    """Eight 3x3 generator blocks in the (+1, 0, -1) single-photon basis."""
-    space = three_mode_space(cutoff=1)
-    gens = su3_generators(space)
-    return tuple(single_photon_block(op, space) for op in gens.all_generators())
-
-
 def local_expectations(state: TwoQutritState) -> np.ndarray:
     """Sixteen generator expectations: eight on photon 1, then eight on photon 2."""
     psi = state.amps
     rho1 = psi @ psi.conj().T
     rho2 = (psi.conj().T @ psi).T
-    blocks = _su3_blocks()
+    blocks = SU3_BLOCKS.all_generators()
     values = [np.trace(g @ rho1).real for g in blocks]
     values += [np.trace(g @ rho2).real for g in blocks]
     return np.array(values)
@@ -299,8 +292,6 @@ def selection_rule_check(
     space: AtomFieldSpace,
     omega: float,
     gamma_coupling: float,
-    coupling_tol: float = 1e-12,
-    overlap_tol: float = 1e-10,
 ) -> SelectionRuleReport:
     """Verify the odd pair state decouples from the radiating atom.
 
@@ -325,9 +316,9 @@ def selection_rule_check(
     ]
 
     passed = bool(
-        coupling < coupling_tol
-        and eigen_residual < coupling_tol
-        and all(v < overlap_tol for v in overlaps)
+        coupling < COUPLING_TOL
+        and eigen_residual < COUPLING_TOL
+        and all(v < OVERLAP_TOL for v in overlaps)
     )
     return SelectionRuleReport(
         coupling_to_odd=float(coupling),

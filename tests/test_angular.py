@@ -20,7 +20,9 @@ from photonam.angular import (
 from photonam.fock import (
     ModeLabel,
     OperatorMatrix,
+    annihilation,
     build_space,
+    creation,
     expectation,
     fock_state,
 )
@@ -56,6 +58,37 @@ def test_single_photon_blocks_are_spin_one_matrices(space, triple):
     np.testing.assert_allclose(single_photon_block(triple.jx, space), SPIN1_JX, atol=1e-15)
     np.testing.assert_allclose(single_photon_block(triple.jy, space), SPIN1_JY, atol=1e-15)
     np.testing.assert_allclose(single_photon_block(triple.jz, space), SPIN1_JZ, atol=1e-15)
+
+
+def ladder_formulas(space):
+    """J and SU(3) operators written out as products of ladder matrices."""
+    a = {mode: annihilation(space, mode).matrix for mode in AM_MODES}
+    c = {mode: creation(space, mode).matrix for mode in AM_MODES}
+    raise_0 = c[M_ZERO] @ (a[M_PLUS] + a[M_MINUS])
+    diff_0 = c[M_ZERO] @ (a[M_PLUS] - a[M_MINUS])
+    jx = (raise_0 + raise_0.conj().T) / RT2
+    jy = 1j * (diff_0 - diff_0.conj().T) / RT2
+    jz = c[M_PLUS] @ a[M_PLUS] - c[M_MINUS] @ a[M_MINUS]
+    pairs = [(M_PLUS, M_ZERO), (M_ZERO, M_MINUS), (M_MINUS, M_PLUS)]
+    hops = [c[up] @ a[low] for up, low in pairs]
+    diag_raw = [c[up] @ a[up] - c[low] @ a[low] for up, low in pairs]
+    off_real = [0.5 * (h + h.conj().T) for h in hops]
+    off_imag = [(h - h.conj().T) / 2j for h in hops]
+    return (jx, jy, jz), diag_raw, off_real, off_imag
+
+
+@pytest.mark.parametrize("cutoff", range(1, 9))
+def test_operators_match_ladder_formulas(cutoff):
+    space = three_mode_space(cutoff)
+    j_want, raw_want, real_want, imag_want = ladder_formulas(space)
+    gens = su3_generators(space)
+    got = [op.matrix for op in j_operators(space).components()]
+    got += [op.matrix for op in gens.diagonal_raw + gens.offdiag_real + gens.offdiag_imag]
+    want = [*j_want, *raw_want, *real_want, *imag_want]
+    for g, w in zip(got, want, strict=True):
+        # the ladder product sqrt(n) * sqrt(n) misses the integer n by up to
+        # one ulp (1.8e-15 at n = 8), where the bilinear map gives n exactly
+        np.testing.assert_allclose(g, w, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])

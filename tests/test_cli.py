@@ -227,6 +227,10 @@ def test_invalid_parameter_value_exit_2(capsys):
         ("radial", "--samples", str(MAX_SAMPLES + 1)),
         ("decay", "--samples", str(MAX_SAMPLES + 1)),
         ("algebra", "--cutoff", "17"),
+        # no photon fits below cutoff 1, so every AM identity would hold vacuously
+        ("algebra", "--cutoff", "0"),
+        ("variance", "--cutoff", "0"),
+        ("verify-all", "--cutoff", "0"),
     ):
         code, out, err = run_cli(capsys, *args)
         assert code == 2, args

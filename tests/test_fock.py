@@ -4,12 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonam.fock import (
     ModeLabel,
     OperatorMatrix,
     StateVector,
     annihilation,
+    bilinear,
     build_space,
     commutator,
     creation,
@@ -149,16 +151,69 @@ def test_commutator_with_itself_is_zero_and_space_mismatch_raises():
 
 
 def test_number_operator_diagonal_integer_hermitian():
-    space = build_space([M1, M2, M3], 3)
-    for mode in (M1, M2, M3):
-        n_op = number_operator(space, mode)
-        assert n_op.is_hermitian()
-        off_diag = n_op.matrix - np.diag(np.diag(n_op.matrix))
-        assert np.max(np.abs(off_diag)) == 0.0
-        pos = space.mode_position(mode)
-        np.testing.assert_allclose(
-            np.diag(n_op.matrix).real, [occ[pos] for occ in space.basis], atol=1e-12
+    for cutoff in (3, 8):
+        space = build_space([M1, M2, M3], cutoff)
+        for mode in (M1, M2, M3):
+            n_op = number_operator(space, mode)
+            assert n_op.is_hermitian(0.0)
+            pos = space.mode_position(mode)
+            np.testing.assert_array_equal(n_op.matrix, np.diag([occ[pos] for occ in space.basis]))
+        np.testing.assert_array_equal(
+            total_number_operator(space).matrix, np.diag([sum(occ) for occ in space.basis])
         )
+
+
+def ladder_bilinear(space, modes, block):
+    """Independent route: sum_ij block[i, j] creation(i) @ annihilation(j)."""
+    total = np.zeros((space.dim, space.dim), dtype=complex)
+    for i, mi in enumerate(modes):
+        for j, mj in enumerate(modes):
+            total += block[i, j] * (creation(space, mi) @ annihilation(space, mj)).matrix
+    return total
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), n_modes=st.integers(1, 4), cutoff=st.integers(0, 8))
+def test_bilinear_matches_ladder_products(data, n_modes, cutoff):
+    space = build_space([ModeLabel(str(i)) for i in range(n_modes)], cutoff)
+    picked = data.draw(st.permutations(space.modes).map(tuple))
+    picked = picked[: data.draw(st.integers(1, n_modes))]
+    parts = st.floats(-1.0, 1.0)
+    entries = st.lists(st.builds(complex, parts, parts), min_size=len(picked) ** 2,
+                       max_size=len(picked) ** 2)
+    block = np.array(data.draw(entries)).reshape(len(picked), len(picked))
+    op = bilinear(space, picked, block)
+    np.testing.assert_allclose(
+        op.matrix, ladder_bilinear(space, picked, block), rtol=0, atol=1e-13
+    )
+    # the block is the operator's restriction to the one-photon states
+    if cutoff >= 1:
+        ones = [
+            space.index_of(tuple(int(m == mode) for m in space.modes)) for mode in picked
+        ]
+        np.testing.assert_array_equal(op.matrix[np.ix_(ones, ones)], block)
+    hermitian = block + block.conj().T
+    assert bilinear(space, picked, hermitian).is_hermitian(0.0)
+
+
+def test_bilinear_validation():
+    space = build_space([M1, M2], 2)
+    with pytest.raises(ValueError, match="unknown mode"):
+        bilinear(space, (M1, M3), np.eye(2))
+    with pytest.raises(ValueError, match="distinct"):
+        bilinear(space, (M1, M1), np.eye(2))
+    with pytest.raises(ValueError, match="block shape"):
+        bilinear(space, (M1, M2), np.eye(3))
+
+
+def test_bilinear_many_modes():
+    # 70 modes at cutoff 1: the basis keys pass 2**63 and become Python ints
+    modes = [ModeLabel(str(i)) for i in range(70)]
+    space = build_space(modes, 1)
+    pair, hop = (modes[0], modes[69]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(
+        bilinear(space, pair, hop).matrix, ladder_bilinear(space, pair, hop)
+    )
 
 
 def test_fock_state_indexing():

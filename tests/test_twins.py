@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from photonam.fock import commutator
+from photonam.angular import SU3_BLOCKS
+from photonam.fock import OperatorMatrix, commutator
 from photonam.twins import (
     AtomFieldSpace,
     RadiatedState,
     TwoQutritState,
-    _su3_blocks,
     atom_field_space,
     entanglement_measure,
     excitation_number,
@@ -93,9 +93,9 @@ def kron_expectations(state: TwoQutritState) -> np.ndarray:
     vec = state.amps.reshape(9)
     eye = np.eye(3)
     values = []
-    for block in _su3_blocks():
+    for block in SU3_BLOCKS.all_generators():
         values.append(np.vdot(vec, np.kron(block, eye) @ vec).real)
-    for block in _su3_blocks():
+    for block in SU3_BLOCKS.all_generators():
         values.append(np.vdot(vec, np.kron(eye, block) @ vec).real)
     return np.array(values)
 
@@ -208,9 +208,14 @@ def test_interaction_couples_even_states_only(space, hamiltonian, basis):
         assert abs(amplitude) == pytest.approx(expected, abs=1e-13)
 
 
-def test_excitation_number_conserved(space, hamiltonian):
+def test_excitation_number_conserved():
+    space = atom_field_space(3)
+    hamiltonian = interaction_hamiltonian(space, omega=1.0, omega0=2.0, gamma_coupling=0.05)
     n_exc = excitation_number(space)
-    assert commutator(hamiltonian, n_exc).max_abs() < 1e-12
+    # the sector label 2 N_exc is an exact integer, so H commutes with N_exc exactly
+    twice = 2.0 * np.diag(n_exc.matrix)
+    assert np.array_equal(twice, np.round(twice.real))
+    assert commutator(hamiltonian, n_exc).max_abs() == 0.0
 
 
 def test_selection_rule_report(space, hamiltonian):
@@ -223,8 +228,17 @@ def test_selection_rule_report(space, hamiltonian):
     payload = report.to_json_dict()
     assert payload["pass"] is True
     assert len(payload["evolution_overlaps"]) == 3
-    # a failing report is plain JSON too: zero coupling is not below a zero tolerance
-    failed = selection_rule_check(hamiltonian, space, 1.0, 0.05, coupling_tol=0.0)
+    # a hermitian perturbation coupling |e; vac> to |g; psi3> radiates the odd
+    # state, and the failing report is plain JSON too
+    vac = np.zeros(space.field_space.dim, dtype=complex)
+    vac[0] = 1.0
+    excited = space.state("e", vac).amplitudes
+    odd = space.state("g", pair_field_vector(space, parity_basis().psi3)).amplitudes
+    leak = 1e-3 * (np.outer(odd, excited.conj()) + np.outer(excited, odd.conj()))
+    leaky = OperatorMatrix(space, hamiltonian.matrix + leak, hermitian=True)
+    failed = selection_rule_check(leaky, space, omega=1.0, gamma_coupling=0.05)
+    assert failed.coupling_to_odd == pytest.approx(1e-3, rel=1e-12)
+    assert max(failed.evolution_overlaps) > 1e-4
     assert json.loads(json.dumps(failed.to_json_dict()))["pass"] is False
 
 
