@@ -261,12 +261,15 @@ def am_variances(m: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float, fl
     """(var Jx, var Jy, var Jz) in the single-photon state |1_m>.
 
     Returns (1, 1, 0) for m = 0 and (1/2, 1/2, 0) for m = +-1: the m = 0
-    photon carries the larger transverse AM fluctuations.
+    photon carries the larger transverse AM fluctuations. J conserves photon
+    number, so the one-photon space gives the same floats as any cutoff; the
+    cutoff is only validated.
     """
     by_m = {1: M_PLUS, 0: M_ZERO, -1: M_MINUS}
     if m not in by_m:
         raise ValueError(f"m must be one of +1, 0, -1, got {m}")
-    space = three_mode_space(cutoff)
+    three_mode_space(cutoff)
+    space = three_mode_space(1)
     triple = j_operators(space)
     state = fock_state(space, {by_m[m]: 1})
     return tuple(variance(state, op) for op in triple.components())

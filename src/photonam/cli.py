@@ -36,6 +36,10 @@ DENSITY_PAIRS = (("spin", "spin"), ("oam", "oam"), ("oam", "spin"))
 #: Largest radial or decay grid; it is checked before anything is allocated.
 MAX_SAMPLES = 10**6
 
+#: The values --format and --m accept; a config file must keep to them too.
+FORMATS = ("csv", "json")
+M_VALUES = (-1, 0, 1)
+
 
 class ConfigError(Exception):
     """Config file cannot be parsed; message carries the line number."""
@@ -343,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="dimensionless cavity size k*R (default 100)")
     common.add_argument("--samples", type=int,
                         help="grid size (default: 2000 radial, 200 decay)")
-    common.add_argument("--m", type=int, choices=(-1, 0, 1),
+    common.add_argument("--m", type=int, choices=M_VALUES,
                         help="AM projection for variance (default 0)")
     common.add_argument("--omega0-over-gamma", type=float, dest="omega0_over_gamma",
                         help="transition frequency over decay width (default 1000)")
@@ -352,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float,
                         help="tolerance for algebra checks (default 1e-12)")
     common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"),
+    common.add_argument("--format", choices=FORMATS,
                         help="output format (default depends on command)")
     parser = argparse.ArgumentParser(
         prog="photonam",
@@ -374,7 +378,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Refuse a tolerance that judges nothing and a grid too large to allocate."""
+    """Refuse a choice no flag accepts, a tolerance that judges nothing and a grid too large."""
+    if cfg.format is not None and cfg.format not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {cfg.format!r}")
+    if cfg.m not in M_VALUES:
+        raise ValueError(f"m must be one of {', '.join(map(str, M_VALUES))}, got {cfg.m}")
     if not (np.isfinite(cfg.tol) and cfg.tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {cfg.tol}")
     if cfg.samples is not None and cfg.samples > MAX_SAMPLES:

@@ -6,9 +6,20 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from photonam import radial, twins
-from photonam.cli import MAX_SAMPLES, ConfigError, RunConfig, _json_text, load_config, main
+from photonam.cli import (
+    COMMANDS,
+    FORMATS,
+    M_VALUES,
+    MAX_SAMPLES,
+    ConfigError,
+    RunConfig,
+    _json_text,
+    load_config,
+    main,
+)
 
 
 def run_cli(capsys, *args):
@@ -191,6 +202,67 @@ def test_config_parse_errors(tmp_path, capsys):
     badval.write_text("kR = fifty\n")
     code, _, err = run_cli(capsys, "radial", "--config", str(badval))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["radial", "decay", "variance"])
+@pytest.mark.parametrize("line", ["format = xml", "format = JSON", "m = 5", "m = -2"])
+def test_config_values_obey_flag_choices(tmp_path, capsys, command, line):
+    # the flags refuse these through argparse choices; a config file must too
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(line + "\n")
+    code, out, err = run_cli(capsys, command, "--config", str(config_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert line.split(" = ")[0] in err
+
+
+#: Random spacing around keys, "=" and values: spaces and tabs only.
+_blank = st.text(alphabet=" \t", max_size=3)
+
+#: Nothing, or a "#" comment holding anything but a line break.
+_comment = st.just("") | st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+    max_size=12,
+).map("#".__add__)
+
+
+@st.composite
+def _config_files(draw):
+    """A valid RunConfig and a config file that spells it out in random order and spacing."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    fields = {
+        "command": st.sampled_from(COMMANDS),
+        "kR": finite,
+        "samples": st.integers(-10**6, 10**6),
+        "m": st.sampled_from(M_VALUES),
+        "omega0_over_gamma": finite,
+        "cutoff": st.integers(-5, 30),
+        "tol": finite,
+        "out": st.text(alphabet="abcXYZ019._-/= ", min_size=1, max_size=12).filter(
+            lambda s: s == s.strip()),
+        "format": st.sampled_from(FORMATS),
+    }
+    keys = draw(st.permutations(list(fields)))[: draw(st.integers(0, len(fields)))]
+    values = {key: draw(fields[key]) for key in keys}
+    lines = []
+    for key in keys:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(_blank) + draw(_comment))
+        # str of a float is its shortest round-tripping repr
+        lines.append(draw(_blank) + key + draw(_blank) + "=" + draw(_blank) + str(values[key])
+                     + draw(_blank) + draw(_comment))
+    return RunConfig(**values), "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_config_files())
+def test_config_file_round_trip(tmp_path, case):
+    config, text = case
+    path = tmp_path / "round.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert load_config(str(path)) == config
 
 
 def test_invalid_flags_exit_2():

@@ -1,12 +1,15 @@
 """The benchmark's view of photonam: every name perfbench/ calls still exists.
 
-One operation of each sweep runs through its oracle check, and the tracing
-recorder wraps and restores photonam's functions. A change that renames or
+One operation of each sweep runs through its oracle check, the tracing
+recorder wraps and restores photonam's functions, and one traced cold `decay`
+command runs through the benchmark's CLI child. A change that renames or
 removes something the benchmark uses fails here, not in every benchmark
 operation. Nothing under perfbench/ is modified; it is only put on sys.path.
 """
 
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -42,3 +45,17 @@ def test_recorder_installs_and_restores():
     for module, names in zip(modules, before):
         restored = vars(module)
         assert all(restored[attr] is value for attr, value in names.items()), module
+
+
+def test_traced_cold_decay_command():
+    # the traced hook reads photonam.decay.integrate, which decay.py only resolves lazily
+    root = os.path.dirname(PERFBENCH)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"), PERFBENCH])}
+    result = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "cli_child.py"), "decay"],
+        capture_output=True, text=True, env=env, cwd=root,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["exit"] == 0
+    assert "decay.quad_calls" in report["counts"]
