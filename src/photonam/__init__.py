@@ -9,11 +9,9 @@ entanglement of counter-propagating photon twins.
 from .angular import (
     AlgebraReport,
     AmOperatorTriple,
-    DensityOperator,
     Su3GeneratorSet,
     am_variances,
     density_commutator_check,
-    density_operator,
     j_operators,
     su3_generators,
     three_mode_space,

@@ -3,10 +3,11 @@
 Every operator here conserves photon number, so each is fixed by its 3x3
 single-photon block over the modes (+1, 0, -1) and built from it by
 `fock.bilinear`: the spin-1 matrices give the AM components, and the cyclic
-lower-index convention gives the eight hermitian SU(3) generators. The
-position-scaled spin/orbital density operators are the J triple times
-f_spin(kr) or f_oam(kr). Verification routines report commutator residuals
-rather than raising, so callers can aggregate them.
+lower-index convention gives the eight hermitian SU(3) generators. The spin
+and orbital densities at one radius are f_spin(kr) J and f_oam(kr) J, so
+their identities are checked on the J matrices scaled as plain arrays, by the
+same cyclic residual as SU(2) closure. Verification routines report
+commutator residuals rather than raising, so callers can aggregate them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .fock import (
     OperatorMatrix,
     bilinear,
     build_space,
-    commutator,
     fock_state,
     variance,
 )
@@ -68,9 +68,6 @@ class AmOperatorTriple:
 
     def squared(self) -> OperatorMatrix:
         return self.jx @ self.jx + self.jy @ self.jy + self.jz @ self.jz
-
-    def scaled(self, factor: float) -> "AmOperatorTriple":
-        return AmOperatorTriple(factor * self.jx, factor * self.jy, factor * self.jz)
 
 
 def j_operators(space: FockSpace) -> AmOperatorTriple:
@@ -169,6 +166,21 @@ class AlgebraReport:
 #: Component positions (a, b, c) of the cyclic identities [J_a, J_b] = i J_c.
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
+#: Radial factor of each AM density: the density at kr is f(kr) J.
+_DENSITY_FACTORS = {"spin": radial.f_spin, "oam": radial.f_oam}
+
+
+def _max_abs(matrix: np.ndarray) -> float:
+    return float(np.max(np.abs(matrix)))
+
+
+def _cyclic_residual(a_ops, b_ops, coeff: float) -> float:
+    """Max entry of |[A_a, B_b] - i coeff B_c| over the cyclic (a, b, c), on arrays."""
+    return max(
+        _max_abs(a_ops[a] @ b_ops[b] - b_ops[b] @ a_ops[a] - b_ops[c] * (1j * coeff))
+        for a, b, c in _CYCLIC
+    )
+
 
 def verify_su2(triple: AmOperatorTriple, tol: float = 1e-12) -> AlgebraReport:
     """Max residual of [J_a, J_b] = i J_c over the three cyclic identities.
@@ -177,48 +189,11 @@ def verify_su2(triple: AmOperatorTriple, tol: float = 1e-12) -> AlgebraReport:
     products are exact. A triple of zero operators is reported as degenerate:
     the identities hold vacuously.
     """
-    comps = triple.components()
-    scale = max(op.max_abs() for op in comps)
-    if scale == 0.0:
+    comps = [op.matrix for op in triple.components()]
+    if max(_max_abs(op) for op in comps) == 0.0:
         return AlgebraReport("su2_closure", 0.0, tol, True, degenerate=True)
-    residual = 0.0
-    for a, b, c in _CYCLIC:
-        delta = commutator(comps[a], comps[b]) - 1j * comps[c]
-        residual = max(residual, delta.max_abs())
+    residual = _cyclic_residual(comps, comps, 1.0)
     return AlgebraReport("su2_closure", residual, tol, residual < tol)
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Spin or orbital AM density at one radius: a scalar times the J triple.
-
-    The scale is f_spin(kr) or f_oam(kr); components are materialized on
-    demand so radius sweeps stay cheap and exact.
-    """
-
-    kind: str
-    kr: float
-    scale: float
-    triple: AmOperatorTriple
-
-    def components(self) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-        return self.triple.scaled(self.scale).components()
-
-
-def density_operator(
-    kind: str,
-    kr: float,
-    config: radial.CavityConfig,
-    triple: AmOperatorTriple | None = None,
-) -> DensityOperator:
-    if kind not in ("spin", "oam"):
-        raise ValueError(f"kind must be 'spin' or 'oam', got {kind!r}")
-    if kr < 0:
-        raise ValueError(f"kr must be >= 0, got {kr}")
-    if triple is None:
-        triple = j_operators(three_mode_space())
-    scale = radial.f_spin(kr, config) if kind == "spin" else radial.f_oam(kr, config)
-    return DensityOperator(kind=kind, kr=kr, scale=float(scale), triple=triple)
 
 
 def density_commutator_check(
@@ -226,34 +201,34 @@ def density_commutator_check(
     kind_b: str,
     kr: float,
     tol: float = 1e-12,
-    config: radial.CavityConfig | None = None,
-    triple: AmOperatorTriple | None = None,
+    *,
+    config: radial.CavityConfig,
+    triple: AmOperatorTriple,
 ) -> AlgebraReport:
     """Verify [A_a(r), B_b(r)] = i eps_abc f_A(kr) B_c(r) for density operators.
 
-    With A = spin the coefficient is f_spin(kr); with A = oam it is f_oam(kr),
-    matching the commutation relations of equal-radius density components.
-    Commutators between densities at two different radii are not covered by
-    these identities and are not implemented. Residuals are relative to the
-    product of the operator magnitudes, over the whole truncated space; the
-    identity passes vacuously (degenerate) when either density vanishes.
+    A density at kr is f_spin(kr) J or f_oam(kr) J, so the identity is checked
+    on the J matrices scaled as arrays; the coefficient is f_A(kr). Commutators
+    between densities at two different radii are not covered by these
+    identities and are not implemented. Residuals are relative to the product
+    of the operator magnitudes, over the whole truncated space; the identity
+    passes vacuously (degenerate) when either density vanishes. A kind other
+    than 'spin' or 'oam', or a negative kr, raises ValueError.
     """
-    if config is None:
-        config = radial.CavityConfig(k=1.0, R=50.0)
-    dens_a = density_operator(kind_a, kr, config, triple)
-    dens_b = density_operator(kind_b, kr, config, triple=dens_a.triple)
-    a_ops = dens_a.components()
-    b_ops = dens_b.components()
+    for kind in (kind_a, kind_b):
+        if kind not in _DENSITY_FACTORS:
+            raise ValueError(f"kind must be 'spin' or 'oam', got {kind!r}")
+    f_a = float(_DENSITY_FACTORS[kind_a](kr, config))
+    f_b = float(_DENSITY_FACTORS[kind_b](kr, config))
+    a_ops = [op.matrix * f_a for op in triple.components()]
+    b_ops = [op.matrix * f_b for op in triple.components()]
     identity = (
         f"[{kind_a}_a(r),{kind_b}_b(r)] = i eps_abc f_{kind_a}(kr) {kind_b}_c(r)"
     )
-    scale = max(op.max_abs() for op in a_ops) * max(op.max_abs() for op in b_ops)
+    scale = max(_max_abs(op) for op in a_ops) * max(_max_abs(op) for op in b_ops)
     if scale == 0.0:
         return AlgebraReport(identity, 0.0, tol, True, degenerate=True)
-    residual = 0.0
-    for a, b, c in _CYCLIC:
-        delta = commutator(a_ops[a], b_ops[b]) - 1j * dens_a.scale * b_ops[c]
-        residual = max(residual, delta.max_abs() / scale)
+    residual = _cyclic_residual(a_ops, b_ops, f_a) / scale
     return AlgebraReport(identity, residual, tol, residual < tol)
 
 

@@ -36,6 +36,9 @@ DENSITY_PAIRS = (("spin", "spin"), ("oam", "oam"), ("oam", "spin"))
 #: Largest radial or decay grid; it is checked before anything is allocated.
 MAX_SAMPLES = 10**6
 
+#: Fewest decay time points: the curve spans t = 0 to 10 / gamma.
+MIN_DECAY_SAMPLES = 2
+
 #: The values --format and --m accept; a config file must keep to them too.
 FORMATS = ("csv", "json")
 M_VALUES = (-1, 0, 1)
@@ -387,6 +390,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError(f"tol must be finite and > 0, got {cfg.tol}")
     if cfg.samples is not None and cfg.samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {cfg.samples}")
+    if cfg.command == "decay" and cfg.samples is not None and cfg.samples < MIN_DECAY_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_DECAY_SAMPLES}, got {cfg.samples}")
 
 
 def main(argv: list[str] | None = None) -> int:

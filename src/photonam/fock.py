@@ -125,18 +125,6 @@ class OperatorMatrix:
         _require_same_space(self, other)
         return OperatorMatrix(self.space, self.matrix + other.matrix)
 
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _require_same_space(self, other)
-        return OperatorMatrix(self.space, self.matrix - other.matrix)
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, -self.matrix)
-
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return is_hermitian(self.matrix, tol)
 

@@ -8,9 +8,10 @@ spin and orbital density profiles then integrate to hbar/2 each,
     f_spin(x) = (hbar/3V) [2 j0(x)^2 - j2(x)^2 / 2],
     f_oam(x)  = (hbar/3V) (3/2) j2(x)^2,          x = kr,
 
-with j_ell the normalized modes. Near the source the spin density dominates
-(f_oam vanishes as x^4); the orbital density peaks near r = 0.53 lambda; in
-the wave zone both contribute equally when averaged over a wavelength.
+with j_ell the normalized modes and hbar = 1. Near the source the spin
+density dominates (f_oam vanishes as x^4); the orbital density peaks near
+r = 0.53 lambda; in the wave zone both contribute equally when averaged over
+a wavelength.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ class CavityConfig:
 
     k: float = 1.0
     R: float = 100.0
-    hbar_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("k", "R", "hbar_scale"):
+        for name in ("k", "R"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -183,7 +183,7 @@ def _density_prefactors(config: CavityConfig) -> tuple[float, float]:
     """(weight0, weight2) so f_spin = 2*w0*j0^2 - 0.5*w2*j2^2, f_oam = 1.5*w2*j2^2."""
     c0 = normalize_mode(config, 0).c_ell
     c2 = normalize_mode(config, 2).c_ell
-    base = config.hbar_scale / (3.0 * config.volume)
+    base = 1.0 / (3.0 * config.volume)
     return base * c0 * c0, base * c2 * c2
 
 
@@ -253,8 +253,8 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
         kr=grid,
         f_spin=f_spin(grid, config),
         f_oam=f_oam(grid, config),
-        cum_spin=config.hbar_scale * (2.0 * a0 - 0.5 * a2) / 3.0,
-        cum_oam=config.hbar_scale * a2 / 2.0,
+        cum_spin=(2.0 * a0 - 0.5 * a2) / 3.0,
+        cum_oam=a2 / 2.0,
     )
     for arr in arrays.values():
         arr.setflags(write=False)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 from photonam.angular import (
     AM_MODES,
@@ -10,7 +11,6 @@ from photonam.angular import (
     M_ZERO,
     am_variances,
     density_commutator_check,
-    density_operator,
     j_operators,
     single_photon_block,
     su3_generators,
@@ -26,7 +26,7 @@ from photonam.fock import (
     expectation,
     fock_state,
 )
-from photonam.radial import CavityConfig, f_oam, f_spin
+from photonam.radial import CavityConfig, f_oam, f_spin, normalize_mode
 
 RT2 = np.sqrt(2.0)
 
@@ -127,10 +127,19 @@ def test_verify_su2_detects_perturbation(space, triple):
     assert report.max_residual > 1e-3
     # at cutoff 1 the check must still see the single-photon sector
     single = j_operators(three_mode_space(1))
-    doubled = type(single)(jx=single.jx, jy=single.jy, jz=2.0 * single.jz)
+    doubled = type(single)(
+        jx=single.jx, jy=single.jy, jz=OperatorMatrix(single.jz.space, 2.0 * single.jz.matrix)
+    )
     report = verify_su2(doubled)
     assert not report.passed
     assert report.max_residual > 0.5
+    # the density identities rest on the same closure, so they fail with it
+    cavity = CavityConfig(k=1.0, R=50.0)
+    for kinds in (("spin", "spin"), ("spin", "oam"), ("oam", "spin"), ("oam", "oam")):
+        report = density_commutator_check(*kinds, 3.0, config=cavity, triple=bad)
+        assert not report.passed
+        assert not report.degenerate
+        assert report.max_residual > 1e-3
 
 
 def test_verify_su2_zero_triple_degenerate(space):
@@ -208,20 +217,10 @@ def cavity():
     return CavityConfig(k=1.0, R=50.0)
 
 
-def test_density_operator_is_scalar_multiple(cavity, triple):
-    dens = density_operator("spin", 3.0, cavity, triple)
-    assert dens.scale == f_spin(3.0, cavity)
-    sx, _, _ = dens.components()
-    np.testing.assert_array_equal(sx.matrix, dens.scale * triple.jx.matrix)
-    oam = density_operator("oam", 3.0, cavity, triple)
-    assert oam.scale == f_oam(3.0, cavity)
-
-
-def test_density_operator_validation(cavity):
-    with pytest.raises(ValueError):
-        density_operator("total", 1.0, cavity)
-    with pytest.raises(ValueError):
-        density_operator("spin", -1.0, cavity)
+def test_density_commutator_kind_validation(cavity, triple):
+    for kinds in (("total", "spin"), ("spin", "total")):
+        with pytest.raises(ValueError, match="kind"):
+            density_commutator_check(*kinds, 1.0, config=cavity, triple=triple)
 
 
 @pytest.mark.parametrize("kr", [0.5, 3.0, 5.0, 50.0])
@@ -244,12 +243,89 @@ def test_density_commutators_vanishing_oam_at_origin(cavity, triple):
     assert spin.passed and not spin.degenerate
 
 
-def test_density_commutator_negative_kr(cavity):
-    with pytest.raises(ValueError):
-        density_commutator_check("spin", "spin", -2.0, config=cavity)
+def test_density_commutator_negative_kr(cavity, triple):
+    for kinds in (("spin", "spin"), ("oam", "oam")):
+        with pytest.raises(ValueError, match="kr"):
+            density_commutator_check(*kinds, -2.0, config=cavity, triple=triple)
 
 
 def test_algebra_report_json_keys(triple):
     payload = verify_su2(triple).to_json_dict()
     assert set(payload) == {"identity", "max_residual", "tolerance", "pass"}
     assert payload["pass"] is True
+
+
+# ----------------------------------------- spin and orbital AM from the field
+#
+# An independent derivation of the densities' operator structure: the
+# electric-dipole mode E_m(n) is written out in Cartesian form, and its spin
+# and orbital AM are integrated over the unit sphere numerically, with no
+# Clebsch-Gordan table and no formula shared with photonam.
+
+#: Spherical unit vectors e_{+1} = -(x + iy)/sqrt2, e_0 = z, e_{-1} = (x - iy)/sqrt2 as rows.
+SPHERICAL_BASIS = np.array([[-1.0, -1j, 0.0], [0.0, 0.0, RT2], [1.0, -1j, 0.0]]) / RT2
+
+#: Levi-Civita symbol eps[k, i, j].
+LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    LEVI_CIVITA[_i, _j, _k] = 1.0
+    LEVI_CIVITA[_i, _k, _j] = -1.0
+
+
+def sphere_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors (P, 3) and weights (P,) of 4-point Gauss-Legendre in cos(theta)
+    times an 8-point trapezoid in phi: exact for polynomials of degree <= 7 in n."""
+    nodes, w_cos = np.polynomial.legendre.leggauss(4)
+    cos_t, phi = np.meshgrid(nodes, 2.0 * np.pi * np.arange(8) / 8, indexing="ij")
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    n = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
+    return n.reshape(-1, 3), np.repeat(w_cos, 8) * (2.0 * np.pi / 8)
+
+
+def field_am(a0: float, a2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(spin, orbital) matrices [k, m, m'] over m = +1, 0, -1 of the mode
+    E_m(n) = sqrt2 a0 e_m / sqrt(4 pi) + a2 (3 n (n.e_m) - e_m) / sqrt(8 pi),
+    the L = 0 plus L = 2 vector harmonics of total J = 1.
+
+    spin_k = int E_m^* . S_k E_m' with (S_k)_ij = -i eps_kij, and
+    orbital_k = int E_m^* . (L_k E_m') with L_k = -i (r x grad)_k acting on
+    each Cartesian component through L_k n_i = -i eps_kai n_a.
+    """
+    n, w = sphere_rule()
+    e = SPHERICAL_BASIS
+    n_dot_e = n @ e.T  # [p, m]
+    l2 = a2 / np.sqrt(8.0 * np.pi)
+    field = RT2 * a0 / np.sqrt(4.0 * np.pi) * e[:, None, :] + l2 * (
+        3.0 * n_dot_e.T[:, :, None] * n[None, :, :] - e[:, None, :]
+    )  # [m, p, i]
+    # L_k [3 n_i (n.e)] = 3 (L_k n_i)(n.e) + 3 n_i L_k (n.e); L_k kills constants
+    l_field = -3j * l2 * (
+        np.einsum("kai,pa,pm->kmpi", LEVI_CIVITA, n, n_dot_e)
+        + np.einsum("pi,kab,pa,mb->kmpi", n, LEVI_CIVITA, n, e)
+    )  # [k, m', p, i]
+    spin = np.einsum("p,mpi,kij,npj->kmn", w, field.conj(), -1j * LEVI_CIVITA, field)
+    orbital = np.einsum("p,mpi,knpi->kmn", w, field.conj(), l_field)
+    return spin, orbital
+
+
+SPIN1 = np.array([SPIN1_JX, SPIN1_JY, SPIN1_JZ])
+
+
+@pytest.mark.parametrize("a0,a2", [(1.0, 0.0), (0.0, 1.0), (0.8, -1.3), (-1.7, 0.6), (-0.4, -2.1)])
+def test_field_am_is_radial_factor_times_j(a0, a2):
+    # the paper's first claim: spin and orbital AM have the J structure and
+    # differ only in their coefficients; the L = 0 / L = 2 cross terms vanish
+    spin, orbital = field_am(a0, a2)
+    np.testing.assert_allclose(spin, (2.0 * a0**2 - 0.5 * a2**2) * SPIN1, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(orbital, 1.5 * a2**2 * SPIN1, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kr", [0.5, 3.0, 50.0])
+def test_field_am_coefficients_are_density_factors(cavity, kr):
+    a0 = normalize_mode(cavity, 0).c_ell * spherical_jn(0, kr)
+    a2 = normalize_mode(cavity, 2).c_ell * spherical_jn(2, kr)
+    spin, orbital = field_am(a0, a2)
+    atol = 1e-12 * (2.0 * a0**2 + a2**2)
+    three_v = 3.0 * cavity.volume
+    np.testing.assert_allclose(spin, three_v * f_spin(kr, cavity) * SPIN1, rtol=0, atol=atol)
+    np.testing.assert_allclose(orbital, three_v * f_oam(kr, cavity) * SPIN1, rtol=0, atol=atol)

@@ -310,6 +310,16 @@ def test_invalid_parameter_value_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("samples", [-5, 0, 1])
+def test_decay_samples_lower_bound(capsys, samples, fmt):
+    # a curve from t = 0 to 10 / gamma needs both ends
+    code, out, err = run_cli(capsys, "decay", "--samples", str(samples), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: samples must be >= 2, got {samples}\n"
+
+
 def test_io_failure_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "variance", "--m", "0", "--out", "/nonexistent-dir/x.json"

@@ -53,7 +53,7 @@ def reference_cumulatives(config: CavityConfig, x: float) -> tuple[float, float]
     """Closed-form cum_spin and cum_oam at kr = x."""
     c0 = normalize_mode(config, 0).c_ell
     c2 = normalize_mode(config, 2).c_ell
-    base = config.hbar_scale / (3.0 * config.volume * config.k**3)
+    base = 1.0 / (3.0 * config.volume * config.k**3)
     cum_s = base * (2.0 * c0 * c0 * cum_j0_sq(x) - 0.5 * c2 * c2 * cum_j2_sq(x))
     cum_l = base * 1.5 * c2 * c2 * cum_j2_sq(x)
     return cum_s, cum_l
@@ -160,13 +160,11 @@ def test_cavity_config_validation():
         CavityConfig(k=1.0, R=-1.0)
     with pytest.raises(ValueError):
         CavityConfig(k=1.0, R=10.0)  # kR below the enforced floor
-    with pytest.raises(ValueError):
-        CavityConfig(k=1.0, R=100.0, hbar_scale=0.0)
     with pytest.raises(ValueError, match="kR"):
         CavityConfig(k=1.0, R=np.nextafter(radial.MAX_KR, np.inf))
     assert CavityConfig(k=1.0, R=radial.MAX_KR).kR == radial.MAX_KR
     for bad in (np.nan, np.inf):
-        for field in ("k", "R", "hbar_scale"):
+        for field in ("k", "R"):
             with pytest.raises(ValueError, match=field):
                 CavityConfig(**{field: bad})
     config = CavityConfig(k=2.0, R=50.0)
