@@ -38,9 +38,7 @@ from .fock import (
     creation,
     expectation,
     fock_state,
-    number_operator,
     total_number_operator,
-    vacuum_state,
     variance,
 )
 from .radial import (

@@ -66,9 +66,6 @@ class AmOperatorTriple:
     def components(self) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
         return (self.jx, self.jy, self.jz)
 
-    def squared(self) -> OperatorMatrix:
-        return self.jx @ self.jx + self.jy @ self.jy + self.jz @ self.jz
-
 
 def j_operators(space: FockSpace) -> AmOperatorTriple:
     """Total AM components J_a = sum_mm' (J_a)_mm' a_m^dagger a_m'.

@@ -381,7 +381,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Refuse a choice no flag accepts, a tolerance that judges nothing and a grid too large."""
+    """Refuse a choice no flag accepts, a tolerance that judges nothing and a grid out of bounds."""
     if cfg.format is not None and cfg.format not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {cfg.format!r}")
     if cfg.m not in M_VALUES:
@@ -390,8 +390,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError(f"tol must be finite and > 0, got {cfg.tol}")
     if cfg.samples is not None and cfg.samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {cfg.samples}")
-    if cfg.command == "decay" and cfg.samples is not None and cfg.samples < MIN_DECAY_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_DECAY_SAMPLES}, got {cfg.samples}")
+    fewest = {"radial": radial.MIN_SAMPLES, "decay": MIN_DECAY_SAMPLES}.get(cfg.command)
+    if fewest is not None and cfg.samples is not None and cfg.samples < fewest:
+        raise ValueError(f"samples must be >= {fewest}, got {cfg.samples}")
 
 
 def main(argv: list[str] | None = None) -> int:

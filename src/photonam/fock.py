@@ -2,18 +2,21 @@
 
 The basis enumerates occupation tuples with a total-occupation cutoff in
 lexicographic order, so basis indices are reproducible across runs and
-platforms. Operators are dense complex matrices on that basis. `bilinear`
-builds every number-conserving one, sum_ij block[i, j] a_i^dagger a_j, by
-index arithmetic on the basis, exact on every occupation sector. Ladder
-operators serve the rest: a creation operator acting on a state at the
-cutoff boundary maps out of the truncated basis and is represented as zero
-(documented truncation behavior).
+platforms. Operators are dense complex matrices on that basis. One ladder
+map builds them: a product of ladder operators on distinct modes that adds no
+photon moves each basis state to one other, found by index arithmetic, so it
+is exact on every occupation sector. `bilinear` maps a block to every
+number-conserving operator, sum_ij block[i, j] a_i^dagger a_j, that way.
+`annihilation` and `creation` stay as per-state references; a creation
+operator at the cutoff boundary maps out of the truncated basis and is
+represented as zero (documented truncation behavior).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -64,6 +67,17 @@ class FockSpace:
         except ValueError:
             raise ValueError(f"unknown mode label {mode}") from None
 
+    @cached_property
+    def _radix(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Occupation array, mixed-radix keys and key weights of the basis."""
+        # the keys rise with the basis order; Python ints once the largest key,
+        # cutoff * weights[0], would overflow int64
+        weights = [(self.cutoff + 1) ** k for k in reversed(range(len(self.modes)))]
+        key_type = np.int64 if self.cutoff * weights[0] < 2**63 else object
+        occupations = np.array(self.basis)
+        keys = occupations.astype(key_type) @ np.array(weights, dtype=key_type)
+        return occupations, keys, weights
+
 
 def build_space(modes: Sequence[ModeLabel], cutoff: int) -> FockSpace:
     """Enumerate the occupation basis with sum(n) <= cutoff, lexicographically.
@@ -96,13 +110,12 @@ def build_space(modes: Sequence[ModeLabel], cutoff: int) -> FockSpace:
 class OperatorMatrix:
     """Dense complex matrix acting on a Fock-space basis.
 
-    `space` may be any object exposing `dim`; setting `hermitian=True`
-    asserts and verifies entrywise hermiticity at construction.
+    `space` may be any object exposing `dim`. Hermiticity is checked where it
+    is relied on, not at construction.
     """
 
     space: object
     matrix: np.ndarray = field(repr=False)
-    hermitian: bool = False
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
@@ -111,8 +124,6 @@ class OperatorMatrix:
             raise ValueError(f"matrix shape {mat.shape} does not match space dim {dim}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        if self.hermitian and not is_hermitian(mat, HERMITICITY_TOL):
-            raise ValueError("matrix declared hermitian fails entrywise check")
 
     def dag(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.matrix.conj().T)
@@ -120,10 +131,6 @@ class OperatorMatrix:
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _require_same_space(self, other)
         return OperatorMatrix(self.space, self.matrix @ other.matrix)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _require_same_space(self, other)
-        return OperatorMatrix(self.space, self.matrix + other.matrix)
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return is_hermitian(self.matrix, tol)
@@ -149,12 +156,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.space, self.amplitudes / n)
-
 
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(matrix - matrix.conj().T)) <= tol) if matrix.size else True
@@ -166,7 +167,7 @@ def _require_same_space(a: OperatorMatrix, b: OperatorMatrix) -> None:
 
 
 def annihilation(space: FockSpace, mode: ModeLabel) -> OperatorMatrix:
-    """Ladder-down operator: <..., n-1, ...| a |..., n, ...> = sqrt(n)."""
+    """Ladder-down operator, <..., n-1, ...| a |..., n, ...> = sqrt(n), state by state."""
     pos = space.mode_position(mode)
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for i, occ in enumerate(space.basis):
@@ -182,14 +183,31 @@ def creation(space: FockSpace, mode: ModeLabel) -> OperatorMatrix:
     return annihilation(space, mode).dag()
 
 
+def _hops(space: FockSpace, raised: Sequence, lowered: Sequence) -> tuple[np.ndarray, ...]:
+    """(src, dst, amplitude) of prod_r a_r^dagger prod_l a_l over distinct modes.
+
+    With no more raised than lowered modes no image leaves the truncated basis:
+    src lists the states with every lowered mode occupied, dst is found by the
+    key of src + sum_r e_r - sum_l e_l, amplitude = prod sqrt(n_r + 1) sqrt(n_l).
+    """
+    occupations, keys, weights = space._radix
+    up = [space.mode_position(mode) for mode in raised]
+    down = [space.mode_position(mode) for mode in lowered]
+    src = np.flatnonzero(np.all(occupations[:, down] > 0, axis=1))
+    shift = sum(weights[k] for k in up) - sum(weights[k] for k in down)
+    dst = np.searchsorted(keys, keys[src] + shift)
+    counts = np.hstack([occupations[src][:, up] + 1, occupations[src][:, down]])
+    return src, dst, np.prod(np.sqrt(counts), axis=1)
+
+
 def bilinear(space: FockSpace, modes: Sequence[ModeLabel], block) -> OperatorMatrix:
     """sum_ij block[i, j] a_i^dagger a_j over the distinct `modes`.
 
-    Built by index arithmetic on the basis: the diagonal holds
-    sum_i block[i, i] n_i, exact for integer-valued blocks, and a_i^dagger a_j
-    moves |n> to |n + e_i - e_j> with amplitude sqrt(n_i + 1) sqrt(n_j). The
-    operator conserves the total occupation, so no state leaves the truncated
-    basis. An exactly hermitian block gives an exactly hermitian operator.
+    The diagonal holds sum_i block[i, i] n_i, exact for integer-valued blocks,
+    and each off-diagonal a_i^dagger a_j is one ladder-map hop, |n> to
+    |n + e_i - e_j> with amplitude sqrt(n_i + 1) sqrt(n_j). The operator
+    conserves the total occupation, so no state leaves the truncated basis.
+    An exactly hermitian block gives an exactly hermitian operator.
     """
     block = np.asarray(block, dtype=complex)
     positions = [space.mode_position(mode) for mode in modes]
@@ -197,32 +215,16 @@ def bilinear(space: FockSpace, modes: Sequence[ModeLabel], block) -> OperatorMat
         raise ValueError("bilinear modes must be distinct")
     if block.shape != (len(positions), len(positions)):
         raise ValueError(f"block shape {block.shape} does not match {len(positions)} modes")
-    # mixed-radix keys rise with the lexicographic basis order; Python ints
-    # once the largest key, cutoff * weights[0], would overflow int64
-    weights = [(space.cutoff + 1) ** k for k in reversed(range(len(space.modes)))]
-    key_type = np.int64 if space.cutoff * weights[0] < 2**63 else object
-    basis = np.array(space.basis)
-    keys = basis.astype(key_type) @ np.array(weights, dtype=key_type)
-    occ = basis[:, positions]
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    np.fill_diagonal(mat, occ @ np.diag(block))
+    np.fill_diagonal(mat, space._radix[0][:, positions] @ np.diag(block))
     for i, j in zip(*np.nonzero(block - np.diag(np.diag(block)))):
-        src = np.flatnonzero(occ[:, j])
-        dst = np.searchsorted(keys, keys[src] + (weights[positions[i]] - weights[positions[j]]))
-        mat[dst, src] = block[i, j] * (np.sqrt(occ[src, i] + 1.0) * np.sqrt(occ[src, j]))
-    return OperatorMatrix(space, mat, hermitian=is_hermitian(block, 0.0))
-
-
-def number_operator(space: FockSpace, mode: ModeLabel) -> OperatorMatrix:
-    return bilinear(space, (mode,), [[1.0]])
+        src, dst, amplitude = _hops(space, (modes[i],), (modes[j],))
+        mat[dst, src] = block[i, j] * amplitude
+    return OperatorMatrix(space, mat)
 
 
 def total_number_operator(space: FockSpace) -> OperatorMatrix:
     return bilinear(space, space.modes, np.eye(len(space.modes)))
-
-
-def identity_operator(space: FockSpace) -> OperatorMatrix:
-    return OperatorMatrix(space, np.eye(space.dim, dtype=complex))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -243,10 +245,6 @@ def fock_state(space: FockSpace, occupations: Mapping[ModeLabel, int]) -> StateV
     amp = np.zeros(space.dim, dtype=complex)
     amp[space.index_of(tuple(occ))] = 1.0
     return StateVector(space, amp)
-
-
-def vacuum_state(space: FockSpace) -> StateVector:
-    return fock_state(space, {})
 
 
 def expectation(state: StateVector, op: OperatorMatrix) -> complex:

@@ -38,6 +38,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 MIN_KR = 20.0
 
+#: Fewest points of a radial profile grid.
+MIN_SAMPLES = 100
+
 #: Largest kR: below it the one-wavelength window at 0.8 R still has 257
 #: distinct panel edges (kR eps 257 < 2 pi); past ~4e16 they all coincide.
 MAX_KR = 1e14
@@ -89,7 +92,7 @@ def spherical_bessel(ell: int, x):
 
     Closed forms j0 = sin(x)/x and j2 = (3/x^3 - 1/x) sin(x) - (3/x^2) cos(x)
     above SERIES_SWITCH; Taylor series below it, where the j2 closed form
-    cancels catastrophically.
+    cancels catastrophically. The series is evaluated on those arguments only.
     """
     if ell not in (0, 2):
         raise ValueError(f"ell must be 0 or 2, got {ell}")
@@ -97,13 +100,13 @@ def spherical_bessel(ell: int, x):
     if np.any(arr < 0):
         raise ValueError("argument must be >= 0")
     small = arr < SERIES_SWITCH
-    safe = np.where(small, 1.0, arr)  # avoid 0/0 in the unused branch
-    series = _bessel_series(ell, np.where(small, arr, 0.0))  # and overflow in the unused series
+    safe = np.where(small, 1.0, arr)  # avoid 0/0 where the series replaces the closed form
     if ell == 0:
         closed = np.sin(safe) / safe
     else:
         closed = (3.0 / safe**3 - 1.0 / safe) * np.sin(safe) - 3.0 * np.cos(safe) / safe**2
-    out = np.where(small, series, closed)
+    out = np.asarray(closed)  # a 0-d array where numpy returned a scalar
+    out[small] = _bessel_series(ell, arr[small])
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
@@ -243,8 +246,8 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
     cum_spin = (hbar/3)(2 a0 - a2/2) and cum_oam = (hbar/2) a2. Both end at
     hbar/2 by construction, so they do not check the normalization.
     """
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be >= 100, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
     kR = config.kR
     grid = np.linspace(kR / n_samples, kR, n_samples)
     a0 = _shell_antiderivative(0, grid) / _shell_antiderivative(0, kR)

@@ -22,9 +22,8 @@ from .fock import (
     ModeLabel,
     OperatorMatrix,
     StateVector,
-    annihilation,
+    _hops,
     build_space,
-    fock_state,
     total_number_operator,
 )
 
@@ -198,36 +197,28 @@ class AtomFieldSpace:
         except ValueError:
             raise ValueError(f"unknown atomic level {level!r}") from None
 
-    def atom_projector(self, bra: str, ket: str) -> np.ndarray:
-        mat = np.zeros((self.atom_dim, self.atom_dim))
-        mat[self.atom_index(bra), self.atom_index(ket)] = 1.0
-        return mat
-
-    def embed(self, atom_matrix: np.ndarray, field_matrix: np.ndarray) -> np.ndarray:
-        return np.kron(atom_matrix, field_matrix)
-
     def state(self, level: str, field_amplitudes: np.ndarray) -> StateVector:
-        atom_vec = np.zeros(self.atom_dim, dtype=complex)
-        atom_vec[self.atom_index(level)] = 1.0
-        return StateVector(self, np.kron(atom_vec, field_amplitudes))
+        amps = np.zeros((self.atom_dim, self.field_space.dim), dtype=complex)
+        amps[self.atom_index(level)] = field_amplitudes
+        return StateVector(self, amps.ravel())
 
 
 def atom_field_space(cutoff: int = 2) -> AtomFieldSpace:
+    """The cutoff must admit the emitted pair: below 2 the pair term is zero."""
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2 to hold a photon pair, got {cutoff}")
     field = build_space(FORWARD_MODES + BACKWARD_MODES, cutoff)
     return AtomFieldSpace(field_space=field)
 
 
 def pair_field_vector(space: AtomFieldSpace, state: TwoQutritState) -> np.ndarray:
     """Embed a two-qutrit amplitude block as one forward and one backward photon."""
-    vec = np.zeros(space.field_space.dim, dtype=complex)
-    for i, m1 in enumerate(M_VALUES):
-        for j, m2 in enumerate(M_VALUES):
-            amp = state.amps[i, j]
-            if amp != 0:
-                basis = fock_state(
-                    space.field_space, {FORWARD_MODES[i]: 1, BACKWARD_MODES[j]: 1}
-                )
-                vec += amp * basis.amplitudes
+    fs = space.field_space
+    vec = np.zeros(fs.dim, dtype=complex)
+    for i, fwd in enumerate(FORWARD_MODES):
+        for j, bwd in enumerate(BACKWARD_MODES):
+            occ = tuple(int(mode in (fwd, bwd)) for mode in fs.modes)
+            vec[fs.index_of(occ)] = state.amps[i, j]
     return vec
 
 
@@ -237,32 +228,32 @@ def interaction_hamiltonian(
     """Pair-emission Hamiltonian with the m1 + m2 = 0 selection rule.
 
     H = omega * N_photons + omega0 * |e><e|
-        + gamma * sum_m (|e><g| a_m^fwd a_{-m}^bwd + h.c.)
+        + gamma * (|e><g| L + |g><e| L^dagger),  L = sum_m a_m^fwd a_{-m}^bwd
 
     The interaction creates one photon in each family with opposite
     projections, so only the exchange-even pair combination couples to the
-    excited atom. Construction is guarded by an entrywise hermiticity check.
+    excited atom. H is 2x2 atom blocks in the order (g, e); each term of L is
+    one ladder-map hop and L^dagger its exact adjoint, so H is exactly hermitian.
     """
     fs = space.field_space
-    n_total = total_number_operator(fs).matrix
-    identity_f = np.eye(fs.dim)
-    h = omega * space.embed(np.eye(space.atom_dim), n_total)
-    h = h + omega0 * space.embed(space.atom_projector("e", "e"), identity_f)
     lower = np.zeros((fs.dim, fs.dim), dtype=complex)
-    for i, m in enumerate(M_VALUES):
-        j = M_VALUES.index(-m)
-        lower += (annihilation(fs, FORWARD_MODES[i]) @ annihilation(fs, BACKWARD_MODES[j])).matrix
-    h = h + gamma_coupling * space.embed(space.atom_projector("e", "g"), lower)
-    h = h + gamma_coupling * space.embed(space.atom_projector("g", "e"), lower.conj().T)
-    return OperatorMatrix(space, h, hermitian=True)
+    for fwd, m in zip(FORWARD_MODES, M_VALUES):
+        src, dst, amplitude = _hops(fs, (), (fwd, BACKWARD_MODES[M_VALUES.index(-m)]))
+        lower[dst, src] = amplitude
+    field_energy = omega * total_number_operator(fs).matrix
+    h = np.block([
+        [field_energy, gamma_coupling * lower.conj().T],
+        [gamma_coupling * lower, field_energy + omega0 * np.eye(fs.dim)],
+    ])
+    return OperatorMatrix(space, h)
 
 
 def excitation_number(space: AtomFieldSpace) -> OperatorMatrix:
-    """Conserved N_exc = |e><e| + N_photons / 2."""
+    """Conserved N_exc = |e><e| + N_photons / 2, as 2x2 atom blocks in the order (g, e)."""
     fs = space.field_space
-    mat = space.embed(space.atom_projector("e", "e"), np.eye(fs.dim))
-    mat = mat + 0.5 * space.embed(np.eye(space.atom_dim), total_number_operator(fs).matrix)
-    return OperatorMatrix(space, mat, hermitian=True)
+    half = 0.5 * total_number_operator(fs).matrix
+    zero = np.zeros_like(half)
+    return OperatorMatrix(space, np.block([[half, zero], [zero, half + np.eye(fs.dim)]]))
 
 
 @dataclass(frozen=True)
@@ -298,8 +289,11 @@ def selection_rule_check(
     Checks (a) zero matrix element between |e; vac> and |g; psi3>,
     (b) |g; psi3> is an H eigenvector at 2 omega, and (c) evolution from
     |e; vac> through the eigen-decomposition of the hermitian H never develops
-    overlap with |g; psi3>.
+    overlap with |g; psi3>. The decomposition reads one triangle of H only,
+    so an H that fails the entrywise hermiticity check raises ValueError.
     """
+    if not h.is_hermitian():
+        raise ValueError("selection_rule_check requires a hermitian h")
     odd = space.state("g", pair_field_vector(space, parity_basis().psi3)).amplitudes
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0

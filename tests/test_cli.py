@@ -320,6 +320,17 @@ def test_decay_samples_lower_bound(capsys, samples, fmt):
     assert err == f"error: samples must be >= 2, got {samples}\n"
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("samples", [-5, 5, 99])
+def test_radial_samples_lower_bound(capsys, samples, fmt):
+    # the message names the --samples flag, not the library's n_samples
+    code, out, err = run_cli(capsys, "radial", "--samples", str(samples), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: samples")
+    assert err == f"error: samples must be >= 100, got {samples}\n"
+
+
 def test_io_failure_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "variance", "--m", "0", "--out", "/nonexistent-dir/x.json"

@@ -5,11 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from photonam.angular import SU3_BLOCKS
-from photonam.fock import OperatorMatrix, commutator
+from photonam.fock import OperatorMatrix, annihilation, commutator
 from photonam.twins import (
+    BACKWARD_MODES,
+    FORWARD_MODES,
+    M_VALUES,
     AtomFieldSpace,
     RadiatedState,
     TwoQutritState,
@@ -192,8 +196,39 @@ def test_atom_field_dimension(space):
 
 
 def test_hamiltonian_is_hermitian(hamiltonian):
-    assert hamiltonian.hermitian
-    assert hamiltonian.is_hermitian(1e-12)
+    # exactly: the (g, e) block is the adjoint of the (e, g) block, not a sum near it
+    assert hamiltonian.is_hermitian(0.0)
+
+
+def test_atom_field_space_needs_a_pair():
+    for cutoff in (-1, 0, 1):
+        with pytest.raises(ValueError, match="cutoff must be >= 2"):
+            atom_field_space(cutoff)
+    assert atom_field_space(2).field_space.cutoff == 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(
+    cutoff=st.integers(2, 5),
+    omega=st.floats(0.01, 10.0),
+    omega0=st.floats(0.01, 10.0),
+    gamma=st.floats(0.001, 1.0),
+)
+def test_hamiltonian_blocks_are_exact(cutoff, omega, omega0, gamma):
+    space = atom_field_space(cutoff)
+    h = interaction_hamiltonian(space, omega, omega0, gamma)
+    assert h.is_hermitian(0.0)
+    assert commutator(h, excitation_number(space)).max_abs() == 0.0
+    # independent route to the (e, g) pair block: products of per-state ladder matrices
+    fs = space.field_space
+    pair = sum(
+        annihilation(fs, fwd).matrix
+        @ annihilation(fs, BACKWARD_MODES[M_VALUES.index(-m)]).matrix
+        for fwd, m in zip(FORWARD_MODES, M_VALUES)
+    )
+    e, g = space.atom_index("e"), space.atom_index("g")
+    block = h.matrix.reshape(2, fs.dim, 2, fs.dim)[e, :, g, :]
+    assert np.array_equal(block, gamma * pair)
 
 
 def test_interaction_couples_even_states_only(space, hamiltonian, basis):
@@ -235,11 +270,19 @@ def test_selection_rule_report(space, hamiltonian):
     excited = space.state("e", vac).amplitudes
     odd = space.state("g", pair_field_vector(space, parity_basis().psi3)).amplitudes
     leak = 1e-3 * (np.outer(odd, excited.conj()) + np.outer(excited, odd.conj()))
-    leaky = OperatorMatrix(space, hamiltonian.matrix + leak, hermitian=True)
+    leaky = OperatorMatrix(space, hamiltonian.matrix + leak)
     failed = selection_rule_check(leaky, space, omega=1.0, gamma_coupling=0.05)
     assert failed.coupling_to_odd == pytest.approx(1e-3, rel=1e-12)
     assert max(failed.evolution_overlaps) > 1e-4
     assert json.loads(json.dumps(failed.to_json_dict()))["pass"] is False
+
+
+def test_selection_rule_check_rejects_non_hermitian(space, hamiltonian):
+    # eigh would read only one triangle of a non-hermitian h and report on another operator
+    skewed = hamiltonian.matrix.copy()
+    skewed[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="hermitian"):
+        selection_rule_check(OperatorMatrix(space, skewed), space, omega=1.0, gamma_coupling=0.05)
 
 
 def test_evolution_actually_radiates(space, hamiltonian, basis):
