@@ -31,15 +31,11 @@ from .fock import (
     FockSpace,
     ModeLabel,
     OperatorMatrix,
-    StateVector,
     annihilation,
     build_space,
     commutator,
     creation,
-    expectation,
-    fock_state,
     total_number_operator,
-    variance,
 )
 from .radial import (
     CavityConfig,

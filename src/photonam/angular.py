@@ -17,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radial
-from .fock import (
-    FockSpace,
-    ModeLabel,
-    OperatorMatrix,
-    bilinear,
-    build_space,
-    fock_state,
-    variance,
-)
+from .fock import FockSpace, ModeLabel, OperatorMatrix, bilinear, build_space
 
 M_PLUS = ModeLabel("+1")
 M_ZERO = ModeLabel("0")
@@ -33,6 +25,9 @@ M_MINUS = ModeLabel("-1")
 
 #: Canonical mode order (m = +1, 0, -1) used for single-photon blocks.
 AM_MODES = (M_PLUS, M_ZERO, M_MINUS)
+
+#: Projection m of each AM_MODES entry: the row order of every 3x3 block.
+M_VALUES = (1, 0, -1)
 
 DEFAULT_CUTOFF = 3
 
@@ -125,20 +120,6 @@ def su3_generators(space: FockSpace) -> Su3GeneratorSet:
         offdiag_real=lift(SU3_BLOCKS.offdiag_real),
         offdiag_imag=lift(SU3_BLOCKS.offdiag_imag),
     )
-
-
-def single_photon_block(op: OperatorMatrix, space: FockSpace) -> np.ndarray:
-    """3x3 restriction of an operator to the single-photon subspace.
-
-    Rows and columns follow the (+1, 0, -1) mode order; for a bilinear
-    operator this is the block it was built from.
-    """
-    indices = []
-    for mode in AM_MODES:
-        occ = [0] * len(space.modes)
-        occ[space.mode_position(mode)] = 1
-        indices.append(space.index_of(tuple(occ)))
-    return op.matrix[np.ix_(indices, indices)]
 
 
 @dataclass(frozen=True)
@@ -234,14 +215,15 @@ def am_variances(m: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float, fl
 
     Returns (1, 1, 0) for m = 0 and (1/2, 1/2, 0) for m = +-1: the m = 0
     photon carries the larger transverse AM fluctuations. J conserves photon
-    number, so the one-photon space gives the same floats as any cutoff; the
-    cutoff is only validated.
+    number, so on one photon each component is its SPIN1_BLOCKS matrix B and
+    the variance is (B^2)_mm - (B_mm)^2 at any cutoff; the cutoff is only
+    validated.
     """
-    by_m = {1: M_PLUS, 0: M_ZERO, -1: M_MINUS}
-    if m not in by_m:
+    if m not in M_VALUES:
         raise ValueError(f"m must be one of +1, 0, -1, got {m}")
     three_mode_space(cutoff)
-    space = three_mode_space(1)
-    triple = j_operators(space)
-    state = fock_state(space, {by_m[m]: 1})
-    return tuple(variance(state, op) for op in triple.components())
+    row = M_VALUES.index(m)
+    return tuple(
+        float((block @ block)[row, row].real - block[row, row].real ** 2)
+        for block in SPIN1_BLOCKS
+    )

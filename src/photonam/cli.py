@@ -80,7 +80,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -265,7 +265,7 @@ def _verify_all_checks(cfg: RunConfig) -> list[dict]:
     near_ok = (
         zone.near_ratio > 100.0
         and radial.f_oam(0.0, cavity) == 0.0
-        and int(np.argmax(zone.profile.f_spin)) == 0
+        and int(np.argmax(radial.radial_profile(cavity).f_spin)) == 0
     )
     checks.append(_check("near_zone_spin_dominance", near_ok, near_ratio=zone.near_ratio))
 

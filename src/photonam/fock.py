@@ -9,7 +9,8 @@ is exact on every occupation sector. `bilinear` maps a block to every
 number-conserving operator, sum_ij block[i, j] a_i^dagger a_j, that way.
 `annihilation` and `creation` stay as per-state references; a creation
 operator at the cutoff boundary maps out of the truncated basis and is
-represented as zero (documented truncation behavior).
+represented as zero (documented truncation behavior). There is no state type:
+a state is a plain amplitude array over the basis, placed with `index_of`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,24 +140,6 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitude vector over a Fock-space basis."""
-
-    space: object
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.shape != (self.space.dim,):
-            raise ValueError(f"amplitude length {amp.shape} does not match dim {self.space.dim}")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(matrix - matrix.conj().T)) <= tol) if matrix.size else True
 
@@ -231,35 +214,3 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB - BA on a shared space."""
     _require_same_space(a, b)
     return OperatorMatrix(a.space, a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
-def fock_state(space: FockSpace, occupations: Mapping[ModeLabel, int]) -> StateVector:
-    """Unit basis vector for the given mode occupations (unlisted modes empty)."""
-    occ = [0] * len(space.modes)
-    for mode, n in occupations.items():
-        if n < 0:
-            raise ValueError(f"occupation must be >= 0, got {n}")
-        occ[space.mode_position(mode)] = int(n)
-    if sum(occ) > space.cutoff:
-        raise ValueError(f"total occupation {sum(occ)} exceeds cutoff {space.cutoff}")
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[space.index_of(tuple(occ))] = 1.0
-    return StateVector(space, amp)
-
-
-def expectation(state: StateVector, op: OperatorMatrix) -> complex:
-    if state.space is not op.space:
-        raise ValueError("state and operator act on different spaces")
-    if abs(state.norm() - 1.0) > 1e-12:
-        raise ValueError("expectation requires a normalized state")
-    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-
-
-def variance(state: StateVector, op: OperatorMatrix) -> float:
-    """<op^2> - <op>^2 for a hermitian operator; tiny negatives clamp to 0."""
-    if not op.is_hermitian(HERMITICITY_TOL):
-        raise ValueError("variance requires a hermitian operator")
-    mean = expectation(state, op).real
-    second = expectation(state, op @ op).real
-    var = second - mean * mean
-    return max(var, 0.0)

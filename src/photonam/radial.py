@@ -298,15 +298,14 @@ def wave_zone_discrepancy(config: CavityConfig, start_kr: float) -> float:
 class ZoneReport:
     """Near-, intermediate-, and wave-zone diagnostics of the density split.
 
-    `profile` is the sampled profile at the requested size; the diagnostics
-    are exact and do not read it.
+    Each diagnostic is exact at its radius or window; none reads a sampled
+    profile.
     """
 
     near_ratio: float
     oam_peak_r: float
     wave_zone_discrepancy: float
     config: CavityConfig
-    profile: RadialProfile = field(repr=False, compare=False)
 
     @property
     def oam_peak_over_lambda(self) -> float:
@@ -345,10 +344,13 @@ def zone_report(config: CavityConfig, n_samples: int = 2000) -> ZoneReport:
 
     near_ratio is f_spin/f_oam at exactly r = 0.1 lambda, where the ratio
     is monotone decreasing. The OAM peak is the root of j2' inside the first
-    wavelength. Neither depends on n_samples, which sizes only the attached
-    profile. The wave-zone discrepancy uses a window of one wavelength
-    starting at 0.8 R, clipped to fit inside the cavity.
+    wavelength. The wave-zone discrepancy uses a window of one wavelength
+    starting at 0.8 R, clipped to fit inside the cavity. No diagnostic depends
+    on n_samples; it is validated like radial_profile's, below MIN_SAMPLES
+    raising ValueError.
     """
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
     x_near = 0.2 * np.pi
     start = min(0.8 * config.kR, config.kR - 2.0 * np.pi)
     return ZoneReport(
@@ -356,7 +358,6 @@ def zone_report(config: CavityConfig, n_samples: int = 2000) -> ZoneReport:
         oam_peak_r=_oam_peak_kr() / config.k,
         wave_zone_discrepancy=wave_zone_discrepancy(config, start),
         config=config,
-        profile=radial_profile(config, n_samples),
     )
 
 

@@ -16,19 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import AM_MODES, SU3_BLOCKS
-from .fock import (
-    FockSpace,
-    ModeLabel,
-    OperatorMatrix,
-    StateVector,
-    _hops,
-    build_space,
-    total_number_operator,
-)
-
-#: Projection order shared by all 3x3 amplitude blocks.
-M_VALUES = (1, 0, -1)
+from .angular import AM_MODES, M_VALUES, SU3_BLOCKS
+from .fock import FockSpace, ModeLabel, OperatorMatrix, _hops, build_space, total_number_operator
 
 FORWARD_MODES = tuple(ModeLabel(m.name, "fwd") for m in AM_MODES)
 BACKWARD_MODES = tuple(ModeLabel(m.name, "bwd") for m in AM_MODES)
@@ -38,9 +27,6 @@ VARIATIONAL_TOL = 1e-8
 #: Bounds on the odd-state coupling and eigen-residual, and on its evolved overlap.
 COUPLING_TOL = 1e-12
 OVERLAP_TOL = 1e-10
-
-#: |c1| grid whose argmax of mu seeds the Newton steps, 1e-4 apart.
-_C1_GRID = np.linspace(0.0, 1.0, 10001)
 
 
 @dataclass(frozen=True)
@@ -149,18 +135,17 @@ class EntanglementOptimum:
 
 
 def maximize_entanglement() -> EntanglementOptimum:
-    """Maximize mu = a (1 - a^2) over a = |c1| by a grid scan and Newton steps.
+    """Maximize mu = a (1 - a^2) over a = |c1| by Newton steps on mu' = 1 - 3 a^2.
 
-    The grid argmax lies within 1e-4 of the maximizer 1/sqrt(3); two Newton
-    steps on the derivative 1 - 3 a^2 then reach it to rounding, where value
-    comparisons would stall on the flat maximum. The optimum is cross-checked
-    against the variational condition that all sixteen local generator
-    expectations vanish.
+    mu' is concave and falling, so from a = 1 the iterates fall monotonically
+    onto the maximizer 1/sqrt(3); they stop at the first step that does not
+    decrease the iterate, at the root to rounding, where value comparisons
+    would stall on the flat maximum. The optimum is cross-checked against the
+    variational condition that all sixteen local generator expectations vanish.
     """
-    a_star = _C1_GRID[np.argmax(_C1_GRID * (1.0 - _C1_GRID * _C1_GRID))]
-    for _ in range(2):
-        a_star += (1.0 - 3.0 * a_star * a_star) / (6.0 * a_star)
-    c1 = float(a_star)
+    c1 = 1.0
+    while (nxt := c1 + (1.0 - 3.0 * c1 * c1) / (6.0 * c1)) < c1:
+        c1 = nxt
     c2 = float(np.sqrt(1.0 - c1 * c1))
     state = RadiatedState(c1, c2)
     max_abs = float(np.max(np.abs(local_expectations(state.to_two_qutrit()))))
@@ -173,6 +158,7 @@ def maximize_entanglement() -> EntanglementOptimum:
     )
 
 
+#: Atomic levels in the order of the 2x2 atom blocks.
 ATOM_LEVELS = ("g", "e")
 
 
@@ -181,11 +167,10 @@ class AtomFieldSpace:
     """Two-level atom tensor two counter-propagating three-mode photon families."""
 
     field_space: FockSpace
-    atom_levels: tuple[str, str] = ATOM_LEVELS
 
     @property
     def atom_dim(self) -> int:
-        return len(self.atom_levels)
+        return len(ATOM_LEVELS)
 
     @property
     def dim(self) -> int:
@@ -193,14 +178,15 @@ class AtomFieldSpace:
 
     def atom_index(self, level: str) -> int:
         try:
-            return self.atom_levels.index(level)
+            return ATOM_LEVELS.index(level)
         except ValueError:
             raise ValueError(f"unknown atomic level {level!r}") from None
 
-    def state(self, level: str, field_amplitudes: np.ndarray) -> StateVector:
+    def state(self, level: str, field_amplitudes: np.ndarray) -> np.ndarray:
+        """Amplitudes of |level> tensor the field state, atom index major."""
         amps = np.zeros((self.atom_dim, self.field_space.dim), dtype=complex)
         amps[self.atom_index(level)] = field_amplitudes
-        return StateVector(self, amps.ravel())
+        return amps.ravel()
 
 
 def atom_field_space(cutoff: int = 2) -> AtomFieldSpace:
@@ -294,10 +280,10 @@ def selection_rule_check(
     """
     if not h.is_hermitian():
         raise ValueError("selection_rule_check requires a hermitian h")
-    odd = space.state("g", pair_field_vector(space, parity_basis().psi3)).amplitudes
+    odd = space.state("g", pair_field_vector(space, parity_basis().psi3))
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0
-    excited = space.state("e", vac).amplitudes
+    excited = space.state("e", vac)
 
     coupling = abs(np.vdot(odd, h.matrix @ excited))
     eigen_residual = float(np.max(np.abs(h.matrix @ odd - 2.0 * omega * odd)))

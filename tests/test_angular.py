@@ -12,20 +12,11 @@ from photonam.angular import (
     am_variances,
     density_commutator_check,
     j_operators,
-    single_photon_block,
     su3_generators,
     three_mode_space,
     verify_su2,
 )
-from photonam.fock import (
-    ModeLabel,
-    OperatorMatrix,
-    annihilation,
-    build_space,
-    creation,
-    expectation,
-    fock_state,
-)
+from photonam.fock import ModeLabel, OperatorMatrix, annihilation, build_space, creation
 from photonam.radial import CavityConfig, f_oam, f_spin, normalize_mode
 
 RT2 = np.sqrt(2.0)
@@ -34,6 +25,19 @@ RT2 = np.sqrt(2.0)
 SPIN1_JX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / RT2
 SPIN1_JY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / RT2
 SPIN1_JZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+
+def one_photon_indices(space):
+    """Basis indices of |1_m> for m = +1, 0, -1, placed by index_of."""
+    return [
+        space.index_of(tuple(int(m == mode) for m in space.modes)) for mode in AM_MODES
+    ]
+
+
+def one_photon_block(matrix, space):
+    """3x3 restriction of an operator matrix to the one-photon states."""
+    ones = one_photon_indices(space)
+    return matrix[np.ix_(ones, ones)]
 
 
 @pytest.fixture(scope="module")
@@ -47,17 +51,15 @@ def triple(space):
 
 
 def test_jz_eigenvalues(space, triple):
-    for m, mode in ((1, M_PLUS), (0, M_ZERO), (-1, M_MINUS)):
-        state = fock_state(space, {mode: 1})
-        np.testing.assert_allclose(
-            triple.jz.matrix @ state.amplitudes, m * state.amplitudes, atol=1e-15
-        )
+    for m, index in zip((1, 0, -1), one_photon_indices(space)):
+        state = np.eye(space.dim)[index]
+        np.testing.assert_allclose(triple.jz.matrix @ state, m * state, atol=1e-15)
 
 
 def test_single_photon_blocks_are_spin_one_matrices(space, triple):
-    np.testing.assert_allclose(single_photon_block(triple.jx, space), SPIN1_JX, atol=1e-15)
-    np.testing.assert_allclose(single_photon_block(triple.jy, space), SPIN1_JY, atol=1e-15)
-    np.testing.assert_allclose(single_photon_block(triple.jz, space), SPIN1_JZ, atol=1e-15)
+    np.testing.assert_allclose(one_photon_block(triple.jx.matrix, space), SPIN1_JX, atol=1e-15)
+    np.testing.assert_allclose(one_photon_block(triple.jy.matrix, space), SPIN1_JY, atol=1e-15)
+    np.testing.assert_allclose(one_photon_block(triple.jz.matrix, space), SPIN1_JZ, atol=1e-15)
 
 
 def ladder_formulas(space):
@@ -101,18 +103,16 @@ def test_su2_closure(cutoff):
 
 def test_j_squared_on_single_photon(space, triple):
     jx, jy, jz = (op.matrix for op in triple.components())
-    j_sq = OperatorMatrix(space, jx @ jx + jy @ jy + jz @ jz)
-    for mode in AM_MODES:
-        state = fock_state(space, {mode: 1})
-        assert expectation(state, j_sq).real == pytest.approx(2.0, abs=1e-12)
+    j_sq = jx @ jx + jy @ jy + jz @ jz
+    for index in one_photon_indices(space):
+        assert j_sq[index, index].real == pytest.approx(2.0, abs=1e-12)
 
 
 def test_transverse_means_vanish(space, triple):
-    for mode, m in zip(AM_MODES, (1, 0, -1)):
-        state = fock_state(space, {mode: 1})
-        assert abs(expectation(state, triple.jx)) < 1e-14
-        assert abs(expectation(state, triple.jy)) < 1e-14
-        assert expectation(state, triple.jz).real == pytest.approx(m, abs=1e-14)
+    for index, m in zip(one_photon_indices(space), (1, 0, -1)):
+        assert abs(triple.jx.matrix[index, index]) < 1e-14
+        assert abs(triple.jy.matrix[index, index]) < 1e-14
+        assert triple.jz.matrix[index, index].real == pytest.approx(m, abs=1e-14)
 
 
 def test_verify_su2_detects_perturbation(space, triple):
@@ -170,7 +170,7 @@ def test_su3_generators_hermitian_and_dependent(space):
 
 def test_su3_single_photon_blocks_independent_and_traceless(space):
     gens = su3_generators(space)
-    blocks = [single_photon_block(op, space) for op in gens.all_generators()]
+    blocks = [one_photon_block(op.matrix, space) for op in gens.all_generators()]
     stacked = np.array([b.ravel() for b in blocks])
     assert np.linalg.matrix_rank(stacked) == 8
     for block in blocks:
@@ -183,11 +183,11 @@ def test_su3_cyclic_convention(space):
     expected = np.zeros((3, 3))
     expected[2, 0] = expected[0, 2] = 0.5
     np.testing.assert_allclose(
-        single_photon_block(gens.offdiag_real[2], space), expected, atol=1e-15
+        one_photon_block(gens.offdiag_real[2].matrix, space), expected, atol=1e-15
     )
     # first raw diagonal is n_{+1} - n_0
     np.testing.assert_allclose(
-        single_photon_block(gens.diagonal_raw[0], space), np.diag([1.0, -1.0, 0.0]),
+        one_photon_block(gens.diagonal_raw[0].matrix, space), np.diag([1.0, -1.0, 0.0]),
         atol=1e-15,
     )
 
@@ -206,6 +206,24 @@ def test_variance_sum_rule_and_ordering():
         vx, vy, vz = am_variances(m)
         assert vx + vy + vz + m * m == pytest.approx(2.0, abs=1e-12)
     assert am_variances(0)[0] > am_variances(1)[0]
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_am_variances_match_ladder_oracle(cutoff):
+    # <J^2> - <J>^2 in |1_m> on the whole truncated space, with J written out
+    # as ladder products: no spin-1 block is shared with am_variances
+    space = three_mode_space(cutoff)
+    j_ladder, *_ = ladder_formulas(space)
+    table = {1: (0.5, 0.5, 0.0), 0: (1.0, 1.0, 0.0), -1: (0.5, 0.5, 0.0)}
+    for m, index in zip((1, 0, -1), one_photon_indices(space)):
+        state = np.eye(space.dim)[index]
+        want = [
+            np.vdot(state, j @ j @ state).real - np.vdot(state, j @ state).real ** 2
+            for j in j_ladder
+        ]
+        got = am_variances(m, cutoff)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got, table[m], rtol=0, atol=1e-15)
 
 
 def test_am_variances_invalid_m():

@@ -184,6 +184,17 @@ def test_config_before_or_after_command(tmp_path, capsys, before):
     assert err.startswith("error: cannot read config file")
 
 
+def test_config_file_not_utf8(tmp_path, capsys):
+    config_file = tmp_path / "binary.cfg"
+    config_file.write_bytes(b"kR = 50\n\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(str(config_file))
+    code, out, err = run_cli(capsys, "radial", "--config", str(config_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
+
 def test_config_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("kR = 50\nthis line has no equals sign\n")

@@ -1,4 +1,4 @@
-"""Fock-space construction, ladder algebra, and expectation machinery."""
+"""Fock-space construction and ladder algebra."""
 
 import itertools
 
@@ -9,16 +9,12 @@ from hypothesis import given, settings, strategies as st
 from photonam.fock import (
     ModeLabel,
     OperatorMatrix,
-    StateVector,
     annihilation,
     bilinear,
     build_space,
     commutator,
     creation,
-    expectation,
-    fock_state,
     total_number_operator,
-    variance,
 )
 
 M1, M2, M3 = ModeLabel("+1"), ModeLabel("0"), ModeLabel("-1")
@@ -31,6 +27,13 @@ def brute_force_basis(n_modes: int, cutoff: int) -> list[tuple[int, ...]]:
         for occ in itertools.product(range(cutoff + 1), repeat=n_modes)
         if sum(occ) <= cutoff
     ]
+
+
+def unit(space, occupation):
+    """Basis vector of one occupation tuple, placed by index_of."""
+    vec = np.zeros(space.dim, dtype=complex)
+    vec[space.index_of(occupation)] = 1.0
+    return vec
 
 
 def test_build_space_sizes():
@@ -96,14 +99,10 @@ def test_annihilation_matches_hand_built_single_mode_matrix():
 def test_annihilation_action():
     space = build_space([M1], 3)
     a = annihilation(space, M1)
-    vacuum = fock_state(space, {})
-    assert np.all(a.matrix @ vacuum.amplitudes == 0)
-    one = fock_state(space, {M1: 1})
-    np.testing.assert_allclose(a.matrix @ one.amplitudes, vacuum.amplitudes)
-    two = fock_state(space, {M1: 2})
-    np.testing.assert_allclose(
-        a.matrix @ two.amplitudes, np.sqrt(2.0) * one.amplitudes
-    )
+    vacuum, one, two = (unit(space, (n,)) for n in range(3))
+    assert np.all(a.matrix @ vacuum == 0)
+    np.testing.assert_allclose(a.matrix @ one, vacuum)
+    np.testing.assert_allclose(a.matrix @ two, np.sqrt(2.0) * one)
 
 
 def test_creation_is_exact_adjoint_and_truncates():
@@ -112,11 +111,10 @@ def test_creation_is_exact_adjoint_and_truncates():
         a = annihilation(space, mode)
         adag = creation(space, mode)
         np.testing.assert_array_equal(adag.matrix, a.matrix.conj().T)
-    top = fock_state(space, {M1: 2})
-    assert np.all(creation(space, M1).matrix @ top.amplitudes == 0)
+    top = unit(space, (2, 0))
+    assert np.all(creation(space, M1).matrix @ top == 0)
     np.testing.assert_allclose(
-        creation(space, M1).matrix @ fock_state(space, {}).amplitudes,
-        fock_state(space, {M1: 1}).amplitudes,
+        creation(space, M1).matrix @ unit(space, (0, 0)), unit(space, (1, 0))
     )
 
 
@@ -124,8 +122,8 @@ def test_unknown_mode_errors():
     space = build_space([M1, M2], 2)
     with pytest.raises(ValueError):
         annihilation(space, M3)
-    with pytest.raises(ValueError):
-        fock_state(space, {M3: 1})
+    with pytest.raises(ValueError, match="unknown mode"):
+        space.mode_position(M3)
 
 
 def test_commutator_identity_on_safe_subspace():
@@ -216,42 +214,10 @@ def test_bilinear_many_modes():
 
 def test_fock_state_indexing():
     space = build_space([M1, M2, M3], 3)
-    assert np.argmax(np.abs(fock_state(space, {}).amplitudes)) == 0
-    one_zero = fock_state(space, {M2: 1})
-    assert one_zero.norm() == 1.0
-    pair = fock_state(space, {M1: 1, M3: 1})
-    expected_index = brute_force_basis(3, 3).index((1, 0, 1))
-    assert np.argmax(np.abs(pair.amplitudes)) == expected_index
-    with pytest.raises(ValueError):
-        fock_state(space, {M1: 2, M2: 2})
-
-
-def test_expectation_values():
-    space = build_space([M1, M2], 2)
-    n1 = bilinear(space, (M1,), [[1.0]])
-    assert expectation(fock_state(space, {}), n1) == 0
-    assert expectation(fock_state(space, {M1: 1}), n1) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_variance_superposition():
-    space = build_space([M1], 2)
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[space.index_of((0,))] = 1.0
-    amps[space.index_of((1,))] = 1.0
-    state = StateVector(space, amps / np.sqrt(2.0))
-    assert variance(state, bilinear(space, (M1,), [[1.0]])) == pytest.approx(0.25, abs=1e-14)
-
-
-def test_variance_rejects_non_hermitian():
-    space = build_space([M1], 2)
-    with pytest.raises(ValueError):
-        variance(fock_state(space, {}), annihilation(space, M1))
-
-
-def test_variance_non_negative():
-    space = build_space([M1, M2], 3)
-    state = fock_state(space, {M1: 1})
-    assert variance(state, total_number_operator(space)) >= 0.0
+    assert space.index_of((0, 0, 0)) == 0
+    assert space.index_of((1, 0, 1)) == brute_force_basis(3, 3).index((1, 0, 1))
+    with pytest.raises(ValueError, match="not in truncated basis"):
+        space.index_of((2, 2, 0))
 
 
 def test_operator_matrix_validation():
@@ -260,9 +226,3 @@ def test_operator_matrix_validation():
         OperatorMatrix(space, np.zeros((2, 2)))
     assert not annihilation(space, M1).is_hermitian()
     assert OperatorMatrix(space, np.eye(space.dim)).is_hermitian(0.0)
-
-
-def test_state_vector_validation():
-    space = build_space([M1], 2)
-    with pytest.raises(ValueError):
-        StateVector(space, np.zeros(2, dtype=complex))

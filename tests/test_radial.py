@@ -277,6 +277,13 @@ def test_profile_requires_minimum_sampling(config):
         radial_profile(config, 99)
 
 
+def test_zone_report_requires_minimum_sampling(config):
+    # no diagnostic reads a profile, but n_samples is validated all the same
+    with pytest.raises(ValueError, match="n_samples must be >= 100"):
+        zone_report(config, 99)
+    assert zone_report(config, 100) == zone_report(config)
+
+
 @pytest.mark.parametrize("kR", [20.0, 100.0, 500.0])
 def test_shell_integral_conservation(kR):
     profile = radial_profile(CavityConfig(k=1.0, R=kR), 2000)

@@ -235,10 +235,10 @@ def test_interaction_couples_even_states_only(space, hamiltonian, basis):
     gamma = 0.05
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0
-    excited = space.state("e", vac).amplitudes
+    excited = space.state("e", vac)
     for state, expected in ((basis.psi1, gamma), (basis.psi2, gamma * np.sqrt(2.0)),
                             (basis.psi3, 0.0)):
-        bra = space.state("g", pair_field_vector(space, state)).amplitudes
+        bra = space.state("g", pair_field_vector(space, state))
         amplitude = np.vdot(bra, hamiltonian.matrix @ excited)
         assert abs(amplitude) == pytest.approx(expected, abs=1e-13)
 
@@ -267,8 +267,8 @@ def test_selection_rule_report(space, hamiltonian):
     # state, and the failing report is plain JSON too
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0
-    excited = space.state("e", vac).amplitudes
-    odd = space.state("g", pair_field_vector(space, parity_basis().psi3)).amplitudes
+    excited = space.state("e", vac)
+    odd = space.state("g", pair_field_vector(space, parity_basis().psi3))
     leak = 1e-3 * (np.outer(odd, excited.conj()) + np.outer(excited, odd.conj()))
     leaky = OperatorMatrix(space, hamiltonian.matrix + leak)
     failed = selection_rule_check(leaky, space, omega=1.0, gamma_coupling=0.05)
@@ -290,10 +290,10 @@ def test_evolution_actually_radiates(space, hamiltonian, basis):
     # the excited state and into the even pair sector, never the odd one
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0
-    excited = space.state("e", vac).amplitudes
+    excited = space.state("e", vac)
     t = 1.0 / 0.05
     evolved = expm(-1j * hamiltonian.matrix * t) @ excited
     survival = abs(np.vdot(excited, evolved)) ** 2
     assert survival < 0.999
-    even = space.state("g", pair_field_vector(space, basis.psi2)).amplitudes
+    even = space.state("g", pair_field_vector(space, basis.psi2))
     assert abs(np.vdot(even, evolved)) > 1e-3
