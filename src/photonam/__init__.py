@@ -4,6 +4,10 @@ Subpackages cover the truncated Fock-space operator algebra, the total-AM
 and SU(3) generator sets, radial spin/OAM density profiles with zone
 diagnostics, Weisskopf-Wigner decay of the AM expectation, and the
 entanglement of counter-propagating photon twins.
+
+There is no state type: a state is a plain amplitude array, over a Fock
+basis placed with `FockSpace.index_of`, or, for a photon twin pair, a 3x3
+array over |1_{m1}; 1_{m2}>.
 """
 
 from .angular import (
@@ -39,7 +43,6 @@ from .fock import (
 )
 from .radial import (
     CavityConfig,
-    NormalizedMode,
     RadialProfile,
     ZoneReport,
     f_oam,
@@ -53,16 +56,12 @@ from .radial import (
 from .twins import (
     AtomFieldSpace,
     EntanglementOptimum,
-    ParityBasis,
-    RadiatedState,
     SelectionRuleReport,
-    TwoQutritState,
     atom_field_space,
     entanglement_measure,
     interaction_hamiltonian,
     local_expectations,
     maximize_entanglement,
-    parity_basis,
     selection_rule_check,
 )
 

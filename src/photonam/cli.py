@@ -3,13 +3,14 @@
 Every command emits machine-readable CSV or JSON at 12 significant digits,
 with byte-identical output for identical configurations. Exit codes: 0 all
 requested verifications pass, 1 verification failure, 2 invalid flags or
-config parse error, 3 I/O failure.
+config parse error, 3 I/O failure (the --out file or stdout cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -41,7 +42,7 @@ MIN_DECAY_SAMPLES = 2
 
 #: The values --format and --m accept; a config file must keep to them too.
 FORMATS = ("csv", "json")
-M_VALUES = (-1, 0, 1)
+M_VALUES = tuple(sorted(angular.M_VALUES))
 
 
 class ConfigError(Exception):
@@ -381,7 +382,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Refuse a choice no flag accepts, a tolerance that judges nothing and a grid out of bounds."""
+    """Refuse a choice no flag accepts, a tolerance that judges nothing and a grid out of bounds.
+
+    The cutoff, cavity and decay parameters are built whatever the command, so
+    a flag the command does not read is refused just as one it reads.
+    """
     if cfg.format is not None and cfg.format not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {cfg.format!r}")
     if cfg.m not in M_VALUES:
@@ -393,6 +398,9 @@ def _validate(cfg: RunConfig) -> None:
     fewest = {"radial": radial.MIN_SAMPLES, "decay": MIN_DECAY_SAMPLES}.get(cfg.command)
     if fewest is not None and cfg.samples is not None and cfg.samples < fewest:
         raise ValueError(f"samples must be >= {fewest}, got {cfg.samples}")
+    angular.three_mode_space(cfg.cutoff)
+    _cavity(cfg)
+    _decay_params(cfg, 1)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -420,7 +428,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
             return 3
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the unwritten bytes stay buffered; let the flush at exit send them nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            return 3
     return code
 
 

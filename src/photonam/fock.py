@@ -9,8 +9,8 @@ is exact on every occupation sector. `bilinear` maps a block to every
 number-conserving operator, sum_ij block[i, j] a_i^dagger a_j, that way.
 `annihilation` and `creation` stay as per-state references; a creation
 operator at the cutoff boundary maps out of the truncated basis and is
-represented as zero (documented truncation behavior). There is no state type:
-a state is a plain amplitude array over the basis, placed with `index_of`.
+represented as zero (documented truncation behavior). A state is an
+amplitude array over the basis, placed with `index_of`.
 """
 
 from __future__ import annotations

@@ -163,29 +163,21 @@ def _shell_antiderivative(ell: int, x) -> np.ndarray:
     return np.where(small, series, closed)
 
 
-@dataclass(frozen=True)
-class NormalizedMode:
-    """Amplitude c_ell scaling j_ell so its squared shell integral equals V."""
+def normalize_mode(config: CavityConfig, ell: int) -> float:
+    """c_ell = sqrt(V k^3 / A_ell(kR)), so the squared shell integral of c_ell j_ell is V.
 
-    ell: int
-    c_ell: float
-
-    def evaluate(self, kr):
-        return self.c_ell * spherical_bessel(self.ell, kr)
-
-
-def normalize_mode(config: CavityConfig, ell: int) -> NormalizedMode:
-    """c_ell = sqrt(V k^3 / A_ell(kR)) from the exact shell antiderivative, rel err < 1e-15."""
+    A_ell is the exact shell antiderivative, so c_ell has relative error < 1e-15.
+    """
     if ell not in (0, 2):
         raise ValueError(f"ell must be 0 or 2, got {ell}")
     raw = float(_shell_antiderivative(ell, config.kR))
-    return NormalizedMode(ell=ell, c_ell=float(np.sqrt(config.volume * config.k**3 / raw)))
+    return float(np.sqrt(config.volume * config.k**3 / raw))
 
 
 def _density_prefactors(config: CavityConfig) -> tuple[float, float]:
     """(weight0, weight2) so f_spin = 2*w0*j0^2 - 0.5*w2*j2^2, f_oam = 1.5*w2*j2^2."""
-    c0 = normalize_mode(config, 0).c_ell
-    c2 = normalize_mode(config, 2).c_ell
+    c0 = normalize_mode(config, 0)
+    c2 = normalize_mode(config, 2)
     base = 1.0 / (3.0 * config.volume)
     return base * c0 * c0, base * c2 * c2
 

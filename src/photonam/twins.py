@@ -12,7 +12,7 @@ vanishing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,90 +22,41 @@ from .fock import FockSpace, ModeLabel, OperatorMatrix, _hops, build_space, tota
 FORWARD_MODES = tuple(ModeLabel(m.name, "fwd") for m in AM_MODES)
 BACKWARD_MODES = tuple(ModeLabel(m.name, "bwd") for m in AM_MODES)
 
-NORM_TOL = 1e-12
 VARIATIONAL_TOL = 1e-8
 #: Bounds on the odd-state coupling and eigen-residual, and on its evolved overlap.
 COUPLING_TOL = 1e-12
 OVERLAP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TwoQutritState:
-    """3x3 complex amplitudes over |1_{m1}; 1_{m2}>, unit Frobenius norm."""
-
-    amps: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=complex)
-        if amps.shape != (3, 3):
-            raise ValueError(f"amplitude array must be 3x3, got {amps.shape}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm} differs from 1 beyond {NORM_TOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-
-    def overlap(self, other: "TwoQutritState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-    def swapped(self) -> "TwoQutritState":
-        """Exchange the two photons."""
-        return TwoQutritState(self.amps.T.copy())
-
-
-def _pair_state(entries: dict[tuple[int, int], complex]) -> TwoQutritState:
+def _pair_state(entries: dict[tuple[int, int], complex]) -> np.ndarray:
     amps = np.zeros((3, 3), dtype=complex)
     for (m1, m2), value in entries.items():
         amps[M_VALUES.index(m1), M_VALUES.index(m2)] = value
-    return TwoQutritState(amps)
+    amps.setflags(write=False)
+    return amps
 
 
-@dataclass(frozen=True)
-class ParityBasis:
-    """Exchange-even pair states (psi1, psi2) and the exchange-odd one (psi3)."""
+_INV_RT2 = 1.0 / np.sqrt(2.0)
 
-    psi1: TwoQutritState
-    psi2: TwoQutritState
-    psi3: TwoQutritState
-
-    def states(self) -> tuple[TwoQutritState, TwoQutritState, TwoQutritState]:
-        return (self.psi1, self.psi2, self.psi3)
-
-
-def parity_basis() -> ParityBasis:
-    inv_rt2 = 1.0 / np.sqrt(2.0)
-    return ParityBasis(
-        psi1=_pair_state({(0, 0): 1.0}),
-        psi2=_pair_state({(1, -1): inv_rt2, (-1, 1): inv_rt2}),
-        psi3=_pair_state({(1, -1): inv_rt2, (-1, 1): -inv_rt2}),
-    )
+#: Exchange-even pair states psi1, psi2 and the exchange-odd psi3: read-only
+#: 3x3 amplitudes over |1_{m1}; 1_{m2}>, rows m1 and columns m2 in M_VALUES order.
+PARITY_BASIS = (
+    _pair_state({(0, 0): 1.0}),
+    _pair_state({(1, -1): _INV_RT2, (-1, 1): _INV_RT2}),
+    _pair_state({(1, -1): _INV_RT2, (-1, 1): -_INV_RT2}),
+)
 
 
-@dataclass(frozen=True)
-class RadiatedState:
-    """Coefficients over the even pair states, |c1|^2 + |c2|^2 = 1."""
-
-    c1: complex
-    c2: complex
-
-    def __post_init__(self) -> None:
-        total = abs(self.c1) ** 2 + abs(self.c2) ** 2
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"|c1|^2 + |c2|^2 = {total} differs from 1 beyond {NORM_TOL}")
-
-    def to_two_qutrit(self) -> TwoQutritState:
-        basis = parity_basis()
-        return TwoQutritState(self.c1 * basis.psi1.amps + self.c2 * basis.psi2.amps)
+def entanglement_measure(c1: complex, c2: complex) -> float:
+    """mu = |c1| |c2|^2 of c1 psi1 + c2 psi2; zero on both product-state endpoints."""
+    return abs(c1) * abs(c2) ** 2
 
 
-def entanglement_measure(state: RadiatedState) -> float:
-    """mu = |c1| |c2|^2; zero on both product-state endpoints."""
-    return abs(state.c1) * abs(state.c2) ** 2
+def local_expectations(psi: np.ndarray) -> np.ndarray:
+    """Sixteen generator expectations of the 3x3 pair state psi.
 
-
-def local_expectations(state: TwoQutritState) -> np.ndarray:
-    """Sixteen generator expectations: eight on photon 1, then eight on photon 2."""
-    psi = state.amps
+    Eight on photon 1, then eight on photon 2.
+    """
     rho1 = psi @ psi.conj().T
     rho2 = (psi.conj().T @ psi).T
     blocks = SU3_BLOCKS.all_generators()
@@ -147,12 +98,12 @@ def maximize_entanglement() -> EntanglementOptimum:
     while (nxt := c1 + (1.0 - 3.0 * c1 * c1) / (6.0 * c1)) < c1:
         c1 = nxt
     c2 = float(np.sqrt(1.0 - c1 * c1))
-    state = RadiatedState(c1, c2)
-    max_abs = float(np.max(np.abs(local_expectations(state.to_two_qutrit()))))
+    psi1, psi2, _ = PARITY_BASIS
+    max_abs = float(np.max(np.abs(local_expectations(c1 * psi1 + c2 * psi2))))
     return EntanglementOptimum(
         c1_abs=c1,
         c2_abs=c2,
-        mu_max=entanglement_measure(state),
+        mu_max=entanglement_measure(c1, c2),
         local_expectation_max_abs=max_abs,
         variational_pass=max_abs < VARIATIONAL_TOL,
     )
@@ -197,14 +148,14 @@ def atom_field_space(cutoff: int = 2) -> AtomFieldSpace:
     return AtomFieldSpace(field_space=field)
 
 
-def pair_field_vector(space: AtomFieldSpace, state: TwoQutritState) -> np.ndarray:
-    """Embed a two-qutrit amplitude block as one forward and one backward photon."""
+def pair_field_vector(space: AtomFieldSpace, amps: np.ndarray) -> np.ndarray:
+    """Embed a 3x3 pair amplitude array as one forward and one backward photon."""
     fs = space.field_space
     vec = np.zeros(fs.dim, dtype=complex)
     for i, fwd in enumerate(FORWARD_MODES):
         for j, bwd in enumerate(BACKWARD_MODES):
             occ = tuple(int(mode in (fwd, bwd)) for mode in fs.modes)
-            vec[fs.index_of(occ)] = state.amps[i, j]
+            vec[fs.index_of(occ)] = amps[i, j]
     return vec
 
 
@@ -280,7 +231,7 @@ def selection_rule_check(
     """
     if not h.is_hermitian():
         raise ValueError("selection_rule_check requires a hermitian h")
-    odd = space.state("g", pair_field_vector(space, parity_basis().psi3))
+    odd = space.state("g", pair_field_vector(space, PARITY_BASIS[2]))
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0
     excited = space.state("e", vac)

@@ -1,6 +1,7 @@
 """CLI behavior: output formats, config precedence, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -104,10 +105,9 @@ def test_verify_all_passes(capsys):
 def test_verify_all_shell_conservation_detects_bad_normalization(capsys, monkeypatch):
     exact = radial.normalize_mode
 
-    def scaled(config, ell):
-        return radial.NormalizedMode(ell, exact(config, ell).c_ell * (1.0 + 1e-5))
-
-    monkeypatch.setattr(radial, "normalize_mode", scaled)
+    monkeypatch.setattr(
+        radial, "normalize_mode", lambda config, ell: exact(config, ell) * (1.0 + 1e-5)
+    )
     code, out, _ = run_cli(capsys, "verify-all")
     checks = {check["name"]: check for check in json.loads(out)["checks"]}
     assert code == 1
@@ -117,7 +117,7 @@ def test_verify_all_shell_conservation_detects_bad_normalization(capsys, monkeyp
 
 @pytest.mark.parametrize("command", ["entangle", "verify-all"])
 def test_failed_variational_check_is_reported_not_raised(capsys, monkeypatch, command):
-    monkeypatch.setattr(twins, "local_expectations", lambda state: np.full(16, 0.5))
+    monkeypatch.setattr(twins, "local_expectations", lambda psi: np.full(16, 0.5))
     code, out, err = run_cli(capsys, command)
     assert code == 1
     assert err == ""
@@ -314,6 +314,12 @@ def test_invalid_parameter_value_exit_2(capsys):
         ("algebra", "--cutoff", "0"),
         ("variance", "--cutoff", "0"),
         ("verify-all", "--cutoff", "0"),
+        # every flag is checked, also where the command does not read it
+        ("variance", "--kR", "-1"),
+        ("decay", "--kR", "nan"),
+        ("entangle", "--cutoff", "-3"),
+        ("entangle", "--omega0-over-gamma", "1"),
+        ("radial", "--cutoff", "99"),
     ):
         code, out, err = run_cli(capsys, *args)
         assert code == 2, args
@@ -348,6 +354,24 @@ def test_io_failure_exit_3(capsys):
     )
     assert code == 3
     assert "cannot write" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_write_failure_exit_3(unbuffered):
+    # a full device fails the write (unbuffered) or the flush (buffered); neither
+    # may end in a traceback or in the interpreter's exit-time flush error
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "photonam", "verify-all"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: cannot write stdout: ")
+    assert result.stderr.count("\n") == 1
 
 
 def test_module_invocation():

@@ -14,9 +14,8 @@ from photonam.twins import (
     BACKWARD_MODES,
     FORWARD_MODES,
     M_VALUES,
+    PARITY_BASIS,
     AtomFieldSpace,
-    RadiatedState,
-    TwoQutritState,
     atom_field_space,
     entanglement_measure,
     excitation_number,
@@ -24,7 +23,6 @@ from photonam.twins import (
     local_expectations,
     maximize_entanglement,
     pair_field_vector,
-    parity_basis,
     selection_rule_check,
 )
 
@@ -35,66 +33,64 @@ MU_MAX = 2.0 / (3.0 * np.sqrt(3.0))
 JZ_BLOCK = np.diag([1.0, 0.0, -1.0])
 
 
-@pytest.fixture(scope="module")
-def basis():
-    return parity_basis()
+PSI1, PSI2, PSI3 = PARITY_BASIS
 
 
-def test_parity_basis_orthonormal(basis):
-    states = basis.states()
-    for i, a in enumerate(states):
-        for j, b in enumerate(states):
+def radiated(c1: complex, c2: complex) -> np.ndarray:
+    return c1 * PSI1 + c2 * PSI2
+
+
+def test_parity_basis_orthonormal():
+    for i, a in enumerate(PARITY_BASIS):
+        for j, b in enumerate(PARITY_BASIS):
             want = 1.0 if i == j else 0.0
-            assert a.overlap(b) == pytest.approx(want, abs=1e-15)
+            assert np.vdot(a, b) == pytest.approx(want, abs=1e-15)
 
 
-def test_parity_under_photon_swap(basis):
-    np.testing.assert_allclose(basis.psi1.swapped().amps, basis.psi1.amps, atol=1e-15)
-    np.testing.assert_allclose(basis.psi2.swapped().amps, basis.psi2.amps, atol=1e-15)
-    np.testing.assert_allclose(basis.psi3.swapped().amps, -basis.psi3.amps, atol=1e-15)
+def test_parity_basis_is_read_only():
+    for state in PARITY_BASIS:
+        assert state.shape == (3, 3) and state.dtype == complex
+        with pytest.raises(ValueError):
+            state[0, 0] = 1.0
 
 
-def test_total_projection_zero(basis):
+def test_parity_under_photon_swap():
+    np.testing.assert_allclose(PSI1.T, PSI1, atol=1e-15)
+    np.testing.assert_allclose(PSI2.T, PSI2, atol=1e-15)
+    np.testing.assert_allclose(PSI3.T, -PSI3, atol=1e-15)
+
+
+def test_total_projection_zero():
     # (Jz x I + I x Jz) psi = Jz psi + psi Jz^T = 0 on the m1 + m2 = 0 subspace
-    for state in basis.states():
-        total = JZ_BLOCK @ state.amps + state.amps @ JZ_BLOCK.T
+    for state in PARITY_BASIS:
+        total = JZ_BLOCK @ state + state @ JZ_BLOCK.T
         assert np.max(np.abs(total)) == 0.0
 
 
-def test_two_qutrit_validation():
-    with pytest.raises(ValueError):
-        TwoQutritState(np.ones((3, 3), dtype=complex))
-    with pytest.raises(ValueError):
-        TwoQutritState(np.zeros((2, 2), dtype=complex))
-
-
-def test_radiated_state_validation():
-    with pytest.raises(ValueError):
-        RadiatedState(1.0, 1.0)
-    state = RadiatedState(INV_RT3, RT23)
-    amps = state.to_two_qutrit().amps
+def test_radiated_state_entries():
+    # the optimum c1 psi1 + c2 psi2 has unit norm and the m1 + m2 = 0 entries
+    amps = radiated(INV_RT3, RT23)
+    assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-15)
     assert amps[1, 1] == pytest.approx(INV_RT3)
     assert amps[0, 2] == pytest.approx(RT23 / np.sqrt(2.0))
     assert amps[2, 0] == pytest.approx(RT23 / np.sqrt(2.0))
 
 
 def test_measure_endpoints_and_maximum_value():
-    assert entanglement_measure(RadiatedState(1.0, 0.0)) == 0.0
-    assert entanglement_measure(RadiatedState(0.0, 1.0)) == 0.0
-    assert entanglement_measure(RadiatedState(INV_RT3, RT23)) == pytest.approx(
-        0.3849001794597505, abs=1e-15
-    )
+    assert entanglement_measure(1.0, 0.0) == 0.0
+    assert entanglement_measure(0.0, 1.0) == 0.0
+    assert entanglement_measure(INV_RT3, RT23) == pytest.approx(0.3849001794597505, abs=1e-15)
 
 
 def test_measure_phase_invariance():
-    base = entanglement_measure(RadiatedState(INV_RT3, RT23))
-    rotated = RadiatedState(INV_RT3 * np.exp(1j * 0.7), RT23 * np.exp(-1j * 1.3))
-    assert entanglement_measure(rotated) == pytest.approx(base, abs=1e-15)
+    base = entanglement_measure(INV_RT3, RT23)
+    rotated = entanglement_measure(INV_RT3 * np.exp(1j * 0.7), RT23 * np.exp(-1j * 1.3))
+    assert rotated == pytest.approx(base, abs=1e-15)
 
 
-def kron_expectations(state: TwoQutritState) -> np.ndarray:
+def kron_expectations(psi: np.ndarray) -> np.ndarray:
     """Independent tensor-product route to the sixteen local expectations."""
-    vec = state.amps.reshape(9)
+    vec = psi.reshape(9)
     eye = np.eye(3)
     values = []
     for block in SU3_BLOCKS.all_generators():
@@ -104,43 +100,47 @@ def kron_expectations(state: TwoQutritState) -> np.ndarray:
     return np.array(values)
 
 
-def test_local_expectations_against_kron_oracle(basis):
-    states = [
-        basis.psi1,
-        basis.psi2,
-        basis.psi3,
-        RadiatedState(0.8, 0.6).to_two_qutrit(),
-        RadiatedState(INV_RT3, RT23).to_two_qutrit(),
-    ]
-    for state in states:
+_unit_interval = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(parts=st.lists(_unit_interval, min_size=18, max_size=18).filter(
+    lambda xs: np.linalg.norm(xs) > 1e-3))
+def test_local_expectations_against_kron_oracle(parts):
+    # the parity basis, two radiated states, and any unit-norm 3x3 pair state,
+    # entangled or not, inside m1 + m2 = 0 or not
+    drawn = (np.array(parts[:9]) + 1j * np.array(parts[9:])).reshape(3, 3)
+    drawn /= np.linalg.norm(drawn)
+    for state in (PSI1, PSI2, PSI3, radiated(0.8, 0.6), radiated(INV_RT3, RT23), drawn):
         np.testing.assert_allclose(
             local_expectations(state), kron_expectations(state), atol=1e-14
         )
 
 
-def test_local_expectations_on_odd_state(basis):
+def test_local_expectations_on_odd_state():
     # reduced density diag(1/2, 0, 1/2) per photon: the occupation-difference
     # generators read +-1/2, every off-diagonal generator reads 0
-    values = local_expectations(basis.psi3)
+    values = local_expectations(PSI3)
     expected = np.array([0.5, -0.5, 0, 0, 0, 0, 0, 0] * 2)
     np.testing.assert_allclose(values, expected, atol=1e-14)
 
 
-def test_local_expectations_on_product_state(basis):
-    values = local_expectations(basis.psi1)
+def test_local_expectations_on_product_state():
+    values = local_expectations(PSI1)
     assert 1.0 in np.round(values, 12).tolist()
     assert -1.0 in np.round(values, 12).tolist()
 
 
 def test_local_expectations_vanish_at_optimum():
-    state = RadiatedState(INV_RT3, RT23).to_two_qutrit()
-    assert np.max(np.abs(local_expectations(state))) < 1e-12
+    assert np.max(np.abs(local_expectations(radiated(INV_RT3, RT23)))) < 1e-12
 
 
 def test_maximize_entanglement_targets():
     result = maximize_entanglement()
     assert result.c1_abs == pytest.approx(INV_RT3, abs=1e-9)
     assert result.c2_abs == pytest.approx(RT23, abs=1e-9)
+    # c2 = sqrt(1 - c1^2): the radiated state c1 psi1 + c2 psi2 has unit norm
+    assert result.c1_abs**2 + result.c2_abs**2 == pytest.approx(1.0, abs=1e-15)
     assert result.mu_max == pytest.approx(MU_MAX, abs=1e-10)
     assert result.local_expectation_max_abs < 1e-8
     assert result.variational_pass
@@ -148,8 +148,7 @@ def test_maximize_entanglement_targets():
 
 def test_variational_condition_unique_and_matches_optimum():
     def occupation_balance(a: float) -> float:
-        state = RadiatedState(a, np.sqrt(1.0 - a * a)).to_two_qutrit()
-        return local_expectations(state)[0]
+        return local_expectations(radiated(a, np.sqrt(1.0 - a * a)))[0]
 
     grid = np.linspace(1e-3, 1.0 - 1e-3, 200)
     values = np.array([occupation_balance(a) for a in grid])
@@ -231,13 +230,12 @@ def test_hamiltonian_blocks_are_exact(cutoff, omega, omega0, gamma):
     assert np.array_equal(block, gamma * pair)
 
 
-def test_interaction_couples_even_states_only(space, hamiltonian, basis):
+def test_interaction_couples_even_states_only(space, hamiltonian):
     gamma = 0.05
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0
     excited = space.state("e", vac)
-    for state, expected in ((basis.psi1, gamma), (basis.psi2, gamma * np.sqrt(2.0)),
-                            (basis.psi3, 0.0)):
+    for state, expected in ((PSI1, gamma), (PSI2, gamma * np.sqrt(2.0)), (PSI3, 0.0)):
         bra = space.state("g", pair_field_vector(space, state))
         amplitude = np.vdot(bra, hamiltonian.matrix @ excited)
         assert abs(amplitude) == pytest.approx(expected, abs=1e-13)
@@ -268,7 +266,7 @@ def test_selection_rule_report(space, hamiltonian):
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0
     excited = space.state("e", vac)
-    odd = space.state("g", pair_field_vector(space, parity_basis().psi3))
+    odd = space.state("g", pair_field_vector(space, PSI3))
     leak = 1e-3 * (np.outer(odd, excited.conj()) + np.outer(excited, odd.conj()))
     leaky = OperatorMatrix(space, hamiltonian.matrix + leak)
     failed = selection_rule_check(leaky, space, omega=1.0, gamma_coupling=0.05)
@@ -285,7 +283,7 @@ def test_selection_rule_check_rejects_non_hermitian(space, hamiltonian):
         selection_rule_check(OperatorMatrix(space, skewed), space, omega=1.0, gamma_coupling=0.05)
 
 
-def test_evolution_actually_radiates(space, hamiltonian, basis):
+def test_evolution_actually_radiates(space, hamiltonian):
     # sanity of the dynamics: resonant pair emission moves population out of
     # the excited state and into the even pair sector, never the odd one
     vac = np.zeros(space.field_space.dim, dtype=complex)
@@ -295,5 +293,5 @@ def test_evolution_actually_radiates(space, hamiltonian, basis):
     evolved = expm(-1j * hamiltonian.matrix * t) @ excited
     survival = abs(np.vdot(excited, evolved)) ** 2
     assert survival < 0.999
-    even = space.state("g", pair_field_vector(space, basis.psi2))
+    even = space.state("g", pair_field_vector(space, PSI2))
     assert abs(np.vdot(even, evolved)) > 1e-3
