@@ -132,14 +132,6 @@ class AlgebraReport:
     passed: bool
     degenerate: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
 
 #: Component positions (a, b, c) of the cyclic identities [J_a, J_b] = i J_c.
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))

@@ -4,23 +4,26 @@ Every command emits machine-readable CSV or JSON at 12 significant digits,
 with byte-identical output for identical configurations. Exit codes: 0 all
 requested verifications pass, 1 verification failure, 2 invalid flags or
 config parse error, 3 I/O failure (the --out file or stdout cannot be written).
+
+The option table `_OPTIONS` is the one definition of every flag and config
+key: its parser, its allowed values and its help text.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import angular, decay, output, radial, twins
 
 SCHEMA_VERSION = 1
-
-COMMANDS = ("radial", "algebra", "variance", "decay", "entangle", "verify-all")
 
 #: Defaults for the entanglement Hamiltonian: resonant pair emission.
 ENTANGLE_OMEGA = 1.0
@@ -37,7 +40,8 @@ DENSITY_PAIRS = (("spin", "spin"), ("oam", "oam"), ("oam", "spin"))
 #: Largest radial or decay grid; it is checked before anything is allocated.
 MAX_SAMPLES = 10**6
 
-#: Fewest decay time points: the curve spans t = 0 to 10 / gamma.
+#: Fewest samples of every command but radial: the decay curve spans t = 0 to
+#: 10 / gamma, the smallest grid any command accepts.
 MIN_DECAY_SAMPLES = 2
 
 #: The values --format and --m accept; a config file must keep to them too.
@@ -45,7 +49,7 @@ FORMATS = ("csv", "json")
 M_VALUES = tuple(sorted(angular.M_VALUES))
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Config file cannot be parsed; message carries the line number."""
 
 
@@ -62,46 +66,6 @@ class RunConfig:
     format: str | None = None
 
 
-_CONFIG_PARSERS = {
-    "command": str,
-    "kR": float,
-    "samples": int,
-    "m": int,
-    "omega0_over_gamma": float,
-    "cutoff": int,
-    "tol": float,
-    "out": str,
-    "format": str,
-}
-
-
-def load_config(path: str) -> RunConfig:
-    """Parse a `key = value` config file; `#` starts a comment."""
-    config = RunConfig()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_PARSERS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            parsed = _CONFIG_PARSERS[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        config = replace(config, **{key: parsed})
-    return config
-
-
 def _rounded(value):
     """value with every float at the output precision, through dicts, lists and tuples."""
     if isinstance(value, float):
@@ -114,6 +78,8 @@ def _rounded(value):
 
 
 def _json_text(payload: dict) -> str:
+    """payload as strict JSON at the output precision, after a leading "schema"."""
+    payload = {"schema": SCHEMA_VERSION, **payload}
     return json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n"
 
 
@@ -128,7 +94,7 @@ def _report_check(name: str, report: angular.AlgebraReport) -> dict:
 
 def _report_text(checks: list[dict]) -> tuple[str, int]:
     ok = all(c["pass"] for c in checks)
-    return _json_text({"schema": SCHEMA_VERSION, "checks": checks, "pass": ok}), 0 if ok else 1
+    return _json_text({"checks": checks, "pass": ok}), 0 if ok else 1
 
 
 def _cavity(cfg: RunConfig) -> radial.CavityConfig:
@@ -143,7 +109,7 @@ def cmd_radial(cfg: RunConfig) -> tuple[str, int]:
         profile = radial.radial_profile(cavity, samples)
         return "\n".join(radial.profile_csv_lines(profile)) + "\n", 0
     report = radial.zone_report(cavity, samples)
-    return _json_text({"schema": SCHEMA_VERSION, **report.to_json_dict()}), 0
+    return _json_text(report.to_json_dict()), 0
 
 
 def _algebra_reports(
@@ -175,14 +141,7 @@ def cmd_algebra(cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_variance(cfg: RunConfig) -> tuple[str, int]:
     var_x, var_y, var_z = angular.am_variances(cfg.m, cfg.cutoff)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "m": cfg.m,
-        "varJx": var_x,
-        "varJy": var_y,
-        "varJz": var_z,
-    }
-    return _json_text(payload), 0
+    return _json_text({"m": cfg.m, "varJx": var_x, "varJy": var_y, "varJz": var_z}), 0
 
 
 def _decay_params(cfg: RunConfig, n_times: int) -> decay.DecayParams:
@@ -202,7 +161,6 @@ def cmd_decay(cfg: RunConfig) -> tuple[str, int]:
     residual = decay.conservation_check(params, 10.0 / params.gamma)
     ok = abs(residual) < 0.02
     payload = {
-        "schema": SCHEMA_VERSION,
         "omega0_over_gamma": cfg.omega0_over_gamma,
         "sz_over_hbar_final": decay.sz_expectation(10.0 / params.gamma, params),
         "norm_residual_at_10_over_gamma": residual,
@@ -224,12 +182,7 @@ def _entangle_reports() -> tuple[twins.EntanglementOptimum, twins.SelectionRuleR
 def cmd_entangle(cfg: RunConfig) -> tuple[str, int]:
     optimum, rule = _entangle_reports()
     ok = optimum.variational_pass and rule.passed
-    payload = {
-        "schema": SCHEMA_VERSION,
-        **optimum.to_json_dict(),
-        "selection_rule": rule.to_json_dict(),
-        "pass": ok,
-    }
+    payload = {**optimum.to_json_dict(), "selection_rule": rule.to_json_dict(), "pass": ok}
     return _json_text(payload), 0 if ok else 1
 
 
@@ -341,27 +294,77 @@ _DISPATCH = {
     "verify-all": cmd_verify_all,
 }
 
+COMMANDS = tuple(_DISPATCH)
+
+
+class _Option(NamedTuple):
+    """How one RunConfig field is read, from its flag and from a config line alike."""
+
+    parse: type
+    #: The values accepted; None accepts whatever `parse` accepts.
+    choices: tuple | None
+    #: Flag help; "{:g}" shows the RunConfig default. None: no flag (the sub-command).
+    help: str | None
+
+
+#: Every option, keyed by its RunConfig field; the flag of `omega0_over_gamma` is
+#: --omega0-over-gamma, and so on.
+_OPTIONS = {
+    "command": _Option(str, COMMANDS, None),
+    "kR": _Option(float, None, "dimensionless cavity size k*R (default {:g})"),
+    "samples": _Option(int, None, "grid size (default: 2000 radial, 200 decay)"),
+    "m": _Option(int, M_VALUES, "AM projection for variance (default {:g})"),
+    "omega0_over_gamma": _Option(
+        float, None, "transition frequency over decay width (default {:g})"
+    ),
+    "cutoff": _Option(int, None, "Fock-space total-occupation cutoff (default {:g})"),
+    "tol": _Option(float, None, "tolerance for algebra checks (default {:g})"),
+    "out": _Option(str, None, "output path (default stdout)"),
+    "format": _Option(str, FORMATS, "output format (default depends on command)"),
+}
+
+
+def load_config(path: str) -> RunConfig:
+    """Parse a `key = value` config file; `#` starts a comment."""
+    values = {}
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _OPTIONS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        option = _OPTIONS[key]
+        try:
+            values[key] = option.parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        if option.choices is not None and values[key] not in option.choices:
+            allowed = ", ".join(map(str, option.choices))
+            raise ConfigError(f"{path}:{lineno}: {key} must be one of {allowed}, got {value!r}")
+    return RunConfig(**values)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     # one set of flags, accepted before and after the command name; a flag not
     # given sets nothing, so it cannot overwrite one given in the other position
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="key = value config file; flags override")
-    common.add_argument("--kR", type=float,
-                        help="dimensionless cavity size k*R (default 100)")
-    common.add_argument("--samples", type=int,
-                        help="grid size (default: 2000 radial, 200 decay)")
-    common.add_argument("--m", type=int, choices=M_VALUES,
-                        help="AM projection for variance (default 0)")
-    common.add_argument("--omega0-over-gamma", type=float, dest="omega0_over_gamma",
-                        help="transition frequency over decay width (default 1000)")
-    common.add_argument("--cutoff", type=int,
-                        help="Fock-space total-occupation cutoff (default 3)")
-    common.add_argument("--tol", type=float,
-                        help="tolerance for algebra checks (default 1e-12)")
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--format", choices=FORMATS,
-                        help="output format (default depends on command)")
+    for name, option in _OPTIONS.items():
+        if option.help is not None:
+            common.add_argument(
+                "--" + name.replace("_", "-"), dest=name, type=option.parse,
+                choices=option.choices, help=option.help.format(getattr(RunConfig, name)),
+            )
     parser = argparse.ArgumentParser(
         prog="photonam",
         description="Angular-momentum structure of dipole-emitted photons: "
@@ -382,62 +385,56 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Refuse a choice no flag accepts, a tolerance that judges nothing and a grid out of bounds.
+    """Refuse a tolerance that judges nothing and a grid out of bounds.
 
     The cutoff, cavity and decay parameters are built whatever the command, so
     a flag the command does not read is refused just as one it reads.
     """
-    if cfg.format is not None and cfg.format not in FORMATS:
-        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {cfg.format!r}")
-    if cfg.m not in M_VALUES:
-        raise ValueError(f"m must be one of {', '.join(map(str, M_VALUES))}, got {cfg.m}")
     if not (np.isfinite(cfg.tol) and cfg.tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {cfg.tol}")
     if cfg.samples is not None and cfg.samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {cfg.samples}")
-    fewest = {"radial": radial.MIN_SAMPLES, "decay": MIN_DECAY_SAMPLES}.get(cfg.command)
-    if fewest is not None and cfg.samples is not None and cfg.samples < fewest:
+    fewest = radial.MIN_SAMPLES if cfg.command == "radial" else MIN_DECAY_SAMPLES
+    if cfg.samples is not None and cfg.samples < fewest:
         raise ValueError(f"samples must be >= {fewest}, got {cfg.samples}")
     angular.three_mode_space(cfg.cutoff)
     _cavity(cfg)
     _decay_params(cfg, 1)
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout; OSError if it cannot be written."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        return
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        # the unwritten bytes stay buffered; let the flush at exit send them nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _merge_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if config.command not in _DISPATCH:
-        print(f"error: unknown command {config.command!r}", file=sys.stderr)
-        return 2
-    try:
         _validate(config)
         text, code = _DISPATCH[config.command](config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.out:
-        try:
-            with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
-            return 3
-    else:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            # the unwritten bytes stay buffered; let the flush at exit send them nowhere
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-            return 3
+    try:
+        _write(text, config.out)
+    except OSError as exc:
+        print(f"error: cannot write {config.out or 'stdout'}: {exc}", file=sys.stderr)
+        return 3
     return code
 
 

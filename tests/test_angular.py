@@ -268,12 +268,6 @@ def test_density_commutator_negative_kr(cavity, triple):
             density_commutator_check(*kinds, -2.0, config=cavity, triple=triple)
 
 
-def test_algebra_report_json_keys(triple):
-    payload = verify_su2(triple).to_json_dict()
-    assert set(payload) == {"identity", "max_residual", "tolerance", "pass"}
-    assert payload["pass"] is True
-
-
 # ----------------------------------------- spin and orbital AM from the field
 #
 # An independent derivation of the densities' operator structure: the

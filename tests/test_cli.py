@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from photonam.cli import (
     MAX_SAMPLES,
     ConfigError,
     RunConfig,
+    _build_parser,
     _json_text,
+    _merge_config,
     load_config,
     main,
 )
@@ -216,7 +219,9 @@ def test_config_parse_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["radial", "decay", "variance"])
-@pytest.mark.parametrize("line", ["format = xml", "format = JSON", "m = 5", "m = -2"])
+@pytest.mark.parametrize(
+    "line", ["format = xml", "format = JSON", "m = 5", "m = -2", "command = bogus"]
+)
 def test_config_values_obey_flag_choices(tmp_path, capsys, command, line):
     # the flags refuse these through argparse choices; a config file must too
     config_file = tmp_path / "run.cfg"
@@ -226,6 +231,8 @@ def test_config_values_obey_flag_choices(tmp_path, capsys, command, line):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert line.split(" = ")[0] in err
+    # the config file refuses the value itself, at its line
+    assert "run.cfg:1:" in err
 
 
 #: Random spacing around keys, "=" and values: spaces and tabs only.
@@ -276,6 +283,23 @@ def test_config_file_round_trip(tmp_path, case):
     assert load_config(str(path)) == config
 
 
+@settings(derandomize=True, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_config_files())
+def test_flags_and_config_file_agree(tmp_path, case):
+    # the same values as --key=value flags, with the command as the sub-command
+    config, text = case
+    path = tmp_path / "same.cfg"
+    path.write_text(text, encoding="utf-8")
+    flags = [
+        f"--{field.name.replace('_', '-')}={getattr(config, field.name)}"
+        for field in fields(config)
+        if field.name != "command" and getattr(config, field.name) is not None
+    ]
+    args = _build_parser().parse_args([config.command, *flags])
+    assert _merge_config(args) == load_config(str(path))
+
+
 def test_invalid_flags_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["radial", "--bogus"])
@@ -320,6 +344,11 @@ def test_invalid_parameter_value_exit_2(capsys):
         ("entangle", "--cutoff", "-3"),
         ("entangle", "--omega0-over-gamma", "1"),
         ("radial", "--cutoff", "99"),
+        # a command that draws no grid still needs one a grid-drawing command accepts
+        ("algebra", "--samples", "-5"),
+        ("variance", "--samples", "0"),
+        ("verify-all", "--samples", "-1"),
+        ("entangle", "--samples", "1"),
     ):
         code, out, err = run_cli(capsys, *args)
         assert code == 2, args
@@ -369,6 +398,18 @@ def test_stdout_write_failure_exit_3(unbuffered):
             [sys.executable, "-m", "photonam", "verify-all"],
             stdout=full, stderr=subprocess.PIPE, text=True, env=env,
         )
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: cannot write stdout: ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs preexec_fn")
+def test_closed_stdout_exit_3():
+    # with fd 1 closed at start-up sys.stdout is None: a failed write, not a traceback
+    result = subprocess.run(
+        [sys.executable, "-m", "photonam", "variance"],
+        stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1),
+    )
     assert result.returncode == 3
     assert result.stderr.startswith("error: cannot write stdout: ")
     assert result.stderr.count("\n") == 1
