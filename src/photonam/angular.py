@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radial
-from .fock import FockSpace, ModeLabel, OperatorMatrix, bilinear, build_space
+from .fock import FockSpace, ModeLabel, OperatorMatrix, bilinear, build_space, check_dim
 
 M_PLUS = ModeLabel("+1")
 M_ZERO = ModeLabel("0")
@@ -45,9 +45,15 @@ def three_mode_space(cutoff: int = DEFAULT_CUTOFF) -> FockSpace:
     The cutoff must admit one photon: on the vacuum alone every AM operator is
     zero and each identity would hold vacuously.
     """
+    _check_cutoff(cutoff)
+    return build_space(AM_MODES, cutoff)
+
+
+def _check_cutoff(cutoff: int) -> None:
+    """ValueError unless cutoff admits a photon and a three-mode basis within MAX_DIM."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1 to hold a photon, got {cutoff}")
-    return build_space(AM_MODES, cutoff)
+    check_dim(len(AM_MODES), cutoff)
 
 
 @dataclass(frozen=True)
@@ -209,11 +215,11 @@ def am_variances(m: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float, fl
     photon carries the larger transverse AM fluctuations. J conserves photon
     number, so on one photon each component is its SPIN1_BLOCKS matrix B and
     the variance is (B^2)_mm - (B_mm)^2 at any cutoff; the cutoff is only
-    validated.
+    validated, as three_mode_space would, without building the basis.
     """
     if m not in M_VALUES:
         raise ValueError(f"m must be one of +1, 0, -1, got {m}")
-    three_mode_space(cutoff)
+    _check_cutoff(cutoff)
     row = M_VALUES.index(m)
     return tuple(
         float((block @ block)[row, row].real - block[row, row].real ** 2)

@@ -25,8 +25,9 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 
-#: Largest basis build_space admits, because dense operators are dim x dim
-#: complex matrices (16 MiB at this size): cutoff <= 16 for three modes, <= 6 for six.
+#: Largest basis check_dim (and so build_space) admits, because dense operators
+#: are dim x dim complex matrices (16 MiB at this size): cutoff <= 16 for three
+#: modes, <= 6 for six.
 MAX_DIM = 1024
 
 
@@ -80,6 +81,19 @@ class FockSpace:
         return occupations, keys, weights
 
 
+def check_dim(n_modes: int, cutoff: int) -> None:
+    """ValueError if cutoff < 0 or the basis of n_modes modes at cutoff exceeds MAX_DIM.
+
+    It reads the size off comb(cutoff + n_modes, n_modes) without enumerating
+    the basis.
+    """
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    dim = math.comb(cutoff + n_modes, n_modes)
+    if dim > MAX_DIM:
+        raise ValueError(f"{n_modes} modes at cutoff {cutoff} give dimension {dim} > {MAX_DIM}")
+
+
 def build_space(modes: Sequence[ModeLabel], cutoff: int) -> FockSpace:
     """Enumerate the occupation basis with sum(n) <= cutoff, lexicographically.
 
@@ -89,15 +103,9 @@ def build_space(modes: Sequence[ModeLabel], cutoff: int) -> FockSpace:
     modes = tuple(modes)
     if not modes:
         raise ValueError("mode list must be non-empty")
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if len(set(modes)) != len(modes):
         raise ValueError("mode labels must be unique")
-    dim = math.comb(cutoff + len(modes), len(modes))
-    if dim > MAX_DIM:
-        raise ValueError(
-            f"{len(modes)} modes at cutoff {cutoff} give dimension {dim} > {MAX_DIM}"
-        )
+    check_dim(len(modes), cutoff)
     # stars and bars: each choice of len(modes) bars among cutoff + len(modes)
     # slots is one admitted occupation, the gaps before each bar, and the
     # bar choices come in the lexicographic order of their gaps

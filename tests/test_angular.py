@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
+from photonam import angular
 from photonam.angular import (
     AM_MODES,
     M_MINUS,
@@ -229,6 +230,28 @@ def test_am_variances_match_ladder_oracle(cutoff):
 def test_am_variances_invalid_m():
     with pytest.raises(ValueError):
         am_variances(2)
+
+
+@pytest.mark.parametrize(
+    "cutoff,message",
+    [
+        (0, "cutoff must be >= 1 to hold a photon, got 0"),
+        (17, "3 modes at cutoff 17 give dimension 1140 > 1024"),
+    ],
+)
+def test_am_variances_refuses_cutoffs_as_three_mode_space(cutoff, message):
+    for call in (three_mode_space, lambda c: am_variances(1, c)):
+        with pytest.raises(ValueError) as info:
+            call(cutoff)
+        assert str(info.value) == message
+
+
+def test_am_variances_builds_no_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("am_variances built a basis")
+
+    monkeypatch.setattr(angular, "build_space", refuse)
+    np.testing.assert_allclose(am_variances(0, 16), (1.0, 1.0, 0.0), rtol=0, atol=1e-15)
 
 
 @pytest.fixture(scope="module")

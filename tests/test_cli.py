@@ -42,6 +42,16 @@ def test_variance_json(capsys):
     assert payload["varJz"] == 0.0
 
 
+def test_variance_cutoff_messages(capsys):
+    # the cutoff is checked without building a basis, in the same words as before
+    assert run_cli(capsys, "variance", "--cutoff", "0") == (
+        2, "", "error: cutoff must be >= 1 to hold a photon, got 0\n"
+    )
+    assert run_cli(capsys, "variance", "--cutoff", "17") == (
+        2, "", "error: 3 modes at cutoff 17 give dimension 1140 > 1024\n"
+    )
+
+
 def test_radial_csv_row_count_and_final_cumulative(tmp_path):
     out_file = tmp_path / "profile.csv"
     code = main(["radial", "--kR", "100", "--samples", "2000", "--out", str(out_file)])

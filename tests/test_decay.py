@@ -1,5 +1,6 @@
 """Decay amplitudes, calibration, conservation, and the AM expectation curve."""
 
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,6 +10,9 @@ from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 
 from photonam.decay import (
+    _DAMPED_TAU_MAX,
+    _SERIES_RADIUS,
+    _exp1,
     CSV_HEADER,
     DecayParams,
     calibration_constant,
@@ -174,6 +178,49 @@ def test_conservation_finite_at_extreme_times(params):
     assert photon_weight(params, 0.0) == 0.0
     assert abs(residuals[1]) < 1e-10
     assert np.all(residuals[2:] == 0.0)  # the oscillatory part has underflowed
+
+
+def window_arguments(tau) -> np.ndarray:
+    """The two E1 arguments of the damped window weight at G t = tau: tau (+-1 - 40 i)."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    return np.concatenate([tau * (-1.0 - 40j), tau * (1.0 - 40j)])
+
+
+def assert_exp1_matches_mpmath(tau) -> None:
+    z = window_arguments(tau)
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.e1(mpmath.mpc(w.real, w.imag))) for w in z])
+    # |a - b| / |b|: the quotient a / b overflows where |E1| nears 1e304
+    relative = np.abs(_exp1(z) - want) / np.abs(want)
+    assert np.max(relative) <= 1e-14
+
+
+def test_exp1_on_a_log_grid_of_window_arguments():
+    assert_exp1_matches_mpmath(np.geomspace(1e-6, 700.0, 300))
+
+
+def test_exp1_across_the_series_seam():
+    seam = _SERIES_RADIUS / abs(1.0 - 40j)
+    tau = np.concatenate([seam * np.linspace(0.9, 1.1, 41),
+                          np.nextafter(seam, [0.0, np.inf])])
+    assert np.any(np.abs(window_arguments(tau)) < _SERIES_RADIUS)
+    assert np.any(np.abs(window_arguments(tau)) >= _SERIES_RADIUS)
+    assert_exp1_matches_mpmath(tau)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(log_tau=st.floats(-6.0, np.log10(700.0)))
+def test_exp1_matches_mpmath_over_tau(log_tau):
+    assert_exp1_matches_mpmath(10.0**log_tau)
+
+
+def test_window_weight_quiet_just_below_the_cutoff(params):
+    # e^{-z} in _exp1 overflows near tau = 709: _DAMPED_TAU_MAX must stay clear of it
+    tau = np.nextafter(_DAMPED_TAU_MAX, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(np.isfinite(_exp1(window_arguments(tau))))
+        assert np.isfinite(conservation_check(params, tau / params.gamma))
 
 
 def test_curve_residual_matches_pointwise_check():

@@ -12,6 +12,7 @@ from photonam.fock import (
     annihilation,
     bilinear,
     build_space,
+    check_dim,
     commutator,
     creation,
     total_number_operator,
@@ -85,6 +86,16 @@ def test_build_space_errors():
         build_space([M1, M2, M3], 17)
     with pytest.raises(ValueError, match="dimension 1716"):
         build_space([ModeLabel(str(i)) for i in range(6)], 7)
+
+
+def test_check_dim_admits_the_largest_bases():
+    # 969 and 924 states, the largest within MAX_DIM for three and six modes
+    for n_modes, cutoff in ((3, 16), (6, 6), (1, 0)):
+        check_dim(n_modes, cutoff)
+    with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+        check_dim(3, -1)
+    with pytest.raises(ValueError, match="dimension 1140 > 1024"):
+        check_dim(3, 17)
 
 
 def test_annihilation_matches_hand_built_single_mode_matrix():
