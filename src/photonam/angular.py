@@ -2,12 +2,13 @@
 
 Every operator here conserves photon number, so each is fixed by its 3x3
 single-photon block over the modes (+1, 0, -1) and built from it by
-`fock.bilinear`: the spin-1 matrices give the AM components, and the cyclic
-lower-index convention gives the eight hermitian SU(3) generators. The spin
-and orbital densities at one radius are f_spin(kr) J and f_oam(kr) J, so
-their identities are checked on the J matrices scaled as plain arrays, by the
-same cyclic residual as SU(2) closure. Verification routines report
-commutator residuals rather than raising, so callers can aggregate them.
+`fock.bilinear`, as one block per photon-number sector: the spin-1 matrices
+give the AM components, and the cyclic lower-index convention gives the eight
+hermitian SU(3) generators. The spin and orbital densities at one radius are
+f_spin(kr) J and f_oam(kr) J, so their identities are checked on the sector
+blocks of J scaled as plain arrays, by the same cyclic residual as SU(2)
+closure. Verification routines report commutator residuals rather than
+raising, so callers can aggregate them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def three_mode_space(cutoff: int = DEFAULT_CUTOFF) -> FockSpace:
 
 
 def _check_cutoff(cutoff: int) -> None:
-    """ValueError unless cutoff admits a photon and a three-mode basis within MAX_DIM."""
+    """ValueError unless cutoff admits a photon and three-mode sectors within MAX_SECTOR_DIM."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1 to hold a photon, got {cutoff}")
     check_dim(len(AM_MODES), cutoff)
@@ -146,26 +147,31 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _DENSITY_FACTORS = {"spin": radial.f_spin, "oam": radial.f_oam}
 
 
-def _max_abs(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix)))
+def _max_abs(blocks) -> float:
+    """Largest entry modulus over a sequence of sector blocks."""
+    return max(float(np.max(np.abs(block))) for block in blocks)
 
 
 def _cyclic_residual(a_ops, b_ops, coeff: float) -> float:
-    """Max entry of |[A_a, B_b] - i coeff B_c| over the cyclic (a, b, c), on arrays."""
-    return max(
-        _max_abs(a_ops[a] @ b_ops[b] - b_ops[b] @ a_ops[a] - b_ops[c] * (1j * coeff))
+    """Max entry of |[A_a, B_b] - i coeff B_c| over the cyclic (a, b, c) and the sectors.
+
+    Each of a_ops, b_ops holds three components, each a sequence of sector blocks.
+    """
+    return _max_abs(
+        x @ y - y @ x - z * (1j * coeff)
         for a, b, c in _CYCLIC
+        for x, y, z in zip(a_ops[a], b_ops[b], b_ops[c])
     )
 
 
 def verify_su2(triple: AmOperatorTriple, tol: float = 1e-12) -> AlgebraReport:
     """Max residual of [J_a, J_b] = i J_c over the three cyclic identities.
 
-    The residual covers the whole truncated space, where the number-conserving
-    products are exact. A triple of zero operators is reported as degenerate:
-    the identities hold vacuously.
+    The residual covers every stored entry: J conserves photon number, so the
+    products are exact on each sector block of the truncated space. A triple of
+    zero operators is reported as degenerate: the identities hold vacuously.
     """
-    comps = [op.matrix for op in triple.components()]
+    comps = [op.blocks for op in triple.components()]
     if max(_max_abs(op) for op in comps) == 0.0:
         return AlgebraReport("su2_closure", 0.0, tol, True, degenerate=True)
     residual = _cyclic_residual(comps, comps, 1.0)
@@ -184,10 +190,10 @@ def density_commutator_check(
     """Verify [A_a(r), B_b(r)] = i eps_abc f_A(kr) B_c(r) for density operators.
 
     A density at kr is f_spin(kr) J or f_oam(kr) J, so the identity is checked
-    on the J matrices scaled as arrays; the coefficient is f_A(kr). Commutators
-    between densities at two different radii are not covered by these
-    identities and are not implemented. Residuals are relative to the product
-    of the operator magnitudes, over the whole truncated space; the identity
+    on the sector blocks of J scaled as arrays; the coefficient is f_A(kr).
+    Commutators between densities at two different radii are not covered by
+    these identities and are not implemented. Residuals are relative to the
+    product of the operator magnitudes, over every sector block; the identity
     passes vacuously (degenerate) when either density vanishes. A kind other
     than 'spin' or 'oam', or a negative kr, raises ValueError.
     """
@@ -196,8 +202,8 @@ def density_commutator_check(
             raise ValueError(f"kind must be 'spin' or 'oam', got {kind!r}")
     f_a = float(_DENSITY_FACTORS[kind_a](kr, config))
     f_b = float(_DENSITY_FACTORS[kind_b](kr, config))
-    a_ops = [op.matrix * f_a for op in triple.components()]
-    b_ops = [op.matrix * f_b for op in triple.components()]
+    a_ops = [[block * f_a for block in op.blocks] for op in triple.components()]
+    b_ops = [[block * f_b for block in op.blocks] for op in triple.components()]
     identity = (
         f"[{kind_a}_a(r),{kind_b}_b(r)] = i eps_abc f_{kind_a}(kr) {kind_b}_c(r)"
     )

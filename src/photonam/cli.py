@@ -124,8 +124,12 @@ def _algebra_reports(
         for kr in DENSITY_RADII
         for a, b in DENSITY_PAIRS
     ]
-    dependence = sum(op.matrix for op in angular.su3_generators(space).diagonal_raw)
-    return angular.verify_su2(triple, tol), densities, float(np.max(np.abs(dependence)))
+    # the three diagonals summed block by block, so no dense operator is assembled
+    raw = angular.su3_generators(space).diagonal_raw
+    dependence = max(
+        float(np.max(np.abs(sum(blocks)))) for blocks in zip(*(op.blocks for op in raw))
+    )
+    return angular.verify_su2(triple, tol), densities, dependence
 
 
 def cmd_algebra(cfg: RunConfig) -> tuple[str, int]:

@@ -4,20 +4,33 @@ The two emitted photons counter-propagate and are modeled as two
 distinguishable three-mode families. Total projection conservation confines
 the pair to the m1 + m2 = 0 subspace, spanned by two exchange-even states
 and one exchange-odd state; the pair-creation interaction couples only to
-the even combination, so the odd state is never radiated. Entanglement of
-the radiated state is measured by mu = |c1| |c2|^2 over the even pair, and
-its maximum coincides with all sixteen local SU(3) generator expectations
-vanishing.
+the even combination, so the odd state is never radiated. The Hamiltonian
+conserves the excitation number N_exc = |e><e| + N_photons / 2, so it is
+stored as one block per value of 2 N_exc, and the selection rule is checked
+inside the 2 N_exc = 2 sector: |e; vac> and the two-photon states |g; n>.
+Entanglement of the radiated state is measured by mu = |c1| |c2|^2 over the
+even pair, and its maximum coincides with all sixteen local SU(3) generator
+expectations vanishing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .angular import AM_MODES, M_VALUES, SU3_BLOCKS
-from .fock import FockSpace, ModeLabel, OperatorMatrix, _hops, build_space, total_number_operator
+from .fock import (
+    FockSpace,
+    ModeLabel,
+    OperatorMatrix,
+    Sectors,
+    _hops,
+    build_space,
+    is_hermitian,
+    sectors_of,
+)
 
 FORWARD_MODES = tuple(ModeLabel(m.name, "fwd") for m in AM_MODES)
 BACKWARD_MODES = tuple(ModeLabel(m.name, "bwd") for m in AM_MODES)
@@ -109,8 +122,11 @@ def maximize_entanglement() -> EntanglementOptimum:
     )
 
 
-#: Atomic levels in the order of the 2x2 atom blocks.
+#: Atomic levels in the order of the atom index, the major index of the basis.
 ATOM_LEVELS = ("g", "e")
+
+#: The 2 N_exc of |e; vac>, and of the photon pairs it radiates.
+PAIR_SECTOR = 2
 
 
 @dataclass(frozen=True)
@@ -126,6 +142,11 @@ class AtomFieldSpace:
     @property
     def dim(self) -> int:
         return self.atom_dim * self.field_space.dim
+
+    @cached_property
+    def sectors(self) -> Sectors:
+        """Sectors of the conserved 2 N_exc = N_photons + 2 [atom = e]."""
+        return sectors_of(np.rint(2.0 * excitation_number(self)))
 
     def atom_index(self, level: str) -> int:
         try:
@@ -169,28 +190,35 @@ def interaction_hamiltonian(
 
     The interaction creates one photon in each family with opposite
     projections, so only the exchange-even pair combination couples to the
-    excited atom. H is 2x2 atom blocks in the order (g, e); each term of L is
-    one ladder-map hop and L^dagger its exact adjoint, so H is exactly hermitian.
+    excited atom. H conserves N_exc, so it is built as the blocks of
+    space.sectors: the diagonal, then each term of L as one ladder-map hop from
+    |g; n> to |e; n - pair> and its exact adjoint, so H is exactly hermitian.
     """
     fs = space.field_space
-    lower = np.zeros((fs.dim, fs.dim), dtype=complex)
+    g_offset, e_offset = (space.atom_index(level) * fs.dim for level in ("g", "e"))
+    photons = fs.sectors.labels
+    states = np.arange(space.dim)
+    rows, cols = [states], [states]
+    values = [np.concatenate([omega * photons + (level == "e") * omega0 for level in ATOM_LEVELS])]
     for fwd, m in zip(FORWARD_MODES, M_VALUES):
         src, dst, amplitude = _hops(fs, (), (fwd, BACKWARD_MODES[M_VALUES.index(-m)]))
-        lower[dst, src] = amplitude
-    field_energy = omega * total_number_operator(fs).matrix
-    h = np.block([
-        [field_energy, gamma_coupling * lower.conj().T],
-        [gamma_coupling * lower, field_energy + omega0 * np.eye(fs.dim)],
-    ])
-    return OperatorMatrix(space, h)
+        coupling = gamma_coupling * amplitude
+        rows += [e_offset + dst, g_offset + src]
+        cols += [g_offset + src, e_offset + dst]
+        values += [coupling, coupling.conj()]
+    return OperatorMatrix.from_entries(
+        space, np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+    )
 
 
-def excitation_number(space: AtomFieldSpace) -> OperatorMatrix:
-    """Conserved N_exc = |e><e| + N_photons / 2, as 2x2 atom blocks in the order (g, e)."""
-    fs = space.field_space
-    half = 0.5 * total_number_operator(fs).matrix
-    zero = np.zeros_like(half)
-    return OperatorMatrix(space, np.block([[half, zero], [zero, half + np.eye(fs.dim)]]))
+def excitation_number(space: AtomFieldSpace) -> np.ndarray:
+    """Diagonal of the conserved N_exc = |e><e| + N_photons / 2 over the basis.
+
+    The basis is atom index major, in the order of ATOM_LEVELS; 2 N_exc is an
+    integer on every state and labels the sectors of the Hamiltonian.
+    """
+    half = 0.5 * space.field_space.sectors.labels
+    return np.concatenate([half + (level == "e") for level in ATOM_LEVELS])
 
 
 @dataclass(frozen=True)
@@ -226,21 +254,25 @@ def selection_rule_check(
     Checks (a) zero matrix element between |e; vac> and |g; psi3>,
     (b) |g; psi3> is an H eigenvector at 2 omega, and (c) evolution from
     |e; vac> through the eigen-decomposition of the hermitian H never develops
-    overlap with |g; psi3>. The decomposition reads one triangle of H only,
-    so an H that fails the entrywise hermiticity check raises ValueError.
+    overlap with |g; psi3>. Both states lie in the 2 N_exc = 2 sector, which H
+    conserves, so every check runs on that one block. The decomposition reads
+    one triangle of the block only, so a block that fails the entrywise
+    hermiticity check raises ValueError.
     """
-    if not h.is_hermitian():
+    sector = space.sectors.indices[PAIR_SECTOR]
+    block = h.blocks[PAIR_SECTOR]
+    if not is_hermitian(block):
         raise ValueError("selection_rule_check requires a hermitian h")
-    odd = space.state("g", pair_field_vector(space, PARITY_BASIS[2]))
+    odd = space.state("g", pair_field_vector(space, PARITY_BASIS[2]))[sector]
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0
-    excited = space.state("e", vac)
+    excited = space.state("e", vac)[sector]
 
-    coupling = abs(np.vdot(odd, h.matrix @ excited))
-    eigen_residual = float(np.max(np.abs(h.matrix @ odd - 2.0 * omega * odd)))
+    coupling = abs(np.vdot(odd, block @ excited))
+    eigen_residual = float(np.max(np.abs(block @ odd - 2.0 * omega * odd)))
 
     times = tuple(scale / gamma_coupling for scale in (0.1, 1.0, 10.0))
-    energies, vectors = np.linalg.eigh(h.matrix)
+    energies, vectors = np.linalg.eigh(block)
     odd_e, excited_e = vectors.conj().T @ odd, vectors.conj().T @ excited
     overlaps = [
         float(abs(np.vdot(odd_e, np.exp(-1j * energies * t) * excited_e))) for t in times

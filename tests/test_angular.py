@@ -17,7 +17,8 @@ from photonam.angular import (
     three_mode_space,
     verify_su2,
 )
-from photonam.fock import ModeLabel, OperatorMatrix, annihilation, build_space, creation
+from ladder import annihilation, creation
+from photonam.fock import ModeLabel, OperatorMatrix, build_space
 from photonam.radial import CavityConfig, f_oam, f_spin, normalize_mode
 
 RT2 = np.sqrt(2.0)
@@ -117,10 +118,12 @@ def test_transverse_means_vanish(space, triple):
 
 
 def test_verify_su2_detects_perturbation(space, triple):
+    # an in-sector perturbation: <1_+| Jx |1_0>, inside the one-photon sector
+    plus, zero, _ = one_photon_indices(space)
     perturbed_jx = triple.jx.matrix.copy()
-    perturbed_jx[0, 1] += 0.01
+    perturbed_jx[plus, zero] += 0.01
     bad = type(triple)(
-        jx=OperatorMatrix(space, perturbed_jx),
+        jx=OperatorMatrix.from_dense(space, perturbed_jx),
         jy=triple.jy,
         jz=triple.jz,
     )
@@ -130,7 +133,8 @@ def test_verify_su2_detects_perturbation(space, triple):
     # at cutoff 1 the check must still see the single-photon sector
     single = j_operators(three_mode_space(1))
     doubled = type(single)(
-        jx=single.jx, jy=single.jy, jz=OperatorMatrix(single.jz.space, 2.0 * single.jz.matrix)
+        jx=single.jx, jy=single.jy,
+        jz=OperatorMatrix.from_dense(single.jz.space, 2.0 * single.jz.matrix),
     )
     report = verify_su2(doubled)
     assert not report.passed
@@ -142,10 +146,16 @@ def test_verify_su2_detects_perturbation(space, triple):
         assert not report.passed
         assert not report.degenerate
         assert report.max_residual > 1e-3
+    # the vacuum -> one-photon perturbation breaks number conservation, so no
+    # operator holds it: it is refused when the blocks are built
+    off_sector = triple.jx.matrix.copy()
+    off_sector[0, 1] += 0.01
+    with pytest.raises(ValueError, match="couples sector 1 to sector 0"):
+        OperatorMatrix.from_dense(space, off_sector)
 
 
 def test_verify_su2_zero_triple_degenerate(space):
-    zero = OperatorMatrix(space, np.zeros((space.dim, space.dim), dtype=complex))
+    zero = OperatorMatrix.from_dense(space, np.zeros((space.dim, space.dim), dtype=complex))
     report = verify_su2(type(j_operators(space))(jx=zero, jy=zero, jz=zero))
     assert report.degenerate
     assert report.passed
@@ -236,7 +246,7 @@ def test_am_variances_invalid_m():
     "cutoff,message",
     [
         (0, "cutoff must be >= 1 to hold a photon, got 0"),
-        (17, "3 modes at cutoff 17 give dimension 1140 > 1024"),
+        (21, "3 modes at cutoff 21 give a 21-photon sector of 253 states > 252"),
     ],
 )
 def test_am_variances_refuses_cutoffs_as_three_mode_space(cutoff, message):

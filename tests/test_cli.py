@@ -47,8 +47,8 @@ def test_variance_cutoff_messages(capsys):
     assert run_cli(capsys, "variance", "--cutoff", "0") == (
         2, "", "error: cutoff must be >= 1 to hold a photon, got 0\n"
     )
-    assert run_cli(capsys, "variance", "--cutoff", "17") == (
-        2, "", "error: 3 modes at cutoff 17 give dimension 1140 > 1024\n"
+    assert run_cli(capsys, "variance", "--cutoff", "21") == (
+        2, "", "error: 3 modes at cutoff 21 give a 21-photon sector of 253 states > 252\n"
     )
 
 
@@ -82,6 +82,15 @@ def test_algebra_pass_and_failure_exit_codes(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["pass"] is False
+
+
+def test_algebra_at_the_largest_cutoff(capsys):
+    # cutoff 20, the largest admitted: 1771 states in sector blocks of at most 231
+    code, out, _ = run_cli(capsys, "algebra", "--cutoff", "20")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 11
+    assert all(c["pass"] and c["max_residual"] < 1e-12 for c in checks)
 
 
 def test_decay_csv_and_json(capsys):
@@ -343,7 +352,7 @@ def test_invalid_parameter_value_exit_2(capsys):
         # the first values past the size bounds, refused before allocation
         ("radial", "--samples", str(MAX_SAMPLES + 1)),
         ("decay", "--samples", str(MAX_SAMPLES + 1)),
-        ("algebra", "--cutoff", "17"),
+        ("algebra", "--cutoff", "21"),
         # no photon fits below cutoff 1, so every AM identity would hold vacuously
         ("algebra", "--cutoff", "0"),
         ("variance", "--cutoff", "0"),

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ladder import annihilation, commutator, creation
 from photonam.fock import (
     ModeLabel,
     OperatorMatrix,
-    annihilation,
     bilinear,
     build_space,
     check_dim,
-    commutator,
-    creation,
+    is_hermitian,
     total_number_operator,
 )
 
@@ -42,6 +41,7 @@ def test_build_space_sizes():
     assert build_space([M1, M2, M3], 1).dim == 4
     assert build_space([M1, M2, M3], 3).dim == len(brute_force_basis(3, 3)) == 20
     assert build_space([M1, M2, M3], 16).dim == 969
+    assert build_space([M1, M2, M3], 20).dim == 1771
 
 
 def test_basis_matches_brute_force_enumeration():
@@ -81,21 +81,25 @@ def test_build_space_errors():
         build_space([M1], -1)
     with pytest.raises(ValueError):
         build_space([M1, M1], 2)
-    # the first cutoffs past MAX_DIM = 1024 for three and six modes
-    with pytest.raises(ValueError, match="dimension 1140"):
-        build_space([M1, M2, M3], 17)
-    with pytest.raises(ValueError, match="dimension 1716"):
-        build_space([ModeLabel(str(i)) for i in range(6)], 7)
+    # the first cutoffs past MAX_SECTOR_DIM = 252 for three and six modes, and
+    # for one mode, whose sectors hold one state each
+    with pytest.raises(ValueError, match="21-photon sector of 253 states"):
+        build_space([M1, M2, M3], 21)
+    with pytest.raises(ValueError, match="6-photon sector of 462 states"):
+        build_space([ModeLabel(str(i)) for i in range(6)], 6)
+    with pytest.raises(ValueError, match="253 photon-number sectors > 252"):
+        build_space([M1], 252)
 
 
 def test_check_dim_admits_the_largest_bases():
-    # 969 and 924 states, the largest within MAX_DIM for three and six modes
-    for n_modes, cutoff in ((3, 16), (6, 6), (1, 0)):
+    # top sectors of 231 and 252 states, the largest within MAX_SECTOR_DIM for
+    # three and six modes, and 252 one-state sectors for one mode
+    for n_modes, cutoff in ((3, 20), (6, 5), (1, 0), (1, 251)):
         check_dim(n_modes, cutoff)
     with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
         check_dim(3, -1)
-    with pytest.raises(ValueError, match="dimension 1140 > 1024"):
-        check_dim(3, 17)
+    with pytest.raises(ValueError, match="3 modes at cutoff 21 give a 21-photon sector of 253 states > 252"):
+        check_dim(3, 21)
 
 
 def test_annihilation_matches_hand_built_single_mode_matrix():
@@ -233,7 +237,22 @@ def test_fock_state_indexing():
 
 def test_operator_matrix_validation():
     space = build_space([M1], 2)
-    with pytest.raises(ValueError):
-        OperatorMatrix(space, np.zeros((2, 2)))
-    assert not annihilation(space, M1).is_hermitian()
-    assert OperatorMatrix(space, np.eye(space.dim)).is_hermitian(0.0)
+    with pytest.raises(ValueError, match="does not match space dim"):
+        OperatorMatrix.from_dense(space, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="sector sizes"):
+        OperatorMatrix(space, (np.zeros((1, 1)),) * 2)
+    assert not is_hermitian(annihilation(space, M1).matrix)
+    assert OperatorMatrix.from_dense(space, np.eye(space.dim)).is_hermitian(0.0)
+
+
+def test_dense_round_trip_and_off_sector_entry():
+    space = build_space([M1, M2, M3], 3)
+    op = bilinear(space, (M1, M2, M3), np.arange(9.0).reshape(3, 3) * (1 + 0.5j))
+    # the blocks of the assembled dense matrix are the stored blocks, bit for bit
+    again = OperatorMatrix.from_dense(space, op.matrix)
+    assert all(np.array_equal(a, b) for a, b in zip(again.blocks, op.blocks, strict=True))
+    # one entry from the one-photon state |0, 0, 1> to the vacuum leaves its sector
+    leaky = op.matrix.copy()
+    leaky[0, space.index_of((0, 0, 1))] = 1e-300
+    with pytest.raises(ValueError, match="couples sector 1 to sector 0"):
+        OperatorMatrix.from_dense(space, leaky)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from photonam.angular import SU3_BLOCKS
-from photonam.fock import OperatorMatrix, annihilation, commutator
+from ladder import DenseOperator, annihilation, commutator, dense
+from photonam.fock import OperatorMatrix
 from photonam.twins import (
     BACKWARD_MODES,
     FORWARD_MODES,
@@ -217,7 +218,8 @@ def test_hamiltonian_blocks_are_exact(cutoff, omega, omega0, gamma):
     space = atom_field_space(cutoff)
     h = interaction_hamiltonian(space, omega, omega0, gamma)
     assert h.is_hermitian(0.0)
-    assert commutator(h, excitation_number(space)).max_abs() == 0.0
+    n_exc = DenseOperator(space, np.diag(excitation_number(space)))
+    assert commutator(dense(h), n_exc).max_abs() == 0.0
     # independent route to the (e, g) pair block: products of per-state ladder matrices
     fs = space.field_space
     pair = sum(
@@ -246,9 +248,13 @@ def test_excitation_number_conserved():
     hamiltonian = interaction_hamiltonian(space, omega=1.0, omega0=2.0, gamma_coupling=0.05)
     n_exc = excitation_number(space)
     # the sector label 2 N_exc is an exact integer, so H commutes with N_exc exactly
-    twice = 2.0 * np.diag(n_exc.matrix)
-    assert np.array_equal(twice, np.round(twice.real))
-    assert commutator(hamiltonian, n_exc).max_abs() == 0.0
+    twice = 2.0 * n_exc
+    assert np.array_equal(twice, np.round(twice))
+    assert np.array_equal(space.sectors.labels, twice)
+    assert commutator(dense(hamiltonian), DenseOperator(space, np.diag(n_exc))).max_abs() == 0.0
+    # the selection rule's sector, 2 N_exc = 2: |e; vac> and the 21 two-photon |g; n>
+    assert space.dim == 168
+    assert space.sectors.sizes[2] == 22
 
 
 def test_selection_rule_report(space, hamiltonian):
@@ -268,7 +274,7 @@ def test_selection_rule_report(space, hamiltonian):
     excited = space.state("e", vac)
     odd = space.state("g", pair_field_vector(space, PSI3))
     leak = 1e-3 * (np.outer(odd, excited.conj()) + np.outer(excited, odd.conj()))
-    leaky = OperatorMatrix(space, hamiltonian.matrix + leak)
+    leaky = OperatorMatrix.from_dense(space, hamiltonian.matrix + leak)
     failed = selection_rule_check(leaky, space, omega=1.0, gamma_coupling=0.05)
     assert failed.coupling_to_odd == pytest.approx(1e-3, rel=1e-12)
     assert max(failed.evolution_overlaps) > 1e-4
@@ -276,11 +282,15 @@ def test_selection_rule_report(space, hamiltonian):
 
 
 def test_selection_rule_check_rejects_non_hermitian(space, hamiltonian):
-    # eigh would read only one triangle of a non-hermitian h and report on another operator
+    # eigh would read only one triangle of a non-hermitian h and report on another
+    # operator; the skew sits in the 2 N_exc = 2 sector the check decomposes
+    first, second = space.sectors.indices[2][:2]
     skewed = hamiltonian.matrix.copy()
-    skewed[0, 1] += 1e-3
+    skewed[first, second] += 1e-3
     with pytest.raises(ValueError, match="hermitian"):
-        selection_rule_check(OperatorMatrix(space, skewed), space, omega=1.0, gamma_coupling=0.05)
+        selection_rule_check(
+            OperatorMatrix.from_dense(space, skewed), space, omega=1.0, gamma_coupling=0.05
+        )
 
 
 def test_evolution_actually_radiates(space, hamiltonian):
@@ -295,3 +305,26 @@ def test_evolution_actually_radiates(space, hamiltonian):
     assert survival < 0.999
     even = space.state("g", pair_field_vector(space, PSI2))
     assert abs(np.vdot(even, evolved)) > 1e-3
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(gamma=st.floats(0.01, 0.1), leak=st.sampled_from([0.0, 1e-3]))
+def test_sector_evolution_matches_dense_eigh(space, gamma, leak):
+    # the overlaps selection_rule_check reads from its one-sector eigh, against
+    # an eigh of the whole dense H; a leak to |g; psi3> makes them nonzero
+    vac = np.zeros(space.field_space.dim, dtype=complex)
+    vac[0] = 1.0
+    excited = space.state("e", vac)
+    odd = space.state("g", pair_field_vector(space, PSI3))
+    h = interaction_hamiltonian(space, omega=1.0, omega0=2.0, gamma_coupling=gamma).matrix
+    h = h + leak * (np.outer(odd, excited.conj()) + np.outer(excited, odd.conj()))
+    report = selection_rule_check(
+        OperatorMatrix.from_dense(space, h), space, omega=1.0, gamma_coupling=gamma
+    )
+    energies, vectors = np.linalg.eigh(h)
+    start = vectors.conj().T @ excited
+    want = [
+        abs(np.vdot(odd, vectors @ (np.exp(-1j * energies * t) * start))) for t in report.times
+    ]
+    np.testing.assert_allclose(report.evolution_overlaps, want, rtol=0, atol=1e-12)
+    assert (max(want) > 1e-4) == (leak > 0.0)
