@@ -38,7 +38,6 @@ from .fock import (
     OperatorMatrix,
     annihilation,
     build_space,
-    total_number_operator,
 )
 from .radial import (
     CavityConfig,

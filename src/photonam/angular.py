@@ -5,15 +5,17 @@ single-photon block over the modes (+1, 0, -1) and built from it by
 `fock.bilinear`, as one block per photon-number sector: the spin-1 matrices
 give the AM components, and the cyclic lower-index convention gives the eight
 hermitian SU(3) generators. The spin and orbital densities at one radius are
-f_spin(kr) J and f_oam(kr) J, so their identities are checked on the sector
-blocks of J scaled as plain arrays, by the same cyclic residual as SU(2)
-closure. Verification routines report commutator residuals rather than
-raising, so callers can aggregate them.
+f_spin(kr) J and f_oam(kr) J, so [f_A J_a, f_B J_b] - i f_A f_B J_c =
+f_A f_B ([J_a, J_b] - i J_c): the relative residual of every density identity
+is the SU(2) closure residual over max|J|^2 at every radius, read from the
+closure each triple computes once. Verification routines report residuals
+rather than raising, so callers can aggregate them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +69,15 @@ class AmOperatorTriple:
 
     def components(self) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
         return (self.jx, self.jy, self.jz)
+
+    @cached_property
+    def closure(self) -> tuple[float, float]:
+        """(max |[J_a, J_b] - i J_c| over cyclic (a, b, c) and sectors, max|J|).
+
+        The blocks are read-only, so the cached value cannot go stale.
+        """
+        comps = [op.blocks for op in self.components()]
+        return _cyclic_residual(comps), max(_max_abs(op) for op in comps)
 
 
 def j_operators(space: FockSpace) -> AmOperatorTriple:
@@ -152,15 +163,12 @@ def _max_abs(blocks) -> float:
     return max(float(np.max(np.abs(block))) for block in blocks)
 
 
-def _cyclic_residual(a_ops, b_ops, coeff: float) -> float:
-    """Max entry of |[A_a, B_b] - i coeff B_c| over the cyclic (a, b, c) and the sectors.
-
-    Each of a_ops, b_ops holds three components, each a sequence of sector blocks.
-    """
+def _cyclic_residual(comps) -> float:
+    """Max entry of |[J_a, J_b] - i J_c| over cyclic (a, b, c), J_a the blocks comps[a]."""
     return _max_abs(
-        x @ y - y @ x - z * (1j * coeff)
+        x @ y - y @ x - z * 1j
         for a, b, c in _CYCLIC
-        for x, y, z in zip(a_ops[a], b_ops[b], b_ops[c])
+        for x, y, z in zip(comps[a], comps[b], comps[c])
     )
 
 
@@ -171,10 +179,9 @@ def verify_su2(triple: AmOperatorTriple, tol: float = 1e-12) -> AlgebraReport:
     products are exact on each sector block of the truncated space. A triple of
     zero operators is reported as degenerate: the identities hold vacuously.
     """
-    comps = [op.blocks for op in triple.components()]
-    if max(_max_abs(op) for op in comps) == 0.0:
+    residual, size = triple.closure
+    if size == 0.0:
         return AlgebraReport("su2_closure", 0.0, tol, True, degenerate=True)
-    residual = _cyclic_residual(comps, comps, 1.0)
     return AlgebraReport("su2_closure", residual, tol, residual < tol)
 
 
@@ -189,28 +196,24 @@ def density_commutator_check(
 ) -> AlgebraReport:
     """Verify [A_a(r), B_b(r)] = i eps_abc f_A(kr) B_c(r) for density operators.
 
-    A density at kr is f_spin(kr) J or f_oam(kr) J, so the identity is checked
-    on the sector blocks of J scaled as arrays; the coefficient is f_A(kr).
-    Commutators between densities at two different radii are not covered by
-    these identities and are not implemented. Residuals are relative to the
-    product of the operator magnitudes, over every sector block; the identity
-    passes vacuously (degenerate) when either density vanishes. A kind other
-    than 'spin' or 'oam', or a negative kr, raises ValueError.
+    A density at kr is f(kr) J with f = f_spin or f_oam, so [A_a, B_b] - i f_A B_c
+    = f_A f_B ([J_a, J_b] - i J_c): relative to the operator magnitudes, the
+    residual is the triple's SU(2) closure residual over max|J|^2, the same at
+    every kr. Densities at two different radii are not covered. The identity
+    holds vacuously (degenerate) when f_A(kr), f_B(kr) or the triple is zero. A
+    kind other than 'spin' or 'oam', or a negative kr, raises ValueError.
     """
     for kind in (kind_a, kind_b):
         if kind not in _DENSITY_FACTORS:
             raise ValueError(f"kind must be 'spin' or 'oam', got {kind!r}")
     f_a = float(_DENSITY_FACTORS[kind_a](kr, config))
     f_b = float(_DENSITY_FACTORS[kind_b](kr, config))
-    a_ops = [[block * f_a for block in op.blocks] for op in triple.components()]
-    b_ops = [[block * f_b for block in op.blocks] for op in triple.components()]
-    identity = (
-        f"[{kind_a}_a(r),{kind_b}_b(r)] = i eps_abc f_{kind_a}(kr) {kind_b}_c(r)"
-    )
-    scale = max(_max_abs(op) for op in a_ops) * max(_max_abs(op) for op in b_ops)
-    if scale == 0.0:
+    identity = f"[{kind_a}_a(r),{kind_b}_b(r)] = i eps_abc f_{kind_a}(kr) {kind_b}_c(r)"
+    closure, size = triple.closure
+    # each factor on its own: a product of small factors could underflow to 0
+    if f_a == 0.0 or f_b == 0.0 or size == 0.0:
         return AlgebraReport(identity, 0.0, tol, True, degenerate=True)
-    residual = _cyclic_residual(a_ops, b_ops, f_a) / scale
+    residual = closure / size / size
     return AlgebraReport(identity, residual, tol, residual < tol)
 
 

@@ -246,9 +246,6 @@ class OperatorMatrix:
         mat.setflags(write=False)
         return mat
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return all(is_hermitian(block, tol) for block in self.blocks)
-
 
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(matrix - matrix.conj().T)) <= tol) if matrix.size else True
@@ -309,7 +306,3 @@ def bilinear(space: FockSpace, modes: Sequence[ModeLabel], block) -> OperatorMat
     return OperatorMatrix.from_entries(
         space, np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
     )
-
-
-def total_number_operator(space: FockSpace) -> OperatorMatrix:
-    return bilinear(space, space.modes, np.eye(len(space.modes)))

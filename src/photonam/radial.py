@@ -106,7 +106,8 @@ def spherical_bessel(ell: int, x):
     else:
         closed = (3.0 / safe**3 - 1.0 / safe) * np.sin(safe) - 3.0 * np.cos(safe) / safe**2
     out = np.asarray(closed)  # a 0-d array where numpy returned a scalar
-    out[small] = _bessel_series(ell, arr[small])
+    if small.any():
+        out[small] = _bessel_series(ell, arr[small])
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
@@ -148,19 +149,21 @@ def _shell_antiderivative(ell: int, x) -> np.ndarray:
 
     From _LOMMEL_SWITCH[ell] on, the closed forms x/2 - sin(2x)/4 and
     (x^3/2)(j2^2 - j1 j3), with j1, j2 and j3 by upward recurrence from
-    j0 = sin(x)/x; below it, the Taylor series.
+    j0 = sin(x)/x; below it, the Taylor series, evaluated on those arguments only.
     """
     x = np.asarray(x, dtype=float)
     small = x < _LOMMEL_SWITCH[ell]
-    xs = np.where(small, x, 0.0)
-    series = xs ** (2 * ell + 3) * polyval(xs * xs, _LOMMEL_SERIES[ell])
     xc = np.where(small, _LOMMEL_SWITCH[ell], x)  # keep the unused branch finite
     if ell == 0:
         closed = xc / 2.0 - np.sin(2.0 * xc) / 4.0
     else:
         j1, j2 = _spherical_j1_j2(xc)
         closed = xc**3 / 2.0 * (j2 * j2 - j1 * (5.0 * j2 / xc - j1))
-    return np.where(small, series, closed)
+    out = np.asarray(closed)  # a 0-d array where numpy returned a scalar
+    if small.any():
+        xs = x[small]
+        out[small] = xs ** (2 * ell + 3) * polyval(xs * xs, _LOMMEL_SERIES[ell])
+    return out
 
 
 def normalize_mode(config: CavityConfig, ell: int) -> float:

@@ -1,10 +1,14 @@
-"""Dense ladder-operator reference for the tests.
+"""Operator references for the tests.
 
 photonam stores each operator as one block per conserved sector. The tests
 check those blocks against dense dim x dim matrices built here, state by
 state, from `fock.annihilation`: a ladder operator changes the photon number,
 so it has no sector blocks and stays a dense array. `creation` pushes the
 states at the cutoff out of the truncated basis and represents them as zero.
+
+`scaled_density_residual` is the reference of the density commutator checks:
+it multiplies out the commutators of the scaled densities f(kr) J, where
+photonam reads the residual from the SU(2) closure of J.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from photonam import fock
+from photonam import fock, radial
 
 
 @dataclass(frozen=True)
@@ -57,3 +61,47 @@ def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """AB - BA on a shared space."""
     _require_same_space(a, b)
     return DenseOperator(a.space, a.matrix @ b.matrix - b.matrix @ a.matrix)
+
+
+def total_number_operator(space: fock.FockSpace) -> fock.OperatorMatrix:
+    """N = sum_i a_i^dagger a_i as sector blocks: an exact integer diagonal."""
+    return fock.bilinear(space, space.modes, np.eye(len(space.modes)))
+
+
+def is_hermitian_operator(op: fock.OperatorMatrix, tol: float = fock.HERMITICITY_TOL) -> bool:
+    """Every sector block of op is hermitian to within tol."""
+    return all(fock.is_hermitian(block, tol) for block in op.blocks)
+
+
+#: Component positions (a, b, c) of the cyclic identities [J_a, J_b] = i J_c.
+CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+DENSITY_FACTORS = {"spin": radial.f_spin, "oam": radial.f_oam}
+
+
+def scaled_density_residual(kind_a, kind_b, kr, config, triple) -> tuple[float, bool, float]:
+    """(residual, degenerate, scale) of [A_a, B_b] = i f_A(kr) B_c, multiplied out.
+
+    The densities A = f_A(kr) J and B = f_B(kr) J are built as scaled copies of
+    J's sector blocks, and the largest entry of [A_a, B_b] - i f_A B_c over the
+    cyclic (a, b, c) and the sectors is divided by scale = max|A| max|B|. The
+    identity is degenerate where scale is 0. Once scale nears the smallest
+    normal float, the scaled products lose their digits to underflow.
+    """
+    f_a = float(DENSITY_FACTORS[kind_a](kr, config))
+    f_b = float(DENSITY_FACTORS[kind_b](kr, config))
+    a_ops = [[block * f_a for block in op.blocks] for op in triple.components()]
+    b_ops = [[block * f_b for block in op.blocks] for op in triple.components()]
+
+    def max_abs(blocks):
+        return max(float(np.max(np.abs(block))) for block in blocks)
+
+    scale = max(max_abs(op) for op in a_ops) * max(max_abs(op) for op in b_ops)
+    if scale == 0.0:
+        return 0.0, True, scale
+    residual = max_abs(
+        x @ y - y @ x - z * (1j * f_a)
+        for a, b, c in CYCLIC
+        for x, y, z in zip(a_ops[a], b_ops[b], b_ops[c])
+    )
+    return residual / scale, False, scale

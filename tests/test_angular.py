@@ -1,12 +1,16 @@
 """Total-AM operator triple, SU(3) generators, and density commutators."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import spherical_jn
 
 from photonam import angular
 from photonam.angular import (
     AM_MODES,
+    AmOperatorTriple,
     M_MINUS,
     M_PLUS,
     M_ZERO,
@@ -17,8 +21,14 @@ from photonam.angular import (
     three_mode_space,
     verify_su2,
 )
-from ladder import annihilation, creation
-from photonam.fock import ModeLabel, OperatorMatrix, build_space
+from ladder import (
+    DENSITY_FACTORS,
+    annihilation,
+    creation,
+    is_hermitian_operator,
+    scaled_density_residual,
+)
+from photonam.fock import ModeLabel, OperatorMatrix, bilinear, build_space
 from photonam.radial import CavityConfig, f_oam, f_spin, normalize_mode
 
 RT2 = np.sqrt(2.0)
@@ -173,7 +183,7 @@ def test_wrong_mode_set_raises():
 def test_su3_generators_hermitian_and_dependent(space):
     gens = su3_generators(space)
     for op in gens.all_generators() + gens.diagonal_raw:
-        assert op.is_hermitian()
+        assert is_hermitian_operator(op)
     total = sum(op.matrix for op in gens.diagonal_raw)
     assert np.max(np.abs(total)) == 0.0
     assert len(gens.all_generators()) == 8
@@ -291,6 +301,7 @@ def test_density_commutators_vanishing_oam_at_origin(cavity, triple):
         report = density_commutator_check(*kinds, 0.0, config=cavity, triple=triple)
         assert report.passed
         assert report.degenerate
+        assert scaled_density_residual(*kinds, 0.0, cavity, triple)[:2] == (0.0, True)
     spin = density_commutator_check("spin", "spin", 0.0, config=cavity, triple=triple)
     assert spin.passed and not spin.degenerate
 
@@ -299,6 +310,87 @@ def test_density_commutator_negative_kr(cavity, triple):
     for kinds in (("spin", "spin"), ("oam", "oam")):
         with pytest.raises(ValueError, match="kr"):
             density_commutator_check(*kinds, -2.0, config=cavity, triple=triple)
+
+
+DENSITY_KIND_PAIRS = (("spin", "spin"), ("oam", "oam"), ("oam", "spin"), ("spin", "oam"))
+
+#: Below this max|A| max|B| the reference's scaled products reach the
+#: subnormal floats and lose their digits, so its residual means nothing there.
+NORMAL_SCALE = np.finfo(float).tiny / np.finfo(float).eps
+
+
+@functools.cache
+def triple_at(cutoff, jx_scale):
+    """J at cutoff with its Jx block scaled by jx_scale (1.0: the exact triple)."""
+    jx, jy, jz = angular.SPIN1_BLOCKS
+    space = three_mode_space(cutoff)
+    return AmOperatorTriple(*(bilinear(space, AM_MODES, b) for b in (jx * jx_scale, jy, jz)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    kr=st.floats(0.0, 50.0),  # [0, kR] of the cavity fixture
+    kinds=st.sampled_from(DENSITY_KIND_PAIRS),
+    cutoff=st.integers(1, 8),
+    jx_scale=st.sampled_from([1.0, 1.0 + 1e-6]),
+)
+def test_density_residual_matches_scaled_block_reference(cavity, kr, kinds, cutoff, jx_scale):
+    # photonam reads the residual from the SU(2) closure of J; the reference
+    # multiplies out the commutators of the scaled densities f(kr) J
+    triple = triple_at(cutoff, jx_scale)
+    report = density_commutator_check(*kinds, kr, config=cavity, triple=triple)
+    want, want_degenerate, scale = scaled_density_residual(*kinds, kr, cavity, triple)
+    factors = [DENSITY_FACTORS[kind](kr, cavity) for kind in kinds]
+    assert report.degenerate == (0.0 in factors)
+    if jx_scale == 1.0:
+        assert report.passed and report.max_residual < 1e-12
+    if not (0.0 in factors or scale >= NORMAL_SCALE):
+        return
+    assert report.degenerate == want_degenerate
+    if jx_scale == 1.0:
+        # both are the rounding noise of an identity that holds exactly
+        assert abs(report.max_residual - want) <= 1e-15
+        assert want < 1e-12
+    elif not report.degenerate:
+        # a broken closure: both see the same ~1e-6 relative residual
+        assert not report.passed
+        assert report.max_residual == pytest.approx(want, rel=1e-9)
+
+
+def test_density_degenerate_only_where_a_factor_vanishes(cavity, triple):
+    # f_oam(1e-60) ~ 1e-244 is a normal float, but f_oam^2 max|J|^2 underflows:
+    # the reference's scale reads 0 and calls the identity vacuous, while
+    # photonam tests each factor on its own and reports the closure residual
+    kr = 1e-60
+    assert f_oam(kr, cavity) > 0.0 and f_oam(kr, cavity) ** 2 == 0.0
+    report = density_commutator_check("oam", "oam", kr, config=cavity, triple=triple)
+    assert report.passed and not report.degenerate
+    at_three = density_commutator_check("oam", "oam", 3.0, config=cavity, triple=triple)
+    assert report.max_residual == at_three.max_residual
+    assert scaled_density_residual("oam", "oam", kr, cavity, triple)[:2] == (0.0, True)
+
+
+def test_density_commutators_zero_triple_degenerate(space, cavity):
+    zero = OperatorMatrix.from_dense(space, np.zeros((space.dim, space.dim), dtype=complex))
+    zeros = AmOperatorTriple(jx=zero, jy=zero, jz=zero)
+    for kinds in DENSITY_KIND_PAIRS:
+        report = density_commutator_check(*kinds, 3.0, config=cavity, triple=zeros)
+        assert report.degenerate and report.passed and report.max_residual == 0.0
+        assert scaled_density_residual(*kinds, 3.0, cavity, zeros)[:2] == (0.0, True)
+
+
+def test_closure_computed_once_per_triple(monkeypatch, cavity):
+    # verify_su2 and every density check read one cached closure
+    calls = []
+    cyclic = angular._cyclic_residual
+    monkeypatch.setattr(angular, "_cyclic_residual", lambda comps: calls.append(1) or cyclic(comps))
+    fresh = j_operators(three_mode_space(2))
+    su2 = verify_su2(fresh)
+    for kr in (0.5, 3.0, 50.0):
+        for kinds in DENSITY_KIND_PAIRS:
+            density_commutator_check(*kinds, kr, config=cavity, triple=fresh)
+    assert len(calls) == 1
+    assert su2.max_residual == fresh.closure[0]
 
 
 # ----------------------------------------- spin and orbital AM from the field

@@ -150,6 +150,27 @@ def test_bessel_array_shape():
     assert out.shape == (2, 2)
 
 
+def _straddle(seam):
+    """One argument below seam and one at or above it."""
+    return st.tuples(st.floats(0.0, seam, exclude_max=True), st.floats(seam, 4.0 * seam))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    pairs=st.tuples(*(_straddle(s) for s in (radial.SERIES_SWITCH, *radial._LOMMEL_SWITCH.values()))),
+    extra=st.lists(st.floats(0.0, 1e3), max_size=6),
+)
+def test_scalar_calls_equal_array_elements_bitwise(pairs, extra):
+    # a scalar call evaluates the series only below its seam; the array call
+    # evaluates both branches on a mix of arguments on either side of every seam
+    xs = [x for pair in pairs for x in pair] + extra
+    for func in (spherical_bessel, radial._shell_antiderivative):
+        for ell in (0, 2):
+            whole = func(ell, np.array(xs))
+            single = np.array([float(func(ell, x)) for x in xs])
+            assert whole.tobytes() == single.tobytes()
+
+
 # ---------------------------------------------------------------- config
 
 
