@@ -321,7 +321,11 @@ _OPTIONS = {
     "omega0_over_gamma": _Option(
         float, None, "transition frequency over decay width (default {:g})"
     ),
-    "cutoff": _Option(int, None, "Fock-space total-occupation cutoff (default {:g})"),
+    "cutoff": _Option(
+        int, None,
+        "Fock-space total-occupation cutoff (default {:g}); entangle and verify-all's "
+        "selection_rule do not read it: their 22-state pair sector is the same at every cutoff",
+    ),
     "tol": _Option(float, None, "tolerance for algebra checks (default {:g})"),
     "out": _Option(str, None, "output path (default stdout)"),
     "format": _Option(str, FORMATS, "output format (default depends on command)"),

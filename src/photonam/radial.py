@@ -17,6 +17,7 @@ a wavelength.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial, prod
 
 import numpy as np
@@ -85,6 +86,18 @@ class CavityConfig:
     @property
     def wavelength(self) -> float:
         return 2.0 * np.pi / self.k
+
+    @cached_property
+    def density_weights(self) -> tuple[float, float]:
+        """(w0, w2) = c_ell^2 / 3V, so f_spin = 2 w0 j0^2 - w2 j2^2 / 2 and f_oam = 3 w2 j2^2 / 2.
+
+        Computed once per cavity, on the instance: an equal cavity built anew
+        normalizes its modes again.
+        """
+        c0 = normalize_mode(self, 0)
+        c2 = normalize_mode(self, 2)
+        base = 1.0 / (3.0 * self.volume)
+        return base * c0 * c0, base * c2 * c2
 
 
 def spherical_bessel(ell: int, x):
@@ -177,12 +190,14 @@ def normalize_mode(config: CavityConfig, ell: int) -> float:
     return float(np.sqrt(config.volume * config.k**3 / raw))
 
 
-def _density_prefactors(config: CavityConfig) -> tuple[float, float]:
-    """(weight0, weight2) so f_spin = 2*w0*j0^2 - 0.5*w2*j2^2, f_oam = 1.5*w2*j2^2."""
-    c0 = normalize_mode(config, 0)
-    c2 = normalize_mode(config, 2)
-    base = 1.0 / (3.0 * config.volume)
-    return base * c0 * c0, base * c2 * c2
+def _densities(kr, config: CavityConfig):
+    """(f_spin, f_oam) at kr >= 0, floats for a scalar kr, with j2 evaluated once for both."""
+    x = np.asarray(kr, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("kr must be >= 0")
+    w0, w2 = config.density_weights
+    j2_sq = spherical_bessel(2, x) ** 2
+    return 2.0 * w0 * spherical_bessel(0, x) ** 2 - 0.5 * w2 * j2_sq, 1.5 * w2 * j2_sq
 
 
 def f_spin(kr, config: CavityConfig):
@@ -191,31 +206,12 @@ def f_spin(kr, config: CavityConfig):
     May go locally negative near zeros of j0: it is a density of the AM
     decomposition, not an observable-positive quantity.
     """
-    arr = np.asarray(kr, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("kr must be >= 0")
-    w0, w2 = _density_prefactors(config)
-    out = 2.0 * w0 * spherical_bessel(0, arr) ** 2 - 0.5 * w2 * spherical_bessel(2, arr) ** 2
-    return float(out) if arr.ndim == 0 else out
+    return _densities(kr, config)[0]
 
 
 def f_oam(kr, config: CavityConfig):
     """Orbital AM density at kr; non-negative, vanishing as (kr)^4 at the origin."""
-    arr = np.asarray(kr, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("kr must be >= 0")
-    _, w2 = _density_prefactors(config)
-    out = 1.5 * w2 * spherical_bessel(2, arr) ** 2
-    return float(out) if arr.ndim == 0 else out
-
-
-def _panel_integrals(func, edges: np.ndarray) -> np.ndarray:
-    """Per-panel Gauss-Legendre integrals with a fixed summation order."""
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    points = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    values = func(points.ravel()).reshape(points.shape)
-    return half * (values @ _GL_WEIGHTS)
+    return _densities(kr, config)[1]
 
 
 @dataclass(frozen=True)
@@ -247,10 +243,11 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
     grid = np.linspace(kR / n_samples, kR, n_samples)
     a0 = _shell_antiderivative(0, grid) / _shell_antiderivative(0, kR)
     a2 = _shell_antiderivative(2, grid) / _shell_antiderivative(2, kR)
+    spin, oam = _densities(grid, config)
     arrays = dict(
         kr=grid,
-        f_spin=f_spin(grid, config),
-        f_oam=f_oam(grid, config),
+        f_spin=spin,
+        f_oam=oam,
         cum_spin=(2.0 * a0 - 0.5 * a2) / 3.0,
         cum_oam=a2 / 2.0,
     )
@@ -264,10 +261,17 @@ def shell_integrals(config: CavityConfig, edges: np.ndarray) -> tuple[float, flo
 
     They keep their digits far out in the wave zone, where differences of the
     antiderivatives do not, and check the normalization without sharing its formula.
+    Each panel's 16-node sum is a fixed-order dot product.
     """
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    points = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    x = points.ravel()
     k3 = config.k**3
-    i_s = float(np.sum(_panel_integrals(lambda x: f_spin(x, config) * x * x / k3, edges)))
-    i_l = float(np.sum(_panel_integrals(lambda x: f_oam(x, config) * x * x / k3, edges)))
+    i_s, i_l = (
+        float(np.sum(half * ((f * x * x / k3).reshape(points.shape) @ _GL_WEIGHTS)))
+        for f in _densities(x, config)
+    )
     return i_s, i_l
 
 
@@ -346,10 +350,10 @@ def zone_report(config: CavityConfig, n_samples: int = 2000) -> ZoneReport:
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
-    x_near = 0.2 * np.pi
+    spin_near, oam_near = _densities(0.2 * np.pi, config)
     start = min(0.8 * config.kR, config.kR - 2.0 * np.pi)
     return ZoneReport(
-        near_ratio=f_spin(x_near, config) / f_oam(x_near, config),
+        near_ratio=spin_near / oam_near,
         oam_peak_r=_oam_peak_kr() / config.k,
         wave_zone_discrepancy=wave_zone_discrepancy(config, start),
         config=config,

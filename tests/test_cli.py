@@ -115,6 +115,19 @@ def test_entangle_report(capsys):
     assert payload["selection_rule"]["pass"] is True
 
 
+def test_entangle_does_not_read_the_cutoff(capsys):
+    # the 2 N_exc = 2 sector holds the same 22 states at every cutoff >= 2
+    outputs = [run_cli(capsys, "entangle", "--cutoff", cutoff) for cutoff in ("2", "3", "20")]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1] == outputs[2]
+
+    def selection_rule(cutoff):
+        checks = json.loads(run_cli(capsys, "verify-all", "--cutoff", cutoff)[1])["checks"]
+        return next(check for check in checks if check["name"] == "selection_rule")
+
+    assert selection_rule("2") == selection_rule("8")
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run_cli(capsys, "verify-all")
     assert code == 0

@@ -1,16 +1,22 @@
 """Committed falsifiers: a physics-level perturbation and the checks it must flip.
 
 Each row monkeypatches one constant or function, runs a command, and names
-the checks that must then read "pass": false, with exit 1. The unperturbed
-commands pass (tests/test_cli.py). Where two checks rest on the same
-computation the row states it, so that they are seen to flip together.
+the checks that must then read "pass": false, with exit 1; every other check
+must still pass. The unperturbed commands pass (tests/test_cli.py). Where two
+checks rest on the same computation the row states it, so that they are seen
+to flip together. Each perturbation's comment gives the smallest one of its
+kind that flips the row's check, measured by bisection on the factor.
+
+The radial rows perturb the mode normalization through the function that the
+per-cavity density weights are computed from, so they also show that the
+weights' cache does not hide a perturbed normalization.
 """
 
 import json
 
 import pytest
 
-from photonam import angular
+from photonam import angular, radial
 from photonam.cli import main
 
 
@@ -18,19 +24,86 @@ def perturb_spin1_jx(monkeypatch):
     # Jx x (1 + 1e-6) breaks [J_a, J_b] = i J_c by ~1e-6 relative. Every
     # density identity is f_A f_B times that closure residual, so the nine
     # density checks fail with su2_closure: they have no falsifier of their own.
+    # variance_table reads the same SPIN1_BLOCKS (am_variances) and flips too.
     jx, jy, jz = angular.SPIN1_BLOCKS
     monkeypatch.setattr(angular, "SPIN1_BLOCKS", (jx * (1.0 + 1e-6), jy, jz))
+
+
+def _scale_c2(monkeypatch, factor):
+    exact = radial.normalize_mode
+    monkeypatch.setattr(
+        radial,
+        "normalize_mode",
+        lambda config, ell: exact(config, ell) * (factor if ell == 2 else 1.0),
+    )
+
+
+def perturb_c2_by_1e_5(monkeypatch):
+    # The OAM shell integral becomes (1 + eps)^2 / 2, so max_deviation is ~eps
+    # against a tolerance of 1e-6: c2 x (1 +- 1.0e-6) is the smallest scaling
+    # that flips shell_conservation.
+    _scale_c2(monkeypatch, 1.0 + 1e-5)
+
+
+def perturb_c2_by_2_percent(monkeypatch):
+    # c2 x 1.01 does not flip wave_zone_equality: its discrepancies read
+    # 0.0276, 0.0270, 0.0270, 0.0270, below 0.05 and still falling. The
+    # smallest scaling that flips it is c2 x 1.0181 (the first window passes
+    # 0.05), or c2 x (1 - 3.9e-6), where the offset breaks the monotone fall.
+    # Both lie past shell_conservation's 1e-6, so the two flip together: the
+    # wave-zone check has no falsifier of its own among normalization errors.
+    _scale_c2(monkeypatch, 1.02)
+
+
+def swap_density_weights(monkeypatch):
+    # w0 and w2 differ only by O(1/kR) (by 2.0e-3 at kR = 20, 4.5e-4 at 100),
+    # so swapping them moves near_ratio from 1781 to 1783 and leaves
+    # near_zone_spin_dominance passing; shell_conservation sees the swap
+    # (max_deviation 1.7e-3, at kR = 20).
+    weights = radial.CavityConfig.density_weights
+    monkeypatch.setattr(
+        radial.CavityConfig,
+        "density_weights",
+        property(lambda cavity: weights.func(cavity)[::-1]),
+    )
+
+
+def swap_densities(monkeypatch):
+    # f_spin and f_oam exchanged: near_ratio reads 5.6e-4, f_oam(0) is not 0
+    # and the spin profile peaks away from the origin, so each of the three
+    # conditions of near_zone_spin_dominance fails. Both still integrate to
+    # hbar/2, so no other check moves. near_ratio reads 1781 against its bound
+    # of 100, so f_oam x 17.8 is the smallest scaling that flips it by itself.
+    exact = radial._densities
+    monkeypatch.setattr(radial, "_densities", lambda kr, config: exact(kr, config)[::-1])
+
+
+def shift_oam_peak(monkeypatch):
+    # The peak sits at 0.532 wavelengths and the check accepts 0.4-0.65, so
+    # kr_peak x 1.222 (or x 0.752) is the smallest scaling that flips it.
+    exact = radial._oam_peak_kr
+    monkeypatch.setattr(radial, "_oam_peak_kr", lambda: exact() * 1.23)
 
 
 def density_row(name):
     return name.startswith("[")
 
 
+def only(*names):
+    return lambda name: name in names
+
+
 #: (perturbation, command, predicate on check names, how many checks it names):
-#: every named check must fail.
+#: the named checks, and only they, must fail.
 ROWS = [
     (perturb_spin1_jx, "algebra", lambda name: name == "su2_closure" or density_row(name), 10),
-    (perturb_spin1_jx, "verify-all", lambda name: name in ("su2_closure", "density_commutators"), 2),
+    (perturb_spin1_jx, "verify-all",
+     only("su2_closure", "variance_table", "density_commutators"), 3),
+    (perturb_c2_by_1e_5, "verify-all", only("shell_conservation"), 1),
+    (perturb_c2_by_2_percent, "verify-all", only("shell_conservation", "wave_zone_equality"), 2),
+    (swap_density_weights, "verify-all", only("shell_conservation"), 1),
+    (swap_densities, "verify-all", only("near_zone_spin_dominance"), 1),
+    (shift_oam_peak, "verify-all", only("oam_peak_location"), 1),
 ]
 
 
@@ -40,7 +113,8 @@ def test_perturbation_flips_its_checks(capsys, monkeypatch, perturb, command, fl
     perturb(monkeypatch)
     code = main([command])
     payload = json.loads(capsys.readouterr().out)
-    named = [check for check in payload["checks"] if flipped(check["name"])]
+    named = [check["name"] for check in payload["checks"] if flipped(check["name"])]
+    failed = [check["name"] for check in payload["checks"] if not check["pass"]]
     assert code == 1 and payload["pass"] is False
     assert len(named) == count
-    assert all(check["pass"] is False for check in named)
+    assert failed == named

@@ -16,6 +16,7 @@ import functools
 
 import math
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import mpmath
 import numpy as np
@@ -253,12 +254,62 @@ def test_normalize_mode_invalid_ell():
         normalize_mode(CavityConfig(k=1.0, R=100.0), 1)
 
 
+def test_density_weights_computed_once_per_cavity(monkeypatch):
+    exact = radial.normalize_mode
+    calls = []
+
+    def counting(config, ell):
+        calls.append((config.kR, ell))
+        return exact(config, ell)
+
+    monkeypatch.setattr(radial, "normalize_mode", counting)
+    cavity = CavityConfig(k=1.0, R=100.0)
+    assert calls == []  # built lazily
+    radial_profile(cavity, 200)
+    zone_report(cavity)
+    points = np.array([0.0, 0.5, 3.0, 50.0])
+    for density in (f_spin, f_oam):
+        density(3.0, cavity)
+        density(points, cavity)
+    assert calls == [(100.0, 0), (100.0, 2)]
+
+    twin = CavityConfig(k=1.0, R=100.0)  # an equal cavity has its own weights
+    assert twin == cavity and hash(twin) == hash(cavity)
+    assert repr(twin) == repr(cavity) == "CavityConfig(k=1.0, R=100.0)"
+    f_spin(3.0, twin)
+    assert len(calls) == 4
+    copy = replace(cavity)
+    assert copy == cavity and hash(copy) == hash(cavity)
+    f_oam(points, copy)
+    assert len(calls) == 6
+    wider = replace(cavity, R=200.0)
+    assert wider != cavity
+    f_spin(3.0, wider)
+    assert calls[-2:] == [(200.0, 0), (200.0, 2)]
+    with pytest.raises(FrozenInstanceError):
+        cavity.density_weights = (1.0, 1.0)
+
+    for config in (cavity, wider, CavityConfig(k=0.5, R=41.0), CavityConfig(k=3.0, R=1e12)):
+        base = 1.0 / (3.0 * config.volume)
+        c0, c2 = exact(config, 0), exact(config, 2)
+        assert config.density_weights == (base * c0 * c0, base * c2 * c2)
+
+
 # ---------------------------------------------------------------- densities
 
 
 @pytest.fixture(scope="module")
 def config():
     return CavityConfig(k=1.0, R=100.0)
+
+
+def test_profile_columns_equal_density_calls_bitwise(config):
+    # the profile, f_spin and f_oam all read one _densities evaluation
+    profile = radial_profile(config, 500)
+    assert profile.f_spin.tobytes() == f_spin(profile.kr, config).tobytes()
+    assert profile.f_oam.tobytes() == f_oam(profile.kr, config).tobytes()
+    for x in (0.0, 0.05, 0.2 * np.pi, 3.0, 99.5):
+        assert (f_spin(x, config), f_oam(x, config)) == radial._densities(x, config)
 
 
 def test_f_oam_zero_at_origin(config):
