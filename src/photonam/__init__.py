@@ -25,10 +25,7 @@ from .angular import (
 from .decay import (
     DecayCurve,
     DecayParams,
-    calibration_constant,
     conservation_check,
-    excited_amplitude,
-    photon_amplitude,
     sz_curve,
     sz_expectation,
 )

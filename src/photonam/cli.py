@@ -37,6 +37,14 @@ VERIFY_TOL = 1e-12
 DENSITY_RADII = (0.5, 3.0, 50.0)
 DENSITY_PAIRS = (("spin", "spin"), ("oam", "oam"), ("oam", "spin"))
 
+#: Bound of verify-all's near_ratio = f_spin / f_oam at 0.1 wavelength, which
+#: reads 1760-1783 for every kR from 20 to 1e14: f_oam 19% too large fails it.
+NEAR_RATIO_MIN = 1500.0
+
+#: Bound of verify-all's wave-zone discrepancies at kR = 1000, the largest of
+#: which reads 5.75e-4 (the window at kr = 100).
+WAVE_DISCREPANCY_MAX = 1e-3
+
 #: Largest radial or decay grid; it is checked before anything is allocated.
 MAX_SAMPLES = 10**6
 
@@ -221,7 +229,7 @@ def _verify_all_checks(cfg: RunConfig) -> list[dict]:
     cavity = _cavity(cfg)
     zone = radial.zone_report(cavity)
     near_ok = (
-        zone.near_ratio > 100.0
+        zone.near_ratio > NEAR_RATIO_MIN
         and radial.f_oam(0.0, cavity) == 0.0
         and int(np.argmax(radial.radial_profile(cavity).f_spin)) == 0
     )
@@ -234,7 +242,7 @@ def _verify_all_checks(cfg: RunConfig) -> list[dict]:
 
     wide = radial.CavityConfig(k=1.0, R=1000.0)
     discrepancies = [radial.wave_zone_discrepancy(wide, start) for start in (100.0, 200.0, 400.0, 800.0)]
-    wave_ok = all(d < 0.05 for d in discrepancies) and all(
+    wave_ok = all(d < WAVE_DISCREPANCY_MAX for d in discrepancies) and all(
         discrepancies[i] > discrepancies[i + 1] for i in range(len(discrepancies) - 1)
     )
     checks.append(_check("wave_zone_equality", wave_ok, discrepancies=discrepancies))

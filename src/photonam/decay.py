@@ -1,18 +1,16 @@
 """Weisskopf-Wigner decay of an excited dipole and the emitted AM expectation.
 
-The excited amplitude decays as C(t) = exp(-i w0 t - G t); the one-photon
-amplitude at wavenumber k (units with c = 1, so the mode frequency is k) is
+The excited population decays as |C(t)|^2 = exp(-2 G t), and the z component
+of both the spin and the orbital AM expectation grows as
+(hbar/2)(1 - exp(-2 G t)), exactly mirroring it. The one-photon amplitude
+B(k, t) at wavenumber k (c = 1) is a Lorentzian in k - w0 of width G, scaled
+by a calibration constant K that makes the steady-state photon weight over
+the window k in [w0 - 40 G, w0 + 40 G] (flat mode density) equal to one; the
+amplitude model, C(t), K and B(k, t), lives in the tests (tests/decay_model.py)
+as the oracle of the conservation residual computed here.
 
-    B(k, t) = -sqrt(K) k^{3/2} / (k - w0 + i G) * (1 - exp(i (k - w0) t - G t)),
-
-where K is a calibration constant fixed once per parameter set by requiring
-the steady-state photon weight integrated over k in [w0 - 40 G, w0 + 40 G]
-(flat mode density) to equal one. The z component of both the spin and the
-orbital AM expectation grows as (hbar/2)(1 - exp(-2 G t)), exactly mirroring
-the decay of the excited population.
-
-Every window weight has a closed form. The only special function is the
-complex exponential integral E1, summed here in numpy (`_exp1`), so this
+Every window weight of |B|^2 has a closed form. The only special function is
+the complex exponential integral E1, summed here in numpy (`_exp1`), so this
 module, like the rest of photonam, runs on numpy alone.
 """
 
@@ -83,13 +81,12 @@ class DecayParams:
         object.__setattr__(self, "time_grid", grid)
 
 
-def excited_amplitude(t, params: DecayParams):
-    """C(t) = exp(-i w0 t - G t); |C|^2 = exp(-2 G t)."""
+def _times(t) -> np.ndarray:
+    """t as a float array; ValueError unless every entry is >= 0 (inf is, NaN is not)."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("t must be >= 0")
-    out = np.exp((-1j * params.omega0 - params.gamma) * arr)
-    return complex(out) if arr.ndim == 0 else out
+    if not np.all(arr >= 0):
+        raise ValueError("t must be >= 0 and not NaN")
+    return arr
 
 
 def _base_weight_integral(omega0: float, gamma: float) -> float:
@@ -102,32 +99,6 @@ def _base_weight_integral(omega0: float, gamma: float) -> float:
     """
     eps2 = (gamma / omega0) ** 2
     return float(6.0 * eps2 * WINDOW_WIDTHS + 2.0 * (1.0 - 3.0 * eps2) * np.arctan(WINDOW_WIDTHS))
-
-
-def calibration_constant(params: DecayParams) -> float:
-    """K such that the steady-state photon weight over the window equals one."""
-    base = _base_weight_integral(params.omega0, params.gamma)
-    return params.gamma / (params.omega0**3 * base)
-
-
-def photon_amplitude(k, t, params: DecayParams):
-    """Calibrated one-photon amplitude B(k, t); zero at t = 0 for every k."""
-    k_arr = np.asarray(k, dtype=float)
-    if np.any(k_arr <= 0):
-        raise ValueError("k must be > 0")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be >= 0")
-    detune = k_arr - params.omega0
-    root_k = np.sqrt(calibration_constant(params)) * k_arr**1.5
-    out = (
-        -root_k
-        / (detune + 1j * params.gamma)
-        * (1.0 - np.exp((1j * detune - params.gamma) * t_arr))
-    )
-    if np.isscalar(k) and np.isscalar(t):
-        return complex(out)
-    return out
 
 
 def _exp1(z: np.ndarray) -> np.ndarray:
@@ -188,50 +159,28 @@ def _damped_oscillatory_weight(eps: float, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_curve(params: DecayParams, t, combine):
-    """combine(tau, damped / base) at tau = G t, exactly 0 at t = 0, shaped like t.
+def conservation_check(params: DecayParams, t):
+    """Residual |C(t)|^2 + int rho K |B(k, t)|^2 dk - 1, scalar or array t >= 0.
 
-    damped / base is e^{-tau} times the oscillatory window weight over the
-    steady-state one, the same ratio for every quantity built on the window.
+    With tau = G t, it equals 2 (e^{-2 tau} - damped / base), where damped /
+    base is e^{-tau} times the oscillatory window weight over the steady-state
+    one; that is evaluated instead: it subtracts no 1 and so keeps full
+    relative precision when the residual is tiny. Zero exactly at t = 0. The
+    finite window leaves a transient deficit of order 0.03 exp(-2 G t) at
+    early times; by t ~ 1/G the magnitude is well below 0.02 for
+    omega0/gamma >= 1e3, and at fixed G t it shrinks as omega0/gamma grows.
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("t must be >= 0")
+    arr = _times(t)
     tau = params.gamma * arr.ravel()
     base = _base_weight_integral(params.omega0, params.gamma)
     fraction = _damped_oscillatory_weight(params.gamma / params.omega0, tau) / base
-    out = np.where(tau == 0.0, 0.0, combine(tau, fraction))
+    out = np.where(tau == 0.0, 0.0, 2.0 * (np.exp(-2.0 * tau) - fraction))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def photon_weight(params: DecayParams, t):
-    """Calibrated photon probability int rho K |B(k, t)|^2 dk, scalar or array t.
-
-    |B(k, t)|^2 factors into the steady-state Lorentzian weight times
-    1 - 2 e^{-G t} cos((k - w0) t) + e^{-2 G t}; the smooth and oscillatory
-    parts are integrated separately, and the weight is exactly 0 at t = 0.
-    """
-    return _window_curve(params, t, lambda tau, frac: 1.0 + np.exp(-2.0 * tau) - 2.0 * frac)
-
-
-def conservation_check(params: DecayParams, t):
-    """Residual |C(t)|^2 + int rho K |B(k, t)|^2 dk - 1, scalar or array t.
-
-    It equals 2 (e^{-2 G t} - damped / base), which is evaluated instead: it
-    subtracts no 1 and so keeps full relative precision when the residual is
-    tiny. Zero exactly at t = 0. The finite window leaves a transient deficit
-    of order 0.03 exp(-2 G t) at early times; by t ~ 1/G the magnitude is
-    well below 0.02 for omega0/gamma >= 1e3, and at fixed G t it shrinks as
-    omega0/gamma grows.
-    """
-    return _window_curve(params, t, lambda tau, frac: 2.0 * (np.exp(-2.0 * tau) - frac))
 
 
 def sz_expectation(t, params: DecayParams):
     """<S_z(t)> = <L_z(t)> in units hbar: (1/2)(1 - exp(-2 G t))."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("t must be >= 0")
+    arr = _times(t)
     out = 0.5 * (1.0 - np.exp(-2.0 * params.gamma * arr))
     return float(out) if arr.ndim == 0 else out
 
@@ -249,9 +198,9 @@ class DecayCurve:
 def sz_curve(params: DecayParams) -> DecayCurve:
     """Closed-form AM expectation curve with a per-time conservation residual.
 
-    The amplitude machinery validates the closed form: excited_pop decays as
-    the AM expectation grows, and norm_residual reports how well the
-    calibrated photon weight completes the excited population to one.
+    excited_pop decays as the AM expectation grows, and norm_residual reports
+    how well the calibrated photon weight completes the excited population
+    to one.
     """
     t = params.time_grid
     arrays = dict(

@@ -225,18 +225,6 @@ class OperatorMatrix:
         bounds = zip(sectors.offsets, sectors.offsets[1:], sectors.sizes)
         return cls(space, tuple(flat[a:b].reshape(n, n) for a, b, n in bounds))
 
-    @classmethod
-    def from_dense(cls, space, matrix) -> "OperatorMatrix":
-        """The blocks of a dense dim x dim matrix in basis order.
-
-        A nonzero entry outside the sectors raises ValueError.
-        """
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (space.dim, space.dim):
-            raise ValueError(f"matrix shape {matrix.shape} does not match space dim {space.dim}")
-        rows, cols = np.nonzero(matrix)
-        return cls.from_entries(space, rows, cols, matrix[rows, cols])
-
     @property
     def matrix(self) -> np.ndarray:
         """The dense dim x dim array in basis order, assembled from the blocks."""

@@ -101,7 +101,7 @@ class CavityConfig:
 
 
 def spherical_bessel(ell: int, x):
-    """j0 or j2 for x >= 0, scalar or array.
+    """j0 or j2 for finite x >= 0, scalar or array.
 
     Closed forms j0 = sin(x)/x and j2 = (3/x^3 - 1/x) sin(x) - (3/x^2) cos(x)
     above SERIES_SWITCH; Taylor series below it, where the j2 closed form
@@ -110,8 +110,8 @@ def spherical_bessel(ell: int, x):
     if ell not in (0, 2):
         raise ValueError(f"ell must be 0 or 2, got {ell}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("argument must be >= 0")
+    if not np.all((arr >= 0) & (arr < np.inf)):
+        raise ValueError("argument must be finite and >= 0")
     small = arr < SERIES_SWITCH
     safe = np.where(small, 1.0, arr)  # avoid 0/0 where the series replaces the closed form
     if ell == 0:
@@ -191,10 +191,10 @@ def normalize_mode(config: CavityConfig, ell: int) -> float:
 
 
 def _densities(kr, config: CavityConfig):
-    """(f_spin, f_oam) at kr >= 0, floats for a scalar kr, with j2 evaluated once for both."""
+    """(f_spin, f_oam) at finite kr >= 0, floats for a scalar kr, with j2 evaluated once."""
     x = np.asarray(kr, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("kr must be >= 0")
+    if not np.all((x >= 0) & (x < np.inf)):
+        raise ValueError("kr must be finite and >= 0")
     w0, w2 = config.density_weights
     j2_sq = spherical_bessel(2, x) ** 2
     return 2.0 * w0 * spherical_bessel(0, x) ** 2 - 0.5 * w2 * j2_sq, 1.5 * w2 * j2_sq
@@ -275,21 +275,17 @@ def shell_integrals(config: CavityConfig, edges: np.ndarray) -> tuple[float, flo
     return i_s, i_l
 
 
-def window_shell_integrals(config: CavityConfig, start_kr: float) -> tuple[float, float]:
-    """Shell integrals of f_spin and f_oam over one wavelength from start_kr."""
-    width = 2.0 * np.pi
-    if start_kr < 0 or start_kr + width > config.kR:
-        raise ValueError("window must lie inside the cavity")
-    return shell_integrals(config, np.linspace(start_kr, start_kr + width, 257))
-
-
 def wave_zone_discrepancy(config: CavityConfig, start_kr: float) -> float:
-    """Relative mismatch of the wavelength-windowed spin and OAM shell integrals.
+    """Relative mismatch of the spin and OAM shell integrals over one wavelength from start_kr.
 
     Windowed integrals are compared instead of pointwise ratios because both
-    densities vanish at shared nodes in the wave zone.
+    densities vanish at shared nodes in the wave zone. A window that leaves
+    the cavity, or a NaN start_kr, raises ValueError.
     """
-    i_s, i_l = window_shell_integrals(config, start_kr)
+    width = 2.0 * np.pi
+    if not (start_kr >= 0 and start_kr + width <= config.kR):
+        raise ValueError("window must lie inside the cavity")
+    i_s, i_l = shell_integrals(config, np.linspace(start_kr, start_kr + width, 257))
     return abs(i_s - i_l) / i_s
 
 

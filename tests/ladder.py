@@ -6,6 +6,9 @@ state, from `fock.annihilation`: a ladder operator changes the photon number,
 so it has no sector blocks and stays a dense array. `creation` pushes the
 states at the cutoff out of the truncated basis and represents them as zero.
 
+`from_dense` turns a dense matrix, a perturbed operator say, back into sector
+blocks.
+
 `scaled_density_residual` is the reference of the density commutator checks:
 it multiplies out the commutators of the scaled densities f(kr) J, where
 photonam reads the residual from the SU(2) closure of J.
@@ -41,6 +44,20 @@ class DenseOperator:
 def dense(op: fock.OperatorMatrix) -> DenseOperator:
     """The dense matrix assembled from an operator's sector blocks."""
     return DenseOperator(op.space, op.matrix)
+
+
+def from_dense(space, matrix) -> fock.OperatorMatrix:
+    """The sector blocks of a dense dim x dim matrix in basis order.
+
+    A nonzero entry between two sectors raises ValueError (from
+    `OperatorMatrix.from_entries`), so a matrix that does not conserve the
+    label cannot become an operator.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (space.dim, space.dim):
+        raise ValueError(f"matrix shape {matrix.shape} does not match space dim {space.dim}")
+    rows, cols = np.nonzero(matrix)
+    return fock.OperatorMatrix.from_entries(space, rows, cols, matrix[rows, cols])
 
 
 def _require_same_space(a: DenseOperator, b: DenseOperator) -> None:

@@ -25,10 +25,11 @@ from ladder import (
     DENSITY_FACTORS,
     annihilation,
     creation,
+    from_dense,
     is_hermitian_operator,
     scaled_density_residual,
 )
-from photonam.fock import ModeLabel, OperatorMatrix, bilinear, build_space
+from photonam.fock import ModeLabel, bilinear, build_space
 from photonam.radial import CavityConfig, f_oam, f_spin, normalize_mode
 
 RT2 = np.sqrt(2.0)
@@ -133,7 +134,7 @@ def test_verify_su2_detects_perturbation(space, triple):
     perturbed_jx = triple.jx.matrix.copy()
     perturbed_jx[plus, zero] += 0.01
     bad = type(triple)(
-        jx=OperatorMatrix.from_dense(space, perturbed_jx),
+        jx=from_dense(space, perturbed_jx),
         jy=triple.jy,
         jz=triple.jz,
     )
@@ -144,7 +145,7 @@ def test_verify_su2_detects_perturbation(space, triple):
     single = j_operators(three_mode_space(1))
     doubled = type(single)(
         jx=single.jx, jy=single.jy,
-        jz=OperatorMatrix.from_dense(single.jz.space, 2.0 * single.jz.matrix),
+        jz=from_dense(single.jz.space, 2.0 * single.jz.matrix),
     )
     report = verify_su2(doubled)
     assert not report.passed
@@ -161,11 +162,11 @@ def test_verify_su2_detects_perturbation(space, triple):
     off_sector = triple.jx.matrix.copy()
     off_sector[0, 1] += 0.01
     with pytest.raises(ValueError, match="couples sector 1 to sector 0"):
-        OperatorMatrix.from_dense(space, off_sector)
+        from_dense(space, off_sector)
 
 
 def test_verify_su2_zero_triple_degenerate(space):
-    zero = OperatorMatrix.from_dense(space, np.zeros((space.dim, space.dim), dtype=complex))
+    zero = from_dense(space, np.zeros((space.dim, space.dim), dtype=complex))
     report = verify_su2(type(j_operators(space))(jx=zero, jy=zero, jz=zero))
     assert report.degenerate
     assert report.passed
@@ -371,7 +372,7 @@ def test_density_degenerate_only_where_a_factor_vanishes(cavity, triple):
 
 
 def test_density_commutators_zero_triple_degenerate(space, cavity):
-    zero = OperatorMatrix.from_dense(space, np.zeros((space.dim, space.dim), dtype=complex))
+    zero = from_dense(space, np.zeros((space.dim, space.dim), dtype=complex))
     zeros = AmOperatorTriple(jx=zero, jy=zero, jz=zero)
     for kinds in DENSITY_KIND_PAIRS:
         report = density_commutator_check(*kinds, 3.0, config=cavity, triple=zeros)

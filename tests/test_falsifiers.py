@@ -14,9 +14,10 @@ weights' cache does not hide a perturbed normalization.
 
 import json
 
+import numpy as np
 import pytest
 
-from photonam import angular, radial
+from photonam import angular, decay, radial, twins
 from photonam.cli import main
 
 
@@ -46,12 +47,12 @@ def perturb_c2_by_1e_5(monkeypatch):
 
 
 def perturb_c2_by_2_percent(monkeypatch):
-    # c2 x 1.01 does not flip wave_zone_equality: its discrepancies read
-    # 0.0276, 0.0270, 0.0270, 0.0270, below 0.05 and still falling. The
-    # smallest scaling that flips it is c2 x 1.0181 (the first window passes
-    # 0.05), or c2 x (1 - 3.9e-6), where the offset breaks the monotone fall.
-    # Both lie past shell_conservation's 1e-6, so the two flip together: the
-    # wave-zone check has no falsifier of its own among normalization errors.
+    # The discrepancies read 5.75e-4, 5.0e-5, 1.6e-5, 5.0e-6 against a bound
+    # of 1e-3. The smallest scaling that flips wave_zone_equality is
+    # c2 x (1 + 1.59e-4), where the first window passes 1e-3, or
+    # c2 x (1 - 3.9e-6), where the offset breaks the monotone fall. Both lie
+    # past shell_conservation's 1e-6, so the two flip together: the wave-zone
+    # check has no falsifier of its own among normalization errors.
     _scale_c2(monkeypatch, 1.02)
 
 
@@ -72,10 +73,23 @@ def swap_densities(monkeypatch):
     # f_spin and f_oam exchanged: near_ratio reads 5.6e-4, f_oam(0) is not 0
     # and the spin profile peaks away from the origin, so each of the three
     # conditions of near_zone_spin_dominance fails. Both still integrate to
-    # hbar/2, so no other check moves. near_ratio reads 1781 against its bound
-    # of 100, so f_oam x 17.8 is the smallest scaling that flips it by itself.
+    # hbar/2, so no other check moves.
     exact = radial._densities
     monkeypatch.setattr(radial, "_densities", lambda kr, config: exact(kr, config)[::-1])
+
+
+def scale_near_zone_oam(monkeypatch):
+    # f_oam x 1.2 out to kr = 0.2 pi, the near-zone radius: near_ratio reads
+    # 1781 against its bound of 1500, so f_oam x 1.1876 is the smallest scaling
+    # that flips near_zone_spin_dominance. shell_conservation reads 2.4e-7
+    # against its 1e-6, so no other check moves.
+    exact = radial._densities
+
+    def densities(kr, config):
+        spin, oam = exact(kr, config)
+        return spin, oam * np.where(np.asarray(kr) <= 0.2 * np.pi, 1.2, 1.0)
+
+    monkeypatch.setattr(radial, "_densities", densities)
 
 
 def shift_oam_peak(monkeypatch):
@@ -83,6 +97,51 @@ def shift_oam_peak(monkeypatch):
     # kr_peak x 1.222 (or x 0.752) is the smallest scaling that flips it.
     exact = radial._oam_peak_kr
     monkeypatch.setattr(radial, "_oam_peak_kr", lambda: exact() * 1.23)
+
+
+def scale_exp1(monkeypatch):
+    # E1 x (1 - delta) shifts the three residuals at G t = 10 (3e-9 to 5e-9)
+    # by nearly the same amount, so their order across omega0/gamma survives
+    # every delta up to 0.981: that is the smallest delta that flips
+    # decay_conservation, and no E1 x (1 + delta) up to x 101 flips it. Only
+    # this check evaluates E1 in verify-all.
+    exact = decay._exp1
+    monkeypatch.setattr(decay, "_exp1", lambda z: exact(z) * (1.0 - 0.99))
+
+
+def leak_to_odd_pair(monkeypatch):
+    # A hermitian coupling eps between |e; vac> and |g; psi3> inside the
+    # 2 N_exc = 2 sector radiates the odd pair state: coupling_to_odd reads
+    # eps, so eps = 1.0e-12 (the coupling bound) is the smallest that flips
+    # selection_rule. The entanglement optimum reads no Hamiltonian.
+    exact = twins.interaction_hamiltonian
+    eps = 1e-9
+
+    def leaky(space, *args):
+        h = exact(space, *args)
+        sector = space.sectors.indices[twins.PAIR_SECTOR]
+        vacuum = np.eye(space.field_space.dim)[0]
+        excited = space.state("e", vacuum)[sector]
+        odd = space.state("g", twins.pair_field_vector(space, twins.PARITY_BASIS[2]))[sector]
+        blocks = list(h.blocks)
+        blocks[twins.PAIR_SECTOR] = blocks[twins.PAIR_SECTOR] + eps * (
+            np.outer(odd, excited.conj()) + np.outer(excited, odd.conj())
+        )
+        return type(h)(h.space, tuple(blocks))
+
+    monkeypatch.setattr(twins, "interaction_hamiltonian", leaky)
+
+
+def unequal_psi2(monkeypatch):
+    # psi2 with amplitudes 1/sqrt(2) + delta and 1/sqrt(2) on |+1, -1> and
+    # |-1, +1>: the largest local SU(3) expectation at the optimum reads
+    # 0.943 delta, so |delta| = 1.06e-8, of either sign, is the smallest that
+    # passes its 1e-8 bound and flips entanglement_maximum. The selection rule
+    # reads psi3 only.
+    psi1, _, psi3 = twins.PARITY_BASIS
+    root = 1.0 / np.sqrt(2.0)
+    skewed = twins._pair_state({(1, -1): root + 1e-6, (-1, 1): root})
+    monkeypatch.setattr(twins, "PARITY_BASIS", (psi1, skewed, psi3))
 
 
 def density_row(name):
@@ -103,7 +162,11 @@ ROWS = [
     (perturb_c2_by_2_percent, "verify-all", only("shell_conservation", "wave_zone_equality"), 2),
     (swap_density_weights, "verify-all", only("shell_conservation"), 1),
     (swap_densities, "verify-all", only("near_zone_spin_dominance"), 1),
+    (scale_near_zone_oam, "verify-all", only("near_zone_spin_dominance"), 1),
     (shift_oam_peak, "verify-all", only("oam_peak_location"), 1),
+    (scale_exp1, "verify-all", only("decay_conservation"), 1),
+    (leak_to_odd_pair, "verify-all", only("selection_rule"), 1),
+    (unequal_psi2, "verify-all", only("entanglement_maximum"), 1),
 ]
 
 
@@ -118,3 +181,13 @@ def test_perturbation_flips_its_checks(capsys, monkeypatch, perturb, command, fl
     assert code == 1 and payload["pass"] is False
     assert len(named) == count
     assert failed == named
+
+
+def test_every_verify_all_check_has_a_row(capsys):
+    assert main(["verify-all"]) == 0
+    names = [check["name"] for check in json.loads(capsys.readouterr().out)["checks"]]
+    covered = {
+        name for _, command, flipped, _ in ROWS if command == "verify-all"
+        for name in names if flipped(name)
+    }
+    assert covered == set(names)

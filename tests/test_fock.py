@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ladder import annihilation, commutator, creation, is_hermitian_operator, total_number_operator
+from ladder import (
+    annihilation,
+    commutator,
+    creation,
+    from_dense,
+    is_hermitian_operator,
+    total_number_operator,
+)
 from photonam.fock import (
     ModeLabel,
     OperatorMatrix,
@@ -237,21 +244,21 @@ def test_fock_state_indexing():
 def test_operator_matrix_validation():
     space = build_space([M1], 2)
     with pytest.raises(ValueError, match="does not match space dim"):
-        OperatorMatrix.from_dense(space, np.zeros((2, 2)))
+        from_dense(space, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="sector sizes"):
         OperatorMatrix(space, (np.zeros((1, 1)),) * 2)
     assert not is_hermitian(annihilation(space, M1).matrix)
-    assert is_hermitian_operator(OperatorMatrix.from_dense(space, np.eye(space.dim)), 0.0)
+    assert is_hermitian_operator(from_dense(space, np.eye(space.dim)), 0.0)
 
 
 def test_dense_round_trip_and_off_sector_entry():
     space = build_space([M1, M2, M3], 3)
     op = bilinear(space, (M1, M2, M3), np.arange(9.0).reshape(3, 3) * (1 + 0.5j))
     # the blocks of the assembled dense matrix are the stored blocks, bit for bit
-    again = OperatorMatrix.from_dense(space, op.matrix)
+    again = from_dense(space, op.matrix)
     assert all(np.array_equal(a, b) for a, b in zip(again.blocks, op.blocks, strict=True))
     # one entry from the one-photon state |0, 0, 1> to the vacuum leaves its sector
     leaky = op.matrix.copy()
     leaky[0, space.index_of((0, 0, 1))] = 1e-300
     with pytest.raises(ValueError, match="couples sector 1 to sector 0"):
-        OperatorMatrix.from_dense(space, leaky)
+        from_dense(space, leaky)

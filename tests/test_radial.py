@@ -27,6 +27,7 @@ from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from photonam import radial
+from photonam.cli import NEAR_RATIO_MIN
 from photonam.radial import (
     CavityConfig,
     CSV_HEADER,
@@ -144,6 +145,14 @@ def test_bessel_errors():
         spherical_bessel(0, -1.0)
     with pytest.raises(ValueError):
         spherical_bessel(1, 1.0)
+
+
+@pytest.mark.parametrize("ell", [0, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan])])
+def test_bessel_refuses_nan_and_infinity(ell, bad):
+    # np.any(x < 0) is False for NaN, and j_ell(inf) would come out NaN
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        spherical_bessel(ell, bad)
 
 
 def test_bessel_array_shape():
@@ -341,6 +350,13 @@ def test_density_negative_kr_errors(config):
         f_oam(np.array([1.0, -1.0]), config)
 
 
+@pytest.mark.parametrize("density", [f_spin, f_oam])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan])])
+def test_density_refuses_nan_and_infinity(config, density, bad):
+    with pytest.raises(ValueError, match="kr must be finite and >= 0"):
+        density(bad, config)
+
+
 # ---------------------------------------------------------------- profile
 
 
@@ -453,6 +469,15 @@ def test_zone_diagnostics_independent_of_the_grid(log_kR, n_samples):
     assert report.near_ratio == pytest.approx(near_ratio_oracle(config.kR), rel=1e-12)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(log_kR=st.floats(np.log10(20.0), 14.0))
+def test_near_ratio_clears_the_verify_all_bound(log_kR):
+    # near_ratio reads 1760-1783 over the whole kR range, so f_oam x 1.2 fails
+    # the bound at every kR
+    report = zone_report(CavityConfig(k=1.0, R=10.0**log_kR))
+    assert NEAR_RATIO_MIN < report.near_ratio < 1.2 * NEAR_RATIO_MIN
+
+
 def test_bessel_large_arguments_without_overflow_warning():
     x = np.array([0.05, 1e8, 1e100])
     with warnings.catch_warnings():
@@ -493,7 +518,7 @@ def test_wave_zone_asymptotic_magnitude():
     wide = CavityConfig(k=1.0, R=1000.0)
     c0 = normalize_mode(wide, 0)
     expected = c0 * c0 * np.pi / (2.0 * wide.volume)
-    i_s, i_l = radial.window_shell_integrals(wide, 800.0)
+    i_s, i_l = radial.shell_integrals(wide, np.linspace(800.0, 800.0 + 2.0 * np.pi, 257))
     assert i_s == pytest.approx(expected, rel=0.01)
     assert i_l == pytest.approx(expected, rel=0.01)
 
@@ -501,6 +526,13 @@ def test_wave_zone_asymptotic_magnitude():
 def test_window_must_fit_in_cavity(config):
     with pytest.raises(ValueError):
         wave_zone_discrepancy(config, config.kR)
+
+
+@pytest.mark.parametrize("start", [-1.0, np.nan, np.inf, -np.inf])
+def test_window_start_refuses_negative_nan_and_infinity(config, start):
+    # a NaN start fails every comparison, so the check must be one that NaN fails
+    with pytest.raises(ValueError, match="inside the cavity"):
+        wave_zone_discrepancy(config, start)
 
 
 def test_zone_report_json(config):

@@ -9,8 +9,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from photonam.angular import SU3_BLOCKS
-from ladder import DenseOperator, annihilation, commutator, dense, is_hermitian_operator
-from photonam.fock import OperatorMatrix
+from ladder import (
+    DenseOperator,
+    annihilation,
+    commutator,
+    dense,
+    from_dense,
+    is_hermitian_operator,
+)
 from photonam.twins import (
     BACKWARD_MODES,
     FORWARD_MODES,
@@ -274,7 +280,7 @@ def test_selection_rule_report(space, hamiltonian):
     excited = space.state("e", vac)
     odd = space.state("g", pair_field_vector(space, PSI3))
     leak = 1e-3 * (np.outer(odd, excited.conj()) + np.outer(excited, odd.conj()))
-    leaky = OperatorMatrix.from_dense(space, hamiltonian.matrix + leak)
+    leaky = from_dense(space, hamiltonian.matrix + leak)
     failed = selection_rule_check(leaky, space, omega=1.0, gamma_coupling=0.05)
     assert failed.coupling_to_odd == pytest.approx(1e-3, rel=1e-12)
     assert max(failed.evolution_overlaps) > 1e-4
@@ -288,9 +294,7 @@ def test_selection_rule_check_rejects_non_hermitian(space, hamiltonian):
     skewed = hamiltonian.matrix.copy()
     skewed[first, second] += 1e-3
     with pytest.raises(ValueError, match="hermitian"):
-        selection_rule_check(
-            OperatorMatrix.from_dense(space, skewed), space, omega=1.0, gamma_coupling=0.05
-        )
+        selection_rule_check(from_dense(space, skewed), space, omega=1.0, gamma_coupling=0.05)
 
 
 def test_evolution_actually_radiates(space, hamiltonian):
@@ -318,9 +322,7 @@ def test_sector_evolution_matches_dense_eigh(space, gamma, leak):
     odd = space.state("g", pair_field_vector(space, PSI3))
     h = interaction_hamiltonian(space, omega=1.0, omega0=2.0, gamma_coupling=gamma).matrix
     h = h + leak * (np.outer(odd, excited.conj()) + np.outer(excited, odd.conj()))
-    report = selection_rule_check(
-        OperatorMatrix.from_dense(space, h), space, omega=1.0, gamma_coupling=gamma
-    )
+    report = selection_rule_check(from_dense(space, h), space, omega=1.0, gamma_coupling=gamma)
     energies, vectors = np.linalg.eigh(h)
     start = vectors.conj().T @ excited
     want = [
