@@ -6,7 +6,10 @@ requested verifications pass, 1 verification failure, 2 invalid flags or
 config parse error, 3 I/O failure (the --out file or stdout cannot be written).
 
 The option table `_OPTIONS` is the one definition of every flag and config
-key: its parser, its allowed values and its help text.
+key: its parser, its allowed values and its help text. Flags may stand on
+either side of the command; of a flag given twice the later value wins. A JSON
+report is "schema", then the fields of the library's report dataclass in order,
+a `passed` field written as "pass" (`_fields`).
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import angular, decay, output, radial, twins
+from . import angular, decay, fock, output, radial, twins
 
 SCHEMA_VERSION = 1
 
@@ -32,6 +35,10 @@ ENTANGLE_COUPLING = 0.05
 
 #: The fixed tolerance of verify-all's algebra, variance and density checks.
 VERIFY_TOL = 1e-12
+
+#: Bound of verify-all's entanglement_maximum on the deviations of |c1|, |c2| and mu
+#: from their closed forms and on the local SU(3) expectations: 1.1e-16, 0, 5.6e-17, 0.
+ENTANGLE_TOL = 1e-14
 
 #: Radii and operator pairs of the nine density-commutator identities.
 DENSITY_RADII = (0.5, 3.0, 50.0)
@@ -91,6 +98,11 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n"
 
 
+def _fields(report) -> dict:
+    """A report dataclass as its fields in order, the `passed` field written as "pass"."""
+    return {("pass" if key == "passed" else key): value for key, value in asdict(report).items()}
+
+
 def _check(name: str, passed: bool, **details) -> dict:
     return {"name": name, "pass": bool(passed), **details}
 
@@ -117,13 +129,13 @@ def cmd_radial(cfg: RunConfig) -> tuple[str, int]:
         profile = radial.radial_profile(cavity, samples)
         return "\n".join(radial.profile_csv_lines(profile)) + "\n", 0
     report = radial.zone_report(cavity, samples)
-    return _json_text(report.to_json_dict()), 0
+    return _json_text(_fields(report)), 0
 
 
 def _algebra_reports(
     cfg: RunConfig, tol: float
-) -> tuple[angular.AlgebraReport, list[tuple[float, angular.AlgebraReport]], float]:
-    """SU(2) closure, the nine (kr, density report) pairs, the SU(3) dependence residual."""
+) -> tuple[fock.FockSpace, angular.AlgebraReport, list[tuple[float, angular.AlgebraReport]]]:
+    """The three-mode space, its SU(2) closure and the nine (kr, density report) pairs."""
     space = angular.three_mode_space(cfg.cutoff)
     triple = angular.j_operators(space)
     cavity = _cavity(cfg)
@@ -132,16 +144,16 @@ def _algebra_reports(
         for kr in DENSITY_RADII
         for a, b in DENSITY_PAIRS
     ]
-    # the three diagonals summed block by block, so no dense operator is assembled
-    raw = angular.su3_generators(space).diagonal_raw
-    dependence = max(
-        float(np.max(np.abs(sum(blocks)))) for blocks in zip(*(op.blocks for op in raw))
-    )
-    return angular.verify_su2(triple, tol), densities, dependence
+    return space, angular.verify_su2(triple, tol), densities
 
 
 def cmd_algebra(cfg: RunConfig) -> tuple[str, int]:
-    su2, densities, su3_residual = _algebra_reports(cfg, cfg.tol)
+    space, su2, densities = _algebra_reports(cfg, cfg.tol)
+    # the three diagonals summed block by block, so no dense operator is assembled
+    raw = angular.su3_generators(space).diagonal_raw
+    su3_residual = max(
+        float(np.max(np.abs(sum(blocks)))) for blocks in zip(*(op.blocks for op in raw))
+    )
     checks = [_report_check(su2.identity, su2)]
     checks += [_report_check(f"{rep.identity} @ kr={kr}", rep) for kr, rep in densities]
     checks.append(
@@ -194,14 +206,14 @@ def _entangle_reports() -> tuple[twins.EntanglementOptimum, twins.SelectionRuleR
 def cmd_entangle(cfg: RunConfig) -> tuple[str, int]:
     optimum, rule = _entangle_reports()
     ok = optimum.variational_pass and rule.passed
-    payload = {**optimum.to_json_dict(), "selection_rule": rule.to_json_dict(), "pass": ok}
+    payload = {**_fields(optimum), "selection_rule": _fields(rule), "pass": ok}
     return _json_text(payload), 0 if ok else 1
 
 
-def _verify_all_checks(cfg: RunConfig) -> list[dict]:
+def cmd_verify_all(cfg: RunConfig) -> tuple[str, int]:
     checks: list[dict] = []
 
-    su2, densities, _ = _algebra_reports(cfg, VERIFY_TOL)
+    _, su2, densities = _algebra_reports(cfg, VERIFY_TOL)
     checks.append(_report_check("su2_closure", su2))
 
     expected = {0: (1.0, 1.0, 0.0), 1: (0.5, 0.5, 0.0), -1: (0.5, 0.5, 0.0)}
@@ -271,15 +283,13 @@ def _verify_all_checks(cfg: RunConfig) -> list[dict]:
     )
 
     optimum, rule = _entangle_reports()
-    target_c1 = 1.0 / np.sqrt(3.0)
-    target_c2 = np.sqrt(2.0 / 3.0)
-    target_mu = 2.0 / (3.0 * np.sqrt(3.0))
-    ent_ok = (
-        abs(optimum.c1_abs - target_c1) < 1e-8
-        and abs(optimum.c2_abs - target_c2) < 1e-8
-        and optimum.local_expectation_max_abs < 1e-8
-        and abs(optimum.mu_max - target_mu) < 1e-10
+    deviations = (
+        optimum.c1_abs - 1.0 / np.sqrt(3.0),
+        optimum.c2_abs - np.sqrt(2.0 / 3.0),
+        optimum.mu_max - 2.0 / (3.0 * np.sqrt(3.0)),
+        optimum.local_expectation_max_abs,
     )
+    ent_ok = all(abs(d) < ENTANGLE_TOL for d in deviations)
     checks.append(
         _check("entanglement_maximum", ent_ok, c1_abs=optimum.c1_abs,
                c2_abs=optimum.c2_abs, mu_max=optimum.mu_max,
@@ -290,11 +300,7 @@ def _verify_all_checks(cfg: RunConfig) -> list[dict]:
                eigen_residual=rule.eigen_residual,
                max_evolution_overlap=max(rule.evolution_overlaps))
     )
-    return checks
-
-
-def cmd_verify_all(cfg: RunConfig) -> tuple[str, int]:
-    return _report_text(_verify_all_checks(cfg))
+    return _report_text(checks)
 
 
 _DISPATCH = {
@@ -315,7 +321,7 @@ class _Option(NamedTuple):
     parse: type
     #: The values accepted; None accepts whatever `parse` accepts.
     choices: tuple | None
-    #: Flag help; "{:g}" shows the RunConfig default. None: no flag (the sub-command).
+    #: Flag help; "{:g}" shows the RunConfig default. None: no flag (the command, a positional).
     help: str | None
 
 
@@ -371,26 +377,24 @@ def load_config(path: str) -> RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # one set of flags, accepted before and after the command name; a flag not
-    # given sets nothing, so it cannot overwrite one given in the other position
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", help="key = value config file; flags override")
-    for name, option in _OPTIONS.items():
-        if option.help is not None:
-            common.add_argument(
-                "--" + name.replace("_", "-"), dest=name, type=option.parse,
-                choices=option.choices, help=option.help.format(getattr(RunConfig, name)),
-            )
+    """One parser; its parse_intermixed_args reads flags on either side of the command."""
     parser = argparse.ArgumentParser(
         prog="photonam",
         description="Angular-momentum structure of dipole-emitted photons: "
         "radial density profiles, operator-algebra checks, decay curves, "
         "and photon-twin entanglement.",
-        parents=[common],
     )
-    sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common], help=f"run the {name} computation")
+    parser.add_argument(
+        "command", nargs="?", choices=COMMANDS, default=None,
+        help=f"the computation to run (default {RunConfig.command})",
+    )
+    parser.add_argument("--config", help="key = value config file; flags override")
+    for name, option in _OPTIONS.items():
+        if option.help is not None:
+            parser.add_argument(
+                "--" + name.replace("_", "-"), dest=name, type=option.parse,
+                choices=option.choices, help=option.help.format(getattr(RunConfig, name)),
+            )
     return parser
 
 
@@ -438,7 +442,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_intermixed_args(argv)
     try:
         config = _merge_config(args)
         _validate(config)

@@ -294,25 +294,13 @@ class ZoneReport:
     """Near-, intermediate-, and wave-zone diagnostics of the density split.
 
     Each diagnostic is exact at its radius or window; none reads a sampled
-    profile.
+    profile. The fields, in order, are the keys of `radial --format json`.
     """
 
     near_ratio: float
     oam_peak_r: float
+    oam_peak_over_lambda: float
     wave_zone_discrepancy: float
-    config: CavityConfig
-
-    @property
-    def oam_peak_over_lambda(self) -> float:
-        return self.oam_peak_r / self.config.wavelength
-
-    def to_json_dict(self) -> dict:
-        return {
-            "near_ratio": self.near_ratio,
-            "oam_peak_r": self.oam_peak_r,
-            "oam_peak_over_lambda": self.oam_peak_over_lambda,
-            "wave_zone_discrepancy": self.wave_zone_discrepancy,
-        }
 
 
 def _oam_peak_kr() -> float:
@@ -348,11 +336,12 @@ def zone_report(config: CavityConfig, n_samples: int = 2000) -> ZoneReport:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
     spin_near, oam_near = _densities(0.2 * np.pi, config)
     start = min(0.8 * config.kR, config.kR - 2.0 * np.pi)
+    peak_r = _oam_peak_kr() / config.k
     return ZoneReport(
         near_ratio=spin_near / oam_near,
-        oam_peak_r=_oam_peak_kr() / config.k,
+        oam_peak_r=peak_r,
+        oam_peak_over_lambda=peak_r / config.wavelength,
         wave_zone_discrepancy=wave_zone_discrepancy(config, start),
-        config=config,
     )
 
 

@@ -35,7 +35,8 @@ from .fock import (
 FORWARD_MODES = tuple(ModeLabel(m.name, "fwd") for m in AM_MODES)
 BACKWARD_MODES = tuple(ModeLabel(m.name, "bwd") for m in AM_MODES)
 
-VARIATIONAL_TOL = 1e-8
+#: Bound on the local SU(3) expectations at the optimum, which read 0.0.
+VARIATIONAL_TOL = 1e-14
 #: Bounds on the odd-state coupling and eigen-residual, and on its evolved overlap.
 COUPLING_TOL = 1e-12
 OVERLAP_TOL = 1e-10
@@ -80,22 +81,13 @@ def local_expectations(psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EntanglementOptimum:
-    """Maximizer of the pair-entanglement measure with its variational check."""
+    """Maximizer of mu with its variational check; its fields lead the entangle report."""
 
     c1_abs: float
     c2_abs: float
     mu_max: float
     local_expectation_max_abs: float
     variational_pass: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "c1_abs": self.c1_abs,
-            "c2_abs": self.c2_abs,
-            "mu_max": self.mu_max,
-            "local_expectation_max_abs": self.local_expectation_max_abs,
-            "variational_pass": self.variational_pass,
-        }
 
 
 def maximize_entanglement() -> EntanglementOptimum:
@@ -223,7 +215,7 @@ def excitation_number(space: AtomFieldSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SelectionRuleReport:
-    """Numerical evidence that the exchange-odd pair state is never radiated."""
+    """Evidence that the odd pair state is never radiated: entangle's "selection_rule"."""
 
     coupling_to_odd: float
     eigen_residual: float
@@ -231,16 +223,6 @@ class SelectionRuleReport:
     times: tuple[float, ...]
     evolution_overlaps: tuple[float, ...]
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coupling_to_odd": self.coupling_to_odd,
-            "eigen_residual": self.eigen_residual,
-            "eigenvalue": self.eigenvalue,
-            "times": list(self.times),
-            "evolution_overlaps": list(self.evolution_overlaps),
-            "pass": self.passed,
-        }
 
 
 def selection_rule_check(

@@ -16,6 +16,7 @@ from photonam.cli import (
     FORMATS,
     M_VALUES,
     MAX_SAMPLES,
+    _OPTIONS,
     ConfigError,
     RunConfig,
     _build_parser,
@@ -319,7 +320,7 @@ def test_config_file_round_trip(tmp_path, case):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_config_files())
 def test_flags_and_config_file_agree(tmp_path, case):
-    # the same values as --key=value flags, with the command as the sub-command
+    # the same values as --key=value flags, with the command as the positional
     config, text = case
     path = tmp_path / "same.cfg"
     path.write_text(text, encoding="utf-8")
@@ -328,8 +329,72 @@ def test_flags_and_config_file_agree(tmp_path, case):
         for field in fields(config)
         if field.name != "command" and getattr(config, field.name) is not None
     ]
-    args = _build_parser().parse_args([config.command, *flags])
+    args = _build_parser().parse_intermixed_args([config.command, *flags])
     assert _merge_config(args) == load_config(str(path))
+
+
+#: Two valid values of every flag, neither of them its default.
+_FLAG_VALUES = {
+    "kR": ("50", "60"),
+    "samples": ("150", "160"),
+    "m": ("1", "-1"),
+    "omega0_over_gamma": ("77.7", "88.8"),
+    "cutoff": ("4", "5"),
+    "tol": ("1e-10", "1e-11"),
+    "out": ("a.json", "b.json"),
+    "format": ("csv", "json"),
+}
+
+
+def _parsed(*argv):
+    return _merge_config(_build_parser().parse_intermixed_args(list(argv)))
+
+
+def test_every_flag_has_test_values():
+    flagged = {name for name, option in _OPTIONS.items() if option.help is not None}
+    assert set(_FLAG_VALUES) == flagged
+
+
+@pytest.mark.parametrize("name", sorted(_FLAG_VALUES))
+def test_flag_on_either_side_of_the_command_later_wins(name):
+    flag = "--" + name.replace("_", "-")
+    first, second = _FLAG_VALUES[name]
+    want_first, want_second = (_OPTIONS[name].parse(value) for value in (first, second))
+    assert getattr(_parsed(flag, first, "decay"), name) == want_first
+    assert getattr(_parsed("decay", flag, first), name) == want_first
+    assert getattr(_parsed(flag, first, "decay", flag, second), name) == want_second
+    assert getattr(_parsed(flag, second, "decay", flag, first), name) == want_first
+    # on one side, too, the later value wins; the command is read wherever it stands
+    assert getattr(_parsed(flag, first, flag, second), name) == want_second
+    assert _parsed(flag, first, "decay", flag, second).command == "decay"
+
+
+def test_flags_before_and_after_the_command_give_the_same_bytes(capsys):
+    after = run_cli(capsys, "radial", "--kR", "50", "--samples", "120", "--format", "json")
+    before = run_cli(capsys, "--kR", "50", "--samples", "120", "radial", "--format", "json")
+    assert after == before and after[0] == 0
+
+
+def test_help_is_one_page_listing_every_command_and_flag(capsys):
+    pages = []
+    for argv in (["--help"], ["radial", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        pages.append(capsys.readouterr().out)
+    assert pages[0] == pages[1]
+    assert "{" + ",".join(COMMANDS) + "}" in pages[0]
+    for flag in ["--config", *("--" + name.replace("_", "-") for name in _FLAG_VALUES)]:
+        assert flag in pages[0], flag
+
+
+def test_second_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["radial", "algebra"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: algebra" in captured.err
 
 
 def test_invalid_flags_exit_2():
@@ -338,6 +403,9 @@ def test_invalid_flags_exit_2():
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["variance", "--m", "7"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["bogus"])
     assert info.value.code == 2
 
 

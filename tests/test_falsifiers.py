@@ -135,12 +135,13 @@ def leak_to_odd_pair(monkeypatch):
 def unequal_psi2(monkeypatch):
     # psi2 with amplitudes 1/sqrt(2) + delta and 1/sqrt(2) on |+1, -1> and
     # |-1, +1>: the largest local SU(3) expectation at the optimum reads
-    # 0.943 delta, so |delta| = 1.06e-8, of either sign, is the smallest that
-    # passes its 1e-8 bound and flips entanglement_maximum. The selection rule
+    # ~0.95 delta, so delta = +1.07e-14 or -1.06e-14 is the smallest that
+    # passes its 1e-14 bound and flips entanglement_maximum (under the former
+    # 1e-8 bound, the delta = 1e-13 used here passed). The selection rule
     # reads psi3 only.
     psi1, _, psi3 = twins.PARITY_BASIS
     root = 1.0 / np.sqrt(2.0)
-    skewed = twins._pair_state({(1, -1): root + 1e-6, (-1, 1): root})
+    skewed = twins._pair_state({(1, -1): root + 1e-13, (-1, 1): root})
     monkeypatch.setattr(twins, "PARITY_BASIS", (psi1, skewed, psi3))
 
 

@@ -13,6 +13,7 @@ The OAM peak is checked against root finders on scipy's and mpmath's j2'.
 """
 
 import functools
+import json
 
 import math
 import warnings
@@ -27,7 +28,7 @@ from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from photonam import radial
-from photonam.cli import NEAR_RATIO_MIN
+from photonam.cli import NEAR_RATIO_MIN, main
 from photonam.radial import (
     CavityConfig,
     CSV_HEADER,
@@ -535,14 +536,20 @@ def test_window_start_refuses_negative_nan_and_infinity(config, start):
         wave_zone_discrepancy(config, start)
 
 
-def test_zone_report_json(config):
-    payload = zone_report(config).to_json_dict()
-    assert set(payload) == {
+def test_zone_report_json(capsys):
+    # the output contract: "schema", then the ZoneReport fields in order, so
+    # renaming or reordering a field fails here
+    assert main(["radial", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [
+        "schema",
         "near_ratio",
         "oam_peak_r",
         "oam_peak_over_lambda",
         "wave_zone_discrepancy",
-    }
+    ]
+    report = zone_report(CavityConfig(k=1.0, R=100.0))
+    assert payload["oam_peak_over_lambda"] == float(f"{report.oam_peak_over_lambda:.12g}")
 
 
 # ---------------------------------------------------------------- csv

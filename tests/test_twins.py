@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from photonam import twins
 from photonam.angular import SU3_BLOCKS
+from photonam.cli import main
 from ladder import (
     DenseOperator,
     annihilation,
@@ -166,15 +168,43 @@ def test_variational_condition_unique_and_matches_optimum():
     assert root == pytest.approx(maximize_entanglement().c1_abs, abs=1e-8)
 
 
-def test_json_report_schema():
-    payload = maximize_entanglement().to_json_dict()
-    assert set(payload) == {
-        "c1_abs",
-        "c2_abs",
-        "mu_max",
-        "local_expectation_max_abs",
-        "variational_pass",
-    }
+#: Keys of the entangle report in order: "schema", the EntanglementOptimum
+#: fields, the SelectionRuleReport as "selection_rule", then "pass".
+ENTANGLE_KEYS = [
+    "schema",
+    "c1_abs",
+    "c2_abs",
+    "mu_max",
+    "local_expectation_max_abs",
+    "variational_pass",
+    "selection_rule",
+    "pass",
+]
+
+#: Keys of its "selection_rule" object in order; the field `passed` reads "pass".
+SELECTION_RULE_KEYS = [
+    "coupling_to_odd",
+    "eigen_residual",
+    "eigenvalue",
+    "times",
+    "evolution_overlaps",
+    "pass",
+]
+
+
+def entangle_report(capsys):
+    code = main(["entangle"])
+    return code, json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+
+
+def test_json_report_schema(capsys):
+    # renaming or reordering a report field fails here
+    code, payload = entangle_report(capsys)
+    assert code == 0
+    assert list(payload) == ENTANGLE_KEYS
+    assert list(payload["selection_rule"]) == SELECTION_RULE_KEYS
+    assert payload["variational_pass"] is True
+    assert payload["mu_max"] == float(f"{maximize_entanglement().mu_max:.12g}")
 
 
 # ---------------------------------------------------------------- hamiltonian
@@ -263,16 +293,17 @@ def test_excitation_number_conserved():
     assert space.sectors.sizes[2] == 22
 
 
-def test_selection_rule_report(space, hamiltonian):
+def test_selection_rule_report(space, hamiltonian, capsys, monkeypatch):
     report = selection_rule_check(hamiltonian, space, omega=1.0, gamma_coupling=0.05)
     assert report.coupling_to_odd < 1e-12
     assert report.eigen_residual < 1e-12
     assert report.eigenvalue == 2.0
     assert all(v < 1e-10 for v in report.evolution_overlaps)
     assert report.passed
-    payload = report.to_json_dict()
-    assert payload["pass"] is True
-    assert len(payload["evolution_overlaps"]) == 3
+    code, payload = entangle_report(capsys)
+    rule = payload["selection_rule"]
+    assert code == 0 and list(rule) == SELECTION_RULE_KEYS and rule["pass"] is True
+    assert len(rule["times"]) == len(rule["evolution_overlaps"]) == 3
     # a hermitian perturbation coupling |e; vac> to |g; psi3> radiates the odd
     # state, and the failing report is plain JSON too
     vac = np.zeros(space.field_space.dim, dtype=complex)
@@ -284,7 +315,13 @@ def test_selection_rule_report(space, hamiltonian):
     failed = selection_rule_check(leaky, space, omega=1.0, gamma_coupling=0.05)
     assert failed.coupling_to_odd == pytest.approx(1e-3, rel=1e-12)
     assert max(failed.evolution_overlaps) > 1e-4
-    assert json.loads(json.dumps(failed.to_json_dict()))["pass"] is False
+    # entangle writes the failing report as strict JSON, with exit 1
+    monkeypatch.setattr(twins, "interaction_hamiltonian", lambda *args: leaky)
+    code, payload = entangle_report(capsys)
+    rule = payload["selection_rule"]
+    assert code == 1 and payload["pass"] is False
+    assert list(rule) == SELECTION_RULE_KEYS and rule["pass"] is False
+    assert rule["coupling_to_odd"] == float(f"{failed.coupling_to_odd:.12g}")
 
 
 def test_selection_rule_check_rejects_non_hermitian(space, hamiltonian):
