@@ -48,11 +48,11 @@ def three_mode_space(cutoff: int = DEFAULT_CUTOFF) -> FockSpace:
     The cutoff must admit one photon: on the vacuum alone every AM operator is
     zero and each identity would hold vacuously.
     """
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     return build_space(AM_MODES, cutoff)
 
 
-def _check_cutoff(cutoff: int) -> None:
+def check_cutoff(cutoff: int) -> None:
     """ValueError unless cutoff admits a photon and three-mode sectors within MAX_SECTOR_DIM."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1 to hold a photon, got {cutoff}")
@@ -228,7 +228,7 @@ def am_variances(m: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float, fl
     """
     if m not in M_VALUES:
         raise ValueError(f"m must be one of +1, 0, -1, got {m}")
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     row = M_VALUES.index(m)
     return tuple(
         float((block @ block)[row, row].real - block[row, row].real ** 2)

@@ -10,6 +10,11 @@ key: its parser, its allowed values and its help text. Flags may stand on
 either side of the command; of a flag given twice the later value wins. A JSON
 report is "schema", then the fields of the library's report dataclass in order,
 a `passed` field written as "pass" (`_fields`).
+
+`verify-all` is one list of checks in report order: su2_closure and
+density_commutators come from `algebra`'s helper (`_algebra_checks`),
+selection_rule from `entangle`'s (`_selection_rule`). Of its checks --tol bounds
+su2_closure, variance_table and density_commutators; the rest have fixed bounds.
 """
 
 from __future__ import annotations
@@ -32,9 +37,6 @@ SCHEMA_VERSION = 1
 ENTANGLE_OMEGA = 1.0
 ENTANGLE_OMEGA0 = 2.0
 ENTANGLE_COUPLING = 0.05
-
-#: The fixed tolerance of verify-all's algebra, variance and density checks.
-VERIFY_TOL = 1e-12
 
 #: Bound of verify-all's entanglement_maximum on the deviations of |c1|, |c2| and mu
 #: from their closed forms and on the local SU(3) expectations: 1.1e-16, 0, 5.6e-17, 0.
@@ -107,11 +109,6 @@ def _check(name: str, passed: bool, **details) -> dict:
     return {"name": name, "pass": bool(passed), **details}
 
 
-def _report_check(name: str, report: angular.AlgebraReport) -> dict:
-    return _check(name, report.passed, max_residual=report.max_residual,
-                  tolerance=report.tolerance)
-
-
 def _report_text(checks: list[dict]) -> tuple[str, int]:
     ok = all(c["pass"] for c in checks)
     return _json_text({"checks": checks, "pass": ok}), 0 if ok else 1
@@ -132,35 +129,31 @@ def cmd_radial(cfg: RunConfig) -> tuple[str, int]:
     return _json_text(_fields(report)), 0
 
 
-def _algebra_reports(
-    cfg: RunConfig, tol: float
-) -> tuple[fock.FockSpace, angular.AlgebraReport, list[tuple[float, angular.AlgebraReport]]]:
-    """The three-mode space, its SU(2) closure and the nine (kr, density report) pairs."""
-    space = angular.three_mode_space(cfg.cutoff)
+def _algebra_checks(cfg: RunConfig, space: fock.FockSpace) -> list[dict]:
+    """su2_closure, then the nine density identities "... @ kr=...", each bounded by --tol."""
     triple = angular.j_operators(space)
     cavity = _cavity(cfg)
-    densities = [
-        (kr, angular.density_commutator_check(a, b, kr, tol, config=cavity, triple=triple))
-        for kr in DENSITY_RADII
-        for a, b in DENSITY_PAIRS
+    named = [("su2_closure", angular.verify_su2(triple, cfg.tol))]
+    for kr in DENSITY_RADII:
+        for a, b in DENSITY_PAIRS:
+            rep = angular.density_commutator_check(a, b, kr, cfg.tol, config=cavity, triple=triple)
+            named.append((f"{rep.identity} @ kr={kr}", rep))
+    return [
+        _check(name, rep.passed, max_residual=rep.max_residual, tolerance=rep.tolerance)
+        for name, rep in named
     ]
-    return space, angular.verify_su2(triple, tol), densities
 
 
 def cmd_algebra(cfg: RunConfig) -> tuple[str, int]:
-    space, su2, densities = _algebra_reports(cfg, cfg.tol)
+    space = angular.three_mode_space(cfg.cutoff)
     # the three diagonals summed block by block, so no dense operator is assembled
     raw = angular.su3_generators(space).diagonal_raw
     su3_residual = max(
         float(np.max(np.abs(sum(blocks)))) for blocks in zip(*(op.blocks for op in raw))
     )
-    checks = [_report_check(su2.identity, su2)]
-    checks += [_report_check(f"{rep.identity} @ kr={kr}", rep) for kr, rep in densities]
-    checks.append(
-        _check("su3_diagonal_dependence", su3_residual < cfg.tol, max_residual=su3_residual,
-               tolerance=cfg.tol)
-    )
-    return _report_text(checks)
+    su3 = _check("su3_diagonal_dependence", su3_residual < cfg.tol, max_residual=su3_residual,
+                 tolerance=cfg.tol)
+    return _report_text(_algebra_checks(cfg, space) + [su3])
 
 
 def cmd_variance(cfg: RunConfig) -> tuple[str, int]:
@@ -193,114 +186,120 @@ def cmd_decay(cfg: RunConfig) -> tuple[str, int]:
     return _json_text(payload), 0 if ok else 1
 
 
-def _entangle_reports() -> tuple[twins.EntanglementOptimum, twins.SelectionRuleReport]:
-    """The entanglement optimum and the selection rule of the resonant pair Hamiltonian."""
+def _selection_rule() -> twins.SelectionRuleReport:
+    """The selection rule of the resonant pair Hamiltonian."""
     space = twins.atom_field_space()
     hamiltonian = twins.interaction_hamiltonian(
         space, ENTANGLE_OMEGA, ENTANGLE_OMEGA0, ENTANGLE_COUPLING
     )
-    rule = twins.selection_rule_check(hamiltonian, space, ENTANGLE_OMEGA, ENTANGLE_COUPLING)
-    return twins.maximize_entanglement(), rule
+    return twins.selection_rule_check(hamiltonian, space, ENTANGLE_OMEGA, ENTANGLE_COUPLING)
 
 
 def cmd_entangle(cfg: RunConfig) -> tuple[str, int]:
-    optimum, rule = _entangle_reports()
+    optimum, rule = twins.maximize_entanglement(), _selection_rule()
     ok = optimum.variational_pass and rule.passed
     payload = {**_fields(optimum), "selection_rule": _fields(rule), "pass": ok}
     return _json_text(payload), 0 if ok else 1
 
 
-def cmd_verify_all(cfg: RunConfig) -> tuple[str, int]:
-    checks: list[dict] = []
-
-    _, su2, densities = _algebra_reports(cfg, VERIFY_TOL)
-    checks.append(_report_check("su2_closure", su2))
-
+def _variance_table(cfg: RunConfig) -> dict:
     expected = {0: (1.0, 1.0, 0.0), 1: (0.5, 0.5, 0.0), -1: (0.5, 0.5, 0.0)}
     got = {m: angular.am_variances(m, cfg.cutoff) for m in expected}
     worst = max(abs(g - w) for m, want in expected.items() for g, w in zip(got[m], want))
     ordering = got[0][0] > got[1][0]
-    checks.append(
-        _check("variance_table", worst < VERIFY_TOL and ordering, max_deviation=worst,
-               tolerance=VERIFY_TOL)
-    )
+    return _check("variance_table", worst < cfg.tol and ordering, max_deviation=worst,
+                  tolerance=cfg.tol)
 
+
+def _shell_conservation() -> dict:
     # quadrature of the densities: the profile's cum_* columns end at 1/2 anyway
-    worst_shell = 0.0
-    for kR in (20.0, 100.0, 500.0):
-        spin, oam = radial.shell_integrals(
-            radial.CavityConfig(k=1.0, R=kR), np.linspace(0.0, kR, 2001)
-        )
-        dev = max(abs(spin - 0.5), abs(oam - 0.5), abs(spin + oam - 1.0) / 2.0)
-        worst_shell = max(worst_shell, dev)
-    checks.append(
-        _check("shell_conservation", worst_shell < 1e-6, max_deviation=worst_shell,
-               tolerance=1e-6)
-    )
+    integrals = [
+        radial.shell_integrals(radial.CavityConfig(k=1.0, R=kR), np.linspace(0.0, kR, 2001))
+        for kR in (20.0, 100.0, 500.0)
+    ]
+    worst = max(max(abs(s - 0.5), abs(o - 0.5), abs(s + o - 1.0) / 2.0) for s, o in integrals)
+    return _check("shell_conservation", worst < 1e-6, max_deviation=worst, tolerance=1e-6)
 
-    cavity = _cavity(cfg)
-    zone = radial.zone_report(cavity)
+
+def _near_zone_spin_dominance(cavity: radial.CavityConfig, zone: radial.ZoneReport) -> dict:
     near_ok = (
         zone.near_ratio > NEAR_RATIO_MIN
         and radial.f_oam(0.0, cavity) == 0.0
         and int(np.argmax(radial.radial_profile(cavity).f_spin)) == 0
     )
-    checks.append(_check("near_zone_spin_dominance", near_ok, near_ratio=zone.near_ratio))
+    return _check("near_zone_spin_dominance", near_ok, near_ratio=zone.near_ratio)
 
+
+def _oam_peak_location(zone: radial.ZoneReport) -> dict:
     peak = zone.oam_peak_over_lambda
-    checks.append(
-        _check("oam_peak_location", 0.4 <= peak <= 0.65, oam_peak_over_lambda=peak)
-    )
+    return _check("oam_peak_location", 0.4 <= peak <= 0.65, oam_peak_over_lambda=peak)
 
+
+def _wave_zone_equality() -> dict:
     wide = radial.CavityConfig(k=1.0, R=1000.0)
     discrepancies = [radial.wave_zone_discrepancy(wide, start) for start in (100.0, 200.0, 400.0, 800.0)]
-    wave_ok = all(d < WAVE_DISCREPANCY_MAX for d in discrepancies) and all(
-        discrepancies[i] > discrepancies[i + 1] for i in range(len(discrepancies) - 1)
-    )
-    checks.append(_check("wave_zone_equality", wave_ok, discrepancies=discrepancies))
+    falling = all(a > b for a, b in zip(discrepancies, discrepancies[1:]))
+    wave_ok = falling and all(d < WAVE_DISCREPANCY_MAX for d in discrepancies)
+    return _check("wave_zone_equality", wave_ok, discrepancies=discrepancies)
 
-    reports = [rep for _, rep in densities]
-    checks.append(
-        _check("density_commutators", all(rep.passed for rep in reports),
-               max_residual=max(rep.max_residual for rep in reports), tolerance=VERIFY_TOL)
-    )
 
+def _density_commutators(cfg: RunConfig, densities: list[dict]) -> dict:
+    """The nine density identities of _algebra_checks as one check."""
+    return _check("density_commutators", all(c["pass"] for c in densities),
+                  max_residual=max(c["max_residual"] for c in densities), tolerance=cfg.tol)
+
+
+def _decay_conservation(cfg: RunConfig) -> dict:
     residuals = []
     for ratio in (1e2, 1e3, 1e4):
         params = decay.DecayParams(omega0=ratio, gamma=1.0, time_grid=np.array([0.0]))
         residuals.append(abs(decay.conservation_check(params, 10.0)))
-    params = _decay_params(cfg, 41)
-    curve = decay.sz_curve(params)
+    curve = decay.sz_curve(_decay_params(cfg, 41))
     closed_form = np.max(np.abs(curve.excited_pop + 2.0 * curve.sz_expect - 1.0))
     decay_ok = (
         closed_form == 0.0
         and residuals[1] < 0.02
         and residuals[0] > residuals[1] > residuals[2]
     )
-    checks.append(
-        _check("decay_conservation", decay_ok, residuals=residuals,
-               closed_form_deviation=float(closed_form))
-    )
+    return _check("decay_conservation", decay_ok, residuals=residuals,
+                  closed_form_deviation=float(closed_form))
 
-    optimum, rule = _entangle_reports()
+
+def _entanglement_maximum(optimum: twins.EntanglementOptimum) -> dict:
     deviations = (
         optimum.c1_abs - 1.0 / np.sqrt(3.0),
         optimum.c2_abs - np.sqrt(2.0 / 3.0),
         optimum.mu_max - 2.0 / (3.0 * np.sqrt(3.0)),
         optimum.local_expectation_max_abs,
     )
-    ent_ok = all(abs(d) < ENTANGLE_TOL for d in deviations)
-    checks.append(
-        _check("entanglement_maximum", ent_ok, c1_abs=optimum.c1_abs,
-               c2_abs=optimum.c2_abs, mu_max=optimum.mu_max,
-               local_expectation_max_abs=optimum.local_expectation_max_abs)
-    )
-    checks.append(
-        _check("selection_rule", rule.passed, coupling_to_odd=rule.coupling_to_odd,
-               eigen_residual=rule.eigen_residual,
-               max_evolution_overlap=max(rule.evolution_overlaps))
-    )
-    return _report_text(checks)
+    return _check("entanglement_maximum", all(abs(d) < ENTANGLE_TOL for d in deviations),
+                  c1_abs=optimum.c1_abs, c2_abs=optimum.c2_abs, mu_max=optimum.mu_max,
+                  local_expectation_max_abs=optimum.local_expectation_max_abs)
+
+
+def _selection_rule_check(rule: twins.SelectionRuleReport) -> dict:
+    """verify-all's selection_rule: the report of _selection_rule(), in brief."""
+    return _check("selection_rule", rule.passed, coupling_to_odd=rule.coupling_to_odd,
+                  eigen_residual=rule.eigen_residual,
+                  max_evolution_overlap=max(rule.evolution_overlaps))
+
+
+def cmd_verify_all(cfg: RunConfig) -> tuple[str, int]:
+    su2_closure, *densities = _algebra_checks(cfg, angular.three_mode_space(cfg.cutoff))
+    cavity = _cavity(cfg)
+    zone = radial.zone_report(cavity)
+    return _report_text([
+        su2_closure,
+        _variance_table(cfg),
+        _shell_conservation(),
+        _near_zone_spin_dominance(cavity, zone),
+        _oam_peak_location(zone),
+        _wave_zone_equality(),
+        _density_commutators(cfg, densities),
+        _decay_conservation(cfg),
+        _entanglement_maximum(twins.maximize_entanglement()),
+        _selection_rule_check(_selection_rule()),
+    ])
 
 
 _DISPATCH = {
@@ -340,7 +339,11 @@ _OPTIONS = {
         "Fock-space total-occupation cutoff (default {:g}); entangle and verify-all's "
         "selection_rule do not read it: their 22-state pair sector is the same at every cutoff",
     ),
-    "tol": _Option(float, None, "tolerance for algebra checks (default {:g})"),
+    "tol": _Option(
+        float, None,
+        "bound of every algebra check and of verify-all's su2_closure, variance_table and "
+        "density_commutators (default {:g}); verify-all's other bounds are fixed",
+    ),
     "out": _Option(str, None, "output path (default stdout)"),
     "format": _Option(str, FORMATS, "output format (default depends on command)"),
 }
@@ -407,7 +410,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     """Refuse a tolerance that judges nothing and a grid out of bounds.
 
-    The cutoff, cavity and decay parameters are built whatever the command, so
+    The cutoff, cavity and decay parameters are checked whatever the command, so
     a flag the command does not read is refused just as one it reads.
     """
     if not (np.isfinite(cfg.tol) and cfg.tol > 0):
@@ -417,7 +420,7 @@ def _validate(cfg: RunConfig) -> None:
     fewest = radial.MIN_SAMPLES if cfg.command == "radial" else MIN_DECAY_SAMPLES
     if cfg.samples is not None and cfg.samples < fewest:
         raise ValueError(f"samples must be >= {fewest}, got {cfg.samples}")
-    angular.three_mode_space(cfg.cutoff)
+    angular.check_cutoff(cfg.cutoff)
     _cavity(cfg)
     _decay_params(cfg, 1)
 

@@ -25,14 +25,12 @@ from numpy.polynomial.polynomial import polyval
 
 from .output import csv_lines
 
-#: Below this argument the closed forms lose digits to cancellation and the
-#: power series is machine-exact; both branches agree to ~5e-14 at the seam.
-SERIES_SWITCH = 0.1
-
-#: Per-ell seam of the shell antiderivative: below it the closed forms cancel
-#: (for ell = 2, 1.2e-7 relative error at x = 0.1) and the series is used.
-#: Both then stay within 8.4e-16 relative of exact over x in [1e-4, 2e4].
-_LOMMEL_SWITCH = {0: 2.0, 2: 3.0}
+#: Per-ell seam of j_ell and of its shell antiderivative A_ell: below it the
+#: closed forms cancel (for ell = 2, j2 loses 7e-11 and A_2 1.2e-7 relative at
+#: x = 0.1) and the Taylor series is used. j0 and j2 then stay within 8e-16
+#: relative of exact over x in [1e-4, 5.5], A_0 and A_2 within 8.4e-16 over
+#: [1e-4, 2e4].
+SERIES_SWITCH = {0: 2.0, 2: 3.0}
 _SERIES_TERMS = 24
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -103,21 +101,18 @@ class CavityConfig:
 def spherical_bessel(ell: int, x):
     """j0 or j2 for finite x >= 0, scalar or array.
 
-    Closed forms j0 = sin(x)/x and j2 = (3/x^3 - 1/x) sin(x) - (3/x^2) cos(x)
-    above SERIES_SWITCH; Taylor series below it, where the j2 closed form
-    cancels catastrophically. The series is evaluated on those arguments only.
+    From SERIES_SWITCH[ell] on, j0 = sin(x)/x and j2 by upward recurrence from
+    it (`_spherical_j1_j2`); below the seam the Taylor series, where the
+    recurrence cancels. The series is evaluated on those arguments only.
     """
     if ell not in (0, 2):
         raise ValueError(f"ell must be 0 or 2, got {ell}")
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0) & (arr < np.inf)):
         raise ValueError("argument must be finite and >= 0")
-    small = arr < SERIES_SWITCH
-    safe = np.where(small, 1.0, arr)  # avoid 0/0 where the series replaces the closed form
-    if ell == 0:
-        closed = np.sin(safe) / safe
-    else:
-        closed = (3.0 / safe**3 - 1.0 / safe) * np.sin(safe) - 3.0 * np.cos(safe) / safe**2
+    small = arr < SERIES_SWITCH[ell]
+    safe = np.where(small, SERIES_SWITCH[ell], arr)  # keep the unused branch finite
+    closed = np.sin(safe) / safe if ell == 0 else _spherical_j1_j2(safe)[1]
     out = np.asarray(closed)  # a 0-d array where numpy returned a scalar
     if small.any():
         out[small] = _bessel_series(ell, arr[small])
@@ -160,13 +155,13 @@ def _spherical_j1_j2(x):
 def _shell_antiderivative(ell: int, x) -> np.ndarray:
     """A_ell(x) = int_0^x t^2 j_ell(t)^2 dt for ell = 0, 2 (Lommel, DLMF 10.22).
 
-    From _LOMMEL_SWITCH[ell] on, the closed forms x/2 - sin(2x)/4 and
+    From SERIES_SWITCH[ell] on, the closed forms x/2 - sin(2x)/4 and
     (x^3/2)(j2^2 - j1 j3), with j1, j2 and j3 by upward recurrence from
     j0 = sin(x)/x; below it, the Taylor series, evaluated on those arguments only.
     """
     x = np.asarray(x, dtype=float)
-    small = x < _LOMMEL_SWITCH[ell]
-    xc = np.where(small, _LOMMEL_SWITCH[ell], x)  # keep the unused branch finite
+    small = x < SERIES_SWITCH[ell]
+    xc = np.where(small, SERIES_SWITCH[ell], x)  # keep the unused branch finite
     if ell == 0:
         closed = xc / 2.0 - np.sin(2.0 * xc) / 4.0
     else:

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from photonam import radial, twins
+from photonam import angular, radial, twins
 from photonam.cli import (
     COMMANDS,
     FORMATS,
@@ -51,6 +52,23 @@ def test_variance_cutoff_messages(capsys):
     assert run_cli(capsys, "variance", "--cutoff", "21") == (
         2, "", "error: 3 modes at cutoff 21 give a 21-photon sector of 253 states > 252\n"
     )
+    # a command that reads no cutoff refuses a bad one in the same words
+    assert run_cli(capsys, "radial", "--cutoff", "0") == (
+        2, "", "error: cutoff must be >= 1 to hold a photon, got 0\n"
+    )
+    assert run_cli(capsys, "radial", "--cutoff", "21") == (
+        2, "", "error: 3 modes at cutoff 21 give a 21-photon sector of 253 states > 252\n"
+    )
+
+
+def test_radial_checks_the_cutoff_without_building_a_space(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("radial built a Fock space")
+
+    monkeypatch.setattr(angular, "build_space", refuse)
+    code, out, err = run_cli(capsys, "radial", "--cutoff", "20", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["schema"] == 1
 
 
 def test_radial_csv_row_count_and_final_cumulative(tmp_path):
@@ -136,6 +154,77 @@ def test_verify_all_passes(capsys):
     assert payload["pass"] is True
     assert all(check["pass"] for check in payload["checks"])
     assert len(payload["checks"]) == 10
+
+
+def checks_of(capsys, *args):
+    code, out, _ = run_cli(capsys, *args)
+    return code, json.loads(out)["checks"]
+
+
+@pytest.mark.parametrize("cutoff", ["1", "3", "8"])
+@pytest.mark.parametrize("tol", ["1e-12", "1e-3"])
+def test_verify_all_algebra_checks_are_algebras(capsys, cutoff, tol):
+    _, algebra = checks_of(capsys, "algebra", "--cutoff", cutoff, "--tol", tol)
+    _, verify = checks_of(capsys, "verify-all", "--cutoff", cutoff, "--tol", tol)
+    verify = {check["name"]: check for check in verify}
+    su2, densities = algebra[0], algebra[1:10]
+    assert [c["name"] for c in densities] == [
+        f"[{a}_a(r),{b}_b(r)] = i eps_abc f_{a}(kr) {b}_c(r) @ kr={kr}"
+        for kr in (0.5, 3.0, 50.0)
+        for a, b in (("spin", "spin"), ("oam", "oam"), ("oam", "spin"))
+    ]
+    assert verify["su2_closure"] == su2
+    assert verify["density_commutators"] == {
+        "name": "density_commutators",
+        "pass": all(c["pass"] for c in densities),
+        "max_residual": max(c["max_residual"] for c in densities),
+        "tolerance": float(tol),
+    }
+
+
+def test_verify_all_tol_bounds_its_algebra_and_variance_checks(capsys):
+    code, checks = checks_of(capsys, "verify-all", "--tol", "1e-30")
+    assert code == 1
+    failed = [check for check in checks if not check["pass"]]
+    assert [check["name"] for check in failed] == [
+        "su2_closure", "variance_table", "density_commutators"
+    ]
+    assert all(check["tolerance"] == 1e-30 for check in failed)
+
+
+def count_calls(monkeypatch, targets):
+    """Wrap each (module, name) of targets in a counter; return the counts by name."""
+    counts = Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
+
+
+def test_verify_all_computes_each_shared_value_once(capsys, monkeypatch):
+    targets = [
+        (angular, "three_mode_space"),
+        (angular, "j_operators"),
+        (radial, "zone_report"),
+        (twins, "interaction_hamiltonian"),
+        (twins, "maximize_entanglement"),
+    ]
+    counts = count_calls(monkeypatch, targets)
+    assert run_cli(capsys, "verify-all")[0] == 0
+    assert counts == Counter({name: 1 for _, name in targets})
+
+
+def test_algebra_builds_the_space_once(capsys, monkeypatch):
+    counts = count_calls(monkeypatch, [(angular, "three_mode_space")])
+    assert run_cli(capsys, "algebra")[0] == 0
+    assert counts == Counter(three_mode_space=1)
 
 
 def test_verify_all_shell_conservation_detects_bad_normalization(capsys, monkeypatch):
