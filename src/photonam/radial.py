@@ -17,7 +17,7 @@ a wavelength.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial, prod
 
 import numpy as np
@@ -298,12 +298,14 @@ class ZoneReport:
     wave_zone_discrepancy: float
 
 
+@cache
 def _oam_peak_kr() -> float:
     """The first maximum of j2: the single root of j2' = j1 - 3 j2 / x in (0, 2 pi].
 
     j2' (DLMF 10.51.2) is positive below the root (~3.342) and -0.12 at 2 pi,
     so bisection on its sign needs no bracket from a grid. It stops when the
     midpoint rounds onto an end, 5e-16 from the root: the rounding noise of j2'.
+    The root depends on no input, so it is found once per process.
     """
     lo, hi = 0.0, 2.0 * np.pi
     mid = 0.5 * (lo + hi)

@@ -1,22 +1,44 @@
-"""The CSV writer against the per-cell writer it replaced.
+"""The numpy CSV writer against the per-cell writer.
 
-`output.csv_lines` formats a row with one "%.12g,...,%.12g" template. The
-reference below formats every cell with `format(v, ".12g")` and joins the
-row, as the writer did before; the two must agree byte for byte.
+`output.csv_lines` certifies cells in numpy and lays out their digits from
+tables; every other cell goes through `"%.12g" %`. The reference below
+formats every cell with `format(v, ".12g")` and joins the row; the two must
+agree byte for byte. The last tests show that the numpy path, not the
+per-cell fallback, writes nearly every cell of a real table.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from photonam import decay, radial
-from photonam.output import csv_lines
+from photonam import decay, output, radial
+from photonam.cli import RunConfig
+from photonam.output import CHUNK_CELLS, certify, csv_lines
 
 HEADER = "a,b"
 
 TINY = 5e-324
+SMALLEST_NORMAL = 2.2250738585072014e-308
 LARGEST = 1.7976931348623157e308
+
+#: Exact 13-digit ties: half-even rounding keeps the even 12th digit.
+TIES = [1234567890125.0, 1234567890135.0]
+
+#: Cells next to a decade, where the exponent of the rounded value differs from
+#: that of the value, or where %.12g switches between fixed and scientific.
+SEAMS = [9.9999999999995e-05, 1e-4, 99999999999.95, 999999999999.5, 1e12]
+
+EDGES = (
+    TIES
+    + SEAMS
+    + [1e300, -1e300, 1e-300, -1e-300, 1e100, 1e-100, 1.5e-250, 1e250, -1e-250]
+    + [TINY, -TINY, 1e-310, -3.3e-320, SMALLEST_NORMAL, LARGEST, -LARGEST]
+    + [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
+    + [1.0, 0.1, -0.5, 100.0, 123456.0, 1e11, 1e-5, 1.234e-4, 12345678901.5, 2.5e15]
+)
 
 
 def reference_csv_lines(header, columns):
@@ -31,25 +53,55 @@ def signed(magnitudes):
 
 CELLS = st.one_of(
     st.floats(width=64),
-    st.sampled_from([0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, LARGEST, -LARGEST]),
-    signed(st.floats(min_value=TINY, max_value=2.2250738585072014e-308)),  # subnormals
+    st.sampled_from([0.0, -0.0, TINY, -TINY, SMALLEST_NORMAL, LARGEST, -LARGEST] + TIES + SEAMS),
+    signed(st.floats(min_value=TINY, max_value=SMALLEST_NORMAL)),  # subnormals
     signed(st.floats(min_value=1e307, max_value=LARGEST)),
     signed(st.floats(min_value=1e-308, max_value=1e-306)),
+    signed(st.floats(min_value=1e-5, max_value=1e13)),
     signed(st.floats(min_value=1e12, max_value=1e300).map(lambda v: float(math.floor(v)))),
     signed(st.integers(min_value=10**12, max_value=2**63).map(float)),
+    signed(st.integers(min_value=1, max_value=10**13).map(lambda v: v / 10 ** (v % 17))),
 )
 
-TABLES = st.integers(min_value=1, max_value=6).flatmap(
-    lambda width: st.lists(st.tuples(*[CELLS] * width), max_size=12).map(
-        lambda rows: [np.array([row[i] for row in rows], dtype=np.float64) for i in range(width)]
-    )
+#: Up to 500 rows of up to 6 columns. The row count is drawn first, so tables
+#: of a few hundred rows are common.
+TABLES = st.tuples(st.integers(min_value=1, max_value=6), st.integers(0, 500)).flatmap(
+    lambda shape: st.lists(
+        st.tuples(*[CELLS] * shape[0]), min_size=shape[1], max_size=shape[1]
+    ).map(lambda rows: [np.array([row[i] for row in rows], dtype=np.float64) for i in range(shape[0])])
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(derandomize=True, deadline=None, max_examples=50)
 @given(TABLES)
-def test_row_template_matches_per_cell_format(columns):
-    assert csv_lines(HEADER, columns) == reference_csv_lines(HEADER, columns)
+def test_writer_matches_per_cell_format(columns):
+    expected = reference_csv_lines(HEADER, columns)
+    assert csv_lines(HEADER, columns) == expected
+    # passes of a few cells, so that every drawn table spans many of them
+    with mock.patch.object(output, "CHUNK_CELLS", 7):
+        assert csv_lines(HEADER, columns) == expected
+
+
+def test_edge_cells_match_per_cell_format():
+    column = np.array(EDGES)
+    assert csv_lines("x", [column]) == reference_csv_lines("x", [column])
+    assert csv_lines(HEADER, [column, column[::-1]]) == reference_csv_lines(
+        HEADER, [column, column[::-1]]
+    )
+
+
+def test_log_uniform_cells_match_per_cell_format():
+    # 1e5 cells with random signs and exponents across the certified range
+    # and past it on both sides, so every exponent layout is written
+    rng = np.random.default_rng(20240601)
+    column = 10.0 ** rng.uniform(-300.0, 300.0, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    assert len(column) > 40 * CHUNK_CELLS
+    assert csv_lines("x", [column]) == reference_csv_lines("x", [column])
+
+
+def test_empty_tables():
+    assert csv_lines(HEADER, []) == [HEADER]
+    assert csv_lines(HEADER, [np.array([]), np.array([])]) == [HEADER]
 
 
 def test_profile_and_decay_csv_match_per_cell_format():
@@ -64,3 +116,23 @@ def test_profile_and_decay_csv_match_per_cell_format():
     lines = decay.decay_csv_lines(curve)
     assert len(lines) == 202
     assert lines == reference_csv_lines(decay.CSV_HEADER, columns)
+
+
+@pytest.mark.parametrize(
+    "value", TIES + SEAMS + [0.0, -0.0, math.nan, -math.inf, TINY, 1e-300, 1e300, LARGEST]
+)
+def test_ties_seams_and_specials_fall_back_to_percent_format(value):
+    assert not certify(np.array([value]))[0][0]
+
+
+def test_numpy_path_writes_nearly_every_cell_of_the_default_radial_table():
+    # a writer that sent every cell to "%.12g" % would pass every identity
+    # test above; this one holds it to the numpy path
+    defaults = RunConfig()
+    profile = radial.radial_profile(radial.CavityConfig(k=1.0, R=defaults.kR), 2000)
+    cells = np.concatenate(
+        [profile.kr, profile.f_spin, profile.f_oam, profile.cum_spin, profile.cum_oam]
+    )
+    certified, _, n = certify(cells)
+    assert np.mean(certified) >= 0.99
+    assert np.all((n[certified] > 1e11) & (n[certified] < 1e12))
