@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import factorial, prod
+from math import ceil, factorial, prod
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -40,8 +40,9 @@ MIN_KR = 20.0
 #: Fewest points of a radial profile grid.
 MIN_SAMPLES = 100
 
-#: Largest kR: below it the one-wavelength window at 0.8 R still has 257
-#: distinct panel edges (kR eps 257 < 2 pi); past ~4e16 they all coincide.
+#: Largest kR. At 1e14 floats near 0.8 R are 1/64 apart, so each node of the
+#: wave-zone window's 8 panels, pi/4 wide, rounds by under 1% of a panel; past
+#: ~6e15 the panel edges coincide.
 MAX_KR = 1e14
 
 
@@ -251,23 +252,24 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
     return RadialProfile(config=config, **arrays)
 
 
-def shell_integrals(config: CavityConfig, edges: np.ndarray) -> tuple[float, float]:
-    """Gauss-Legendre shell integrals of f_spin and f_oam over the panels between edges.
+def shell_integrals(config: CavityConfig, start_kr: float, stop_kr: float) -> tuple[float, float]:
+    """Gauss-Legendre shell integrals of f_spin and f_oam over kr in [start_kr, stop_kr].
 
-    They keep their digits far out in the wave zone, where differences of the
-    antiderivatives do not, and check the normalization without sharing its formula.
-    Each panel's 16-node sum is a fixed-order dot product.
+    Equal panels, at most a quarter wavelength (pi/2 in kr) wide and at least 8,
+    each a fixed-order 16-node dot product. They keep their digits far out in the
+    wave zone, where differences of the antiderivatives do not, and check the
+    normalization without sharing its formula.
     """
+    edges = np.linspace(start_kr, stop_kr, max(8, ceil(2.0 * (stop_kr - start_kr) / np.pi)) + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     points = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     x = points.ravel()
     k3 = config.k**3
-    i_s, i_l = (
+    return tuple(
         float(np.sum(half * ((f * x * x / k3).reshape(points.shape) @ _GL_WEIGHTS)))
         for f in _densities(x, config)
     )
-    return i_s, i_l
 
 
 def wave_zone_discrepancy(config: CavityConfig, start_kr: float) -> float:
@@ -280,7 +282,7 @@ def wave_zone_discrepancy(config: CavityConfig, start_kr: float) -> float:
     width = 2.0 * np.pi
     if not (start_kr >= 0 and start_kr + width <= config.kR):
         raise ValueError("window must lie inside the cavity")
-    i_s, i_l = shell_integrals(config, np.linspace(start_kr, start_kr + width, 257))
+    i_s, i_l = shell_integrals(config, start_kr, start_kr + width)
     return abs(i_s - i_l) / i_s
 
 

@@ -37,9 +37,7 @@ def test_criterion_03_shell_integral_conservation():
     # construction, so reading them would not test the normalization
     ok = True
     for kR in (20.0, 100.0, 500.0):
-        spin, oam = radial.shell_integrals(
-            radial.CavityConfig(k=1.0, R=kR), np.linspace(0.0, kR, 2001)
-        )
+        spin, oam = radial.shell_integrals(radial.CavityConfig(k=1.0, R=kR), 0.0, kR)
         ok = ok and abs(spin - 0.5) < 1e-6 and abs(oam - 0.5) < 1e-6
         ok = ok and abs(spin + oam - 1.0) < 2e-6
     assert report(3, "shell integrals reach hbar/2 each and hbar total", ok)

@@ -250,6 +250,18 @@ def test_failed_variational_check_is_reported_not_raised(capsys, monkeypatch, co
     assert payload["pass"] is False
 
 
+def test_commands_at_the_largest_kR(capsys):
+    # MAX_KR gives the narrowest wave-zone window in floats
+    strict = lambda name: pytest.fail(f"non-strict {name}")
+    kR = f"{radial.MAX_KR:g}"
+    code, out, err = run_cli(capsys, "radial", "--kR", kR, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_constant=strict)["wave_zone_discrepancy"] < 1e-15
+    code, out, err = run_cli(capsys, "verify-all", "--kR", kR)
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_constant=strict)["pass"] is True
+
+
 def test_json_output_is_strict():
     with pytest.raises(ValueError):
         _json_text({"value": float("inf")})
@@ -510,7 +522,7 @@ def test_invalid_parameter_value_exit_2(capsys):
         ("decay", "--omega0-over-gamma", "nan"),
         ("decay", "--omega0-over-gamma", "inf"),
         ("decay", "--omega0-over-gamma", "inf", "--format", "json"),
-        # past MAX_KR the wave-zone window edges merge in floats
+        # past MAX_KR the wave-zone window's nodes round by over 1% of a panel
         ("radial", "--kR", "1e300"),
         ("radial", "--kR", "2e14"),
         ("radial", "--kR", "1e17"),

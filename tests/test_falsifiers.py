@@ -81,7 +81,7 @@ def swap_densities(monkeypatch):
 def scale_near_zone_oam(monkeypatch):
     # f_oam x 1.2 out to kr = 0.2 pi, the near-zone radius: near_ratio reads
     # 1781 against its bound of 1500, so f_oam x 1.1876 is the smallest scaling
-    # that flips near_zone_spin_dominance. shell_conservation reads 2.4e-7
+    # that flips near_zone_spin_dominance. shell_conservation reads 2.1e-7
     # against its 1e-6, so no other check moves.
     exact = radial._densities
 

@@ -8,8 +8,9 @@ The package computes shell integrals from the Lommel antiderivatives
 The tests check them against the same formulas evaluated with scipy's Bessel
 routines, and against oracles that share no formula with them: adaptive
 `quad` for the normalization, and fixed 16-point Gauss-Legendre panels over
-scipy's spherical_jn for the cumulative columns and the wave-zone windows.
-The OAM peak is checked against root finders on scipy's and mpmath's j2'.
+scipy's spherical_jn for the cumulative columns, the wave-zone windows and
+the shell quadrature. The OAM peak is checked against root finders on
+scipy's and mpmath's j2', and verify-all's window discrepancies against mpmath.
 """
 
 import functools
@@ -531,9 +532,74 @@ def test_wave_zone_asymptotic_magnitude():
     wide = CavityConfig(k=1.0, R=1000.0)
     c0 = normalize_mode(wide, 0)
     expected = c0 * c0 * np.pi / (2.0 * wide.volume)
-    i_s, i_l = radial.shell_integrals(wide, np.linspace(800.0, 800.0 + 2.0 * np.pi, 257))
+    i_s, i_l = radial.shell_integrals(wide, 800.0, 800.0 + 2.0 * np.pi)
     assert i_s == pytest.approx(expected, rel=0.01)
     assert i_l == pytest.approx(expected, rel=0.01)
+
+
+def test_shell_integrals_size_their_panels_from_the_interval(monkeypatch):
+    # panels at most a quarter wavelength (pi/2 in kr) wide, at least 8, 16 nodes each
+    sizes = []
+    exact = radial._densities
+
+    def densities(kr, config):
+        sizes.append(np.size(kr))
+        return exact(kr, config)
+
+    monkeypatch.setattr(radial, "_densities", densities)
+    cavity = CavityConfig(k=1.0, R=500.0)
+    for start, stop in ((0.0, 500.0), (0.0, 20.0), (100.0, 100.0 + 2.0 * np.pi), (9.0, 22.0)):
+        radial.shell_integrals(cavity, start, stop)
+    assert sizes == [16 * panels for panels in (319, 13, 8, 9)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    kR=st.floats(20.0, 1e4),
+    wavelengths=st.floats(0.5, 20.0),
+    place=st.floats(0.0, 1.0),
+)
+def test_shell_integrals_match_fine_panel_oracle(kR, wavelengths, place):
+    # the oracle lays 64 panels per wavelength over scipy's spherical_jn and sums
+    # them exactly; the gap is node-position rounding at large kr (at most 6.3e-13
+    # over 3000 random draws)
+    cavity = CavityConfig(k=1.0, R=kR)
+    width = min(wavelengths * 2.0 * np.pi, kR)
+    start = place * (kR - width)
+    stop = start + width
+    edges = np.linspace(start, stop, math.ceil(64.0 * width / (2.0 * np.pi)) + 1)
+    raw0, raw2 = (math.fsum(gl_panels(ell, edges)) for ell in (0, 2))
+    w0, w2 = cavity.density_weights
+    spin, oam = radial.shell_integrals(cavity, start, stop)
+    assert spin == pytest.approx(2.0 * w0 * raw0 - 0.5 * w2 * raw2, rel=1e-12, abs=0.0)
+    assert oam == pytest.approx(1.5 * w2 * raw2, rel=1e-12, abs=0.0)
+
+
+def mpmath_window_discrepancy(kR: float, start: float) -> float:
+    """wave_zone_discrepancy at 40 digits: Lommel integrals of sqrt(pi / 2x) J_{l+1/2}."""
+    with mpmath.workdps(40):
+        def j(ell, x):
+            return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(ell + mpmath.mpf(1) / 2, x)
+
+        def lommel(ell, x):
+            x = mpmath.mpf(x)
+            return x**3 / 2 * (j(ell, x) ** 2 - j(ell - 1, x) * j(ell + 1, x))
+
+        # the window ends where the float sum start + 2 pi lands
+        stop = start + 2.0 * np.pi
+        a0, a2 = ((lommel(ell, stop) - lommel(ell, start)) / lommel(ell, kR) for ell in (0, 2))
+        spin, oam = (2 * a0 - a2 / 2) / 3, a2 / 2
+        return float(abs(spin - oam) / spin)
+
+
+def test_verify_all_wave_zone_discrepancies_against_mpmath(capsys):
+    # the windows at 400 and 800; over exact 2 pi windows mpmath reads
+    # 1.58897611211328e-5 and 5.03937566919521e-6, within 6e-12 relative of these
+    assert main(["verify-all"]) == 0
+    checks = {check["name"]: check for check in json.loads(capsys.readouterr().out)["checks"]}
+    got = checks["wave_zone_equality"]["discrepancies"][2:]
+    want = [mpmath_window_discrepancy(1000.0, start) for start in (400.0, 800.0)]
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_window_must_fit_in_cavity(config):
