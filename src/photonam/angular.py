@@ -87,7 +87,7 @@ def j_operators(space: FockSpace) -> AmOperatorTriple:
     and Jx, Jy move one photon to or from m = 0, exactly on every occupation
     sector. A space without the three AM modes raises ValueError.
     """
-    return AmOperatorTriple(*(bilinear(space, AM_MODES, block) for block in SPIN1_BLOCKS))
+    return AmOperatorTriple(*bilinear(space, AM_MODES, SPIN1_BLOCKS))
 
 
 @dataclass(frozen=True)
@@ -130,14 +130,9 @@ SU3_BLOCKS = Su3GeneratorSet(
 
 def su3_generators(space: FockSpace) -> Su3GeneratorSet:
     """Hermitian SU(3) generator set with the cyclic lower-index convention."""
-    def lift(blocks):
-        return tuple(bilinear(space, AM_MODES, block) for block in blocks)
-
-    return Su3GeneratorSet(
-        diagonal_raw=lift(SU3_BLOCKS.diagonal_raw),
-        offdiag_real=lift(SU3_BLOCKS.offdiag_real),
-        offdiag_imag=lift(SU3_BLOCKS.offdiag_imag),
-    )
+    blocks = SU3_BLOCKS.diagonal_raw + SU3_BLOCKS.offdiag_real + SU3_BLOCKS.offdiag_imag
+    ops = bilinear(space, AM_MODES, blocks)
+    return Su3GeneratorSet(diagonal_raw=ops[:3], offdiag_real=ops[3:6], offdiag_imag=ops[6:])
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,7 @@ def density_commutator_check(
         if kind not in _DENSITY_FACTORS:
             raise ValueError(f"kind must be 'spin' or 'oam', got {kind!r}")
     f_a = float(_DENSITY_FACTORS[kind_a](kr, config))
-    f_b = float(_DENSITY_FACTORS[kind_b](kr, config))
+    f_b = f_a if kind_b == kind_a else float(_DENSITY_FACTORS[kind_b](kr, config))
     identity = f"[{kind_a}_a(r),{kind_b}_b(r)] = i eps_abc f_{kind_a}(kr) {kind_b}_c(r)"
     closure, size = triple.closure
     # each factor on its own: a product of small factors could underflow to 0

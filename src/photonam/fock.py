@@ -14,8 +14,9 @@ construction. `.matrix` assembles the dense dim x dim array in basis order.
 
 One ladder map fills the blocks: a product of ladder operators on distinct
 modes that adds no photon moves each basis state to one other, found by index
-arithmetic, so it is exact on every sector. `bilinear` maps a block to every
-number-conserving operator, sum_ij block[i, j] a_i^dagger a_j, that way.
+arithmetic, so it is exact on every sector. `bilinear` maps a stack of blocks
+to the number-conserving operators sum_ij block[i, j] a_i^dagger a_j that way,
+each hop found once per space and kept in the space's ladder table.
 `annihilation` stays as the dense per-state reference; it changes the photon
 number, so it is a plain dim x dim array.
 """
@@ -87,6 +88,22 @@ def sectors_of(labels) -> Sectors:
     )
 
 
+def _flat_positions(sectors: Sectors, rows, cols) -> np.ndarray:
+    """Flat positions of the (rows[k], cols[k]) entries in the blocks stored one
+    after another; ValueError if an entry couples two sectors."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    label = sectors.labels[cols]
+    leaks = np.flatnonzero(sectors.labels[rows] != label)
+    if leaks.size:
+        row, col = rows[leaks[0]], cols[leaks[0]]
+        raise ValueError(
+            f"entry ({row}, {col}) couples sector {sectors.labels[col]} to sector "
+            f"{sectors.labels[row]}; the operator must conserve the sector label"
+        )
+    return sectors.offsets[label] + sectors.local[rows] * sectors.sizes[label] + sectors.local[cols]
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Occupation-number basis for a set of modes with a total-occupation cutoff."""
@@ -127,6 +144,13 @@ class FockSpace:
     def sectors(self) -> Sectors:
         """Photon-number sectors: label N holds the states with N photons in total."""
         return sectors_of(self._radix[0].sum(axis=1))
+
+    @cached_property
+    def _ladder(self) -> dict:
+        """Filled by `bilinear` as used: (i, j) of mode positions -> flat positions and
+        amplitudes of a_i^dagger a_j; None -> flat positions of the diagonal."""
+        states = np.arange(self.dim)
+        return {None: _flat_positions(self.sectors, states, states)}
 
 
 def check_dim(n_modes: int, cutoff: int) -> None:
@@ -207,22 +231,14 @@ class OperatorMatrix:
         most once. An entry between two sectors raises ValueError, so the
         operator conserves the label.
         """
-        sectors = space.sectors
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        label = sectors.labels[cols]
-        leaks = np.flatnonzero(sectors.labels[rows] != label)
-        if leaks.size:
-            row, col = rows[leaks[0]], cols[leaks[0]]
-            raise ValueError(
-                f"entry ({row}, {col}) couples sector {sectors.labels[col]} to sector "
-                f"{sectors.labels[row]}; the operator must conserve the sector label"
-            )
-        flat = np.zeros(sectors.offsets[-1], dtype=complex)
-        flat[
-            sectors.offsets[label] + sectors.local[rows] * sectors.sizes[label] + sectors.local[cols]
-        ] = values
-        bounds = zip(sectors.offsets, sectors.offsets[1:], sectors.sizes)
+        flat = np.zeros(space.sectors.offsets[-1], dtype=complex)
+        flat[_flat_positions(space.sectors, rows, cols)] = values
+        return cls._from_flat(space, flat)
+
+    @classmethod
+    def _from_flat(cls, space, flat) -> "OperatorMatrix":
+        """The operator whose blocks are stored one after another in flat."""
+        bounds = zip(space.sectors.offsets, space.sectors.offsets[1:], space.sectors.sizes)
         return cls(space, tuple(flat[a:b].reshape(n, n) for a, b, n in bounds))
 
     @property
@@ -269,28 +285,30 @@ def _hops(space: FockSpace, raised: Sequence, lowered: Sequence) -> tuple[np.nda
     return src, dst, np.prod(np.sqrt(counts), axis=1)
 
 
-def bilinear(space: FockSpace, modes: Sequence[ModeLabel], block) -> OperatorMatrix:
-    """sum_ij block[i, j] a_i^dagger a_j over the distinct `modes`.
+def bilinear(space: FockSpace, modes: Sequence[ModeLabel], blocks) -> tuple[OperatorMatrix, ...]:
+    """sum_ij block[i, j] a_i^dagger a_j over the distinct `modes`, per block of a (k, n, n) stack.
 
-    The diagonal holds sum_i block[i, i] n_i, exact for integer-valued blocks,
-    and each off-diagonal a_i^dagger a_j is one ladder-map hop, |n> to
-    |n + e_i - e_j> with amplitude sqrt(n_i + 1) sqrt(n_j). Each entry is
-    written once, into the block of its photon-number sector. An exactly
-    hermitian block gives an exactly hermitian operator.
+    Diagonal: sum_i block[i, i] n_i, exact for integer-valued blocks. Each
+    off-diagonal a_i^dagger a_j is a ladder-map hop from the space's table,
+    |n> to |n + e_i - e_j> with amplitude sqrt(n_i + 1) sqrt(n_j), scattered
+    into all k blocks at once. An exactly hermitian block gives an exactly
+    hermitian operator.
     """
-    block = np.asarray(block, dtype=complex)
+    blocks = np.asarray(blocks, dtype=complex)
     positions = [space.mode_position(mode) for mode in modes]
     if len(set(positions)) != len(positions):
         raise ValueError("bilinear modes must be distinct")
-    if block.shape != (len(positions), len(positions)):
-        raise ValueError(f"block shape {block.shape} does not match {len(positions)} modes")
-    states = np.arange(space.dim)
-    rows, cols, values = [states], [states], [space._radix[0][:, positions] @ np.diag(block)]
-    for i, j in zip(*np.nonzero(block - np.diag(np.diag(block)))):
-        src, dst, amplitude = _hops(space, (modes[i],), (modes[j],))
-        rows.append(dst)
-        cols.append(src)
-        values.append(block[i, j] * amplitude)
-    return OperatorMatrix.from_entries(
-        space, np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-    )
+    if blocks.ndim != 3 or blocks.shape[1:] != (len(positions),) * 2:
+        raise ValueError(f"block stack shape {blocks.shape} does not match {len(positions)} modes")
+    table = space._ladder
+    flat = np.zeros((len(blocks), space.sectors.offsets[-1]), dtype=complex)
+    flat[:, table[None]] = np.diagonal(blocks, axis1=1, axis2=2) @ space._radix[0][:, positions].T
+    hops = np.any(blocks != 0, axis=0) & ~np.eye(len(positions), dtype=bool)
+    for i, j in zip(*np.nonzero(hops)):
+        pair = positions[i], positions[j]
+        if pair not in table:
+            src, dst, amplitude = _hops(space, (modes[i],), (modes[j],))
+            table[pair] = _flat_positions(space.sectors, dst, src), amplitude
+        where, amplitude = table[pair]
+        flat[:, where] = blocks[:, i, j, None] * amplitude
+    return tuple(OperatorMatrix._from_flat(space, row) for row in flat)

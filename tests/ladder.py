@@ -82,7 +82,7 @@ def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
 
 def total_number_operator(space: fock.FockSpace) -> fock.OperatorMatrix:
     """N = sum_i a_i^dagger a_i as sector blocks: an exact integer diagonal."""
-    return fock.bilinear(space, space.modes, np.eye(len(space.modes)))
+    return fock.bilinear(space, space.modes, [np.eye(len(space.modes))])[0]
 
 
 def is_hermitian_operator(op: fock.OperatorMatrix, tol: float = fock.HERMITICITY_TOL) -> bool:

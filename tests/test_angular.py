@@ -325,7 +325,7 @@ def triple_at(cutoff, jx_scale):
     """J at cutoff with its Jx block scaled by jx_scale (1.0: the exact triple)."""
     jx, jy, jz = angular.SPIN1_BLOCKS
     space = three_mode_space(cutoff)
-    return AmOperatorTriple(*(bilinear(space, AM_MODES, b) for b in (jx * jx_scale, jy, jz)))
+    return AmOperatorTriple(*bilinear(space, AM_MODES, [jx * jx_scale, jy, jz]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -14,6 +14,7 @@ from ladder import (
     is_hermitian_operator,
     total_number_operator,
 )
+from photonam import angular, fock
 from photonam.fock import (
     ModeLabel,
     OperatorMatrix,
@@ -171,7 +172,7 @@ def test_number_operator_diagonal_integer_hermitian():
     for cutoff in (3, 8):
         space = build_space([M1, M2, M3], cutoff)
         for mode in (M1, M2, M3):
-            n_op = bilinear(space, (mode,), [[1.0]])
+            (n_op,) = bilinear(space, (mode,), [[[1.0]]])
             assert is_hermitian_operator(n_op, 0.0)
             pos = space.mode_position(mode)
             np.testing.assert_array_equal(n_op.matrix, np.diag([occ[pos] for occ in space.basis]))
@@ -190,37 +191,81 @@ def ladder_bilinear(space, modes, block):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(data=st.data(), n_modes=st.integers(1, 4), cutoff=st.integers(0, 8))
-def test_bilinear_matches_ladder_products(data, n_modes, cutoff):
+@given(
+    data=st.data(), n_modes=st.integers(1, 4), cutoff=st.integers(0, 8), k=st.integers(1, 4)
+)
+def test_bilinear_matches_ladder_products(data, n_modes, cutoff, k):
     space = build_space([ModeLabel(str(i)) for i in range(n_modes)], cutoff)
     picked = data.draw(st.permutations(space.modes).map(tuple))
     picked = picked[: data.draw(st.integers(1, n_modes))]
     parts = st.floats(-1.0, 1.0)
-    entries = st.lists(st.builds(complex, parts, parts), min_size=len(picked) ** 2,
-                       max_size=len(picked) ** 2)
-    block = np.array(data.draw(entries)).reshape(len(picked), len(picked))
-    op = bilinear(space, picked, block)
-    np.testing.assert_allclose(
-        op.matrix, ladder_bilinear(space, picked, block), rtol=0, atol=1e-13
-    )
-    # the block is the operator's restriction to the one-photon states
-    if cutoff >= 1:
-        ones = [
-            space.index_of(tuple(int(m == mode) for m in space.modes)) for mode in picked
-        ]
-        np.testing.assert_array_equal(op.matrix[np.ix_(ones, ones)], block)
-    hermitian = block + block.conj().T
-    assert is_hermitian_operator(bilinear(space, picked, hermitian), 0.0)
+    # zero entries are drawn often, so stacks mix hops some blocks use and others skip
+    entry = st.one_of(st.just(0j), st.builds(complex, parts, parts))
+    size = k * len(picked) ** 2
+    blocks = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)))
+    blocks = blocks.reshape(k, len(picked), len(picked))
+    ops = bilinear(space, picked, blocks)
+    assert len(ops) == k
+    for op, block in zip(ops, blocks, strict=True):
+        np.testing.assert_allclose(
+            op.matrix, ladder_bilinear(space, picked, block), rtol=0, atol=1e-13
+        )
+        # the block is the operator's restriction to the one-photon states
+        if cutoff >= 1:
+            ones = [
+                space.index_of(tuple(int(m == mode) for m in space.modes)) for mode in picked
+            ]
+            np.testing.assert_array_equal(op.matrix[np.ix_(ones, ones)], block)
+    hermitian = blocks + blocks.conj().transpose(0, 2, 1)
+    assert all(is_hermitian_operator(op, 0.0) for op in bilinear(space, picked, hermitian))
 
 
 def test_bilinear_validation():
     space = build_space([M1, M2], 2)
     with pytest.raises(ValueError, match="unknown mode"):
-        bilinear(space, (M1, M3), np.eye(2))
+        bilinear(space, (M1, M3), [np.eye(2)])
     with pytest.raises(ValueError, match="distinct"):
-        bilinear(space, (M1, M1), np.eye(2))
-    with pytest.raises(ValueError, match="block shape"):
-        bilinear(space, (M1, M2), np.eye(3))
+        bilinear(space, (M1, M1), [np.eye(2)])
+    with pytest.raises(ValueError, match="block stack shape"):
+        bilinear(space, (M1, M2), [np.eye(3)])
+    # a single block is not a stack of one
+    with pytest.raises(ValueError, match="block stack shape"):
+        bilinear(space, (M1, M2), np.eye(2))
+
+
+def test_ladder_table_finds_each_hop_once_per_space(monkeypatch):
+    calls, hops = [], fock._hops
+
+    def counted(*args):
+        calls.append(args)
+        return hops(*args)
+
+    monkeypatch.setattr(fock, "_hops", counted)
+    space = angular.three_mode_space(4)
+    angular.j_operators(space)
+    angular.su3_generators(space)
+    angular.j_operators(space)
+    # a three-mode space has 6 ordered mode pairs, and the SU(3) set uses all of them
+    assert len(calls) == 6
+    # an equal space built anew keeps its own table
+    other = angular.three_mode_space(4)
+    assert other == space
+    angular.su3_generators(other)
+    assert len(calls) == 12
+
+
+def test_bilinear_refuses_a_hop_out_of_its_sector(monkeypatch):
+    space = build_space([M1, M2, M3], 2)
+    hops = fock._hops
+
+    def leaky(*args):
+        src, dst, amplitude = hops(*args)
+        # send the first image to the vacuum, sector 0; every hop source holds a photon
+        return src, np.concatenate(([0], dst[1:])), amplitude
+
+    monkeypatch.setattr(fock, "_hops", leaky)
+    with pytest.raises(ValueError, match="couples sector 1 to sector 0"):
+        bilinear(space, (M1, M2), [[[0.0, 1.0], [0.0, 0.0]]])
 
 
 def test_bilinear_many_modes():
@@ -229,7 +274,7 @@ def test_bilinear_many_modes():
     space = build_space(modes, 1)
     pair, hop = (modes[0], modes[69]), np.array([[0.0, 1.0], [0.0, 0.0]])
     np.testing.assert_array_equal(
-        bilinear(space, pair, hop).matrix, ladder_bilinear(space, pair, hop)
+        bilinear(space, pair, [hop])[0].matrix, ladder_bilinear(space, pair, hop)
     )
 
 
@@ -253,7 +298,7 @@ def test_operator_matrix_validation():
 
 def test_dense_round_trip_and_off_sector_entry():
     space = build_space([M1, M2, M3], 3)
-    op = bilinear(space, (M1, M2, M3), np.arange(9.0).reshape(3, 3) * (1 + 0.5j))
+    (op,) = bilinear(space, (M1, M2, M3), [np.arange(9.0).reshape(3, 3) * (1 + 0.5j)])
     # the blocks of the assembled dense matrix are the stored blocks, bit for bit
     again = from_dense(space, op.matrix)
     assert all(np.array_equal(a, b) for a, b in zip(again.blocks, op.blocks, strict=True))
