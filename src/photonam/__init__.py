@@ -7,8 +7,8 @@ entanglement of counter-propagating photon twins.
 
 There is no state type: a state is a plain amplitude array, over a Fock
 basis placed with `FockSpace.index_of`, or, for a photon twin pair, a 3x3
-array over |1_{m1}; 1_{m2}>. An operator is one block per sector of the
-label it conserves (`OperatorMatrix.blocks` over `space.sectors`).
+array over |1_{m1}; 1_{m2}>. An operator is one flat array of its blocks, one per
+sector of the label it conserves (`OperatorMatrix.flat`; `.blocks` are views).
 """
 
 from .angular import (

@@ -74,10 +74,10 @@ class AmOperatorTriple:
     def closure(self) -> tuple[float, float]:
         """(max |[J_a, J_b] - i J_c| over cyclic (a, b, c) and sectors, max|J|).
 
-        The blocks are read-only, so the cached value cannot go stale.
+        The operators are read-only, so the cached value cannot go stale.
         """
-        comps = [op.blocks for op in self.components()]
-        return _cyclic_residual(comps), max(_max_abs(op) for op in comps)
+        comps = self.components()
+        return _cyclic_residual([op.blocks for op in comps]), _max_abs(op.flat for op in comps)
 
 
 def j_operators(space: FockSpace) -> AmOperatorTriple:
@@ -153,9 +153,9 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _DENSITY_FACTORS = {"spin": radial.f_spin, "oam": radial.f_oam}
 
 
-def _max_abs(blocks) -> float:
-    """Largest entry modulus over a sequence of sector blocks."""
-    return max(float(np.max(np.abs(block))) for block in blocks)
+def _max_abs(arrays) -> float:
+    """Largest entry modulus over a sequence of arrays."""
+    return max(float(np.max(np.abs(array))) for array in arrays)
 
 
 def _cyclic_residual(comps) -> float:

@@ -146,11 +146,9 @@ def _algebra_checks(cfg: RunConfig, space: fock.FockSpace) -> list[dict]:
 
 def cmd_algebra(cfg: RunConfig) -> tuple[str, int]:
     space = angular.three_mode_space(cfg.cutoff)
-    # the three diagonals summed block by block, so no dense operator is assembled
+    # the three diagonals summed as stored, so no dense operator is assembled
     raw = angular.su3_generators(space).diagonal_raw
-    su3_residual = max(
-        float(np.max(np.abs(sum(blocks)))) for blocks in zip(*(op.blocks for op in raw))
-    )
+    su3_residual = float(np.max(np.abs(sum(op.flat for op in raw))))
     su3 = _check("su3_diagonal_dependence", su3_residual < cfg.tol, max_residual=su3_residual,
                  tolerance=cfg.tol)
     return _report_text(_algebra_checks(cfg, space) + [su3])
@@ -406,11 +404,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Refuse a tolerance that judges nothing and a grid out of bounds.
+    """Refuse a tolerance that judges nothing, a grid out of bounds and CSV of a JSON report.
 
     The cutoff, cavity and decay parameters are checked whatever the command, so
     a flag the command does not read is refused just as one it reads.
     """
+    if cfg.format == "csv" and cfg.command not in ("radial", "decay"):
+        raise ValueError(f"{cfg.command} writes json only, got --format csv")
     if not (np.isfinite(cfg.tol) and cfg.tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {cfg.tol}")
     if cfg.samples is not None and cfg.samples > MAX_SAMPLES:

@@ -239,7 +239,9 @@ def selection_rule_check(
     (b) |g; psi3> is an H eigenvector at 2 omega, and (c) evolution from
     |e; vac> through the eigen-decomposition of the hermitian H never develops
     overlap with |g; psi3>. Both states lie in the 2 N_exc = 2 sector, which H
-    conserves, so every check runs on that one block. The decomposition reads
+    conserves, so every check runs on that one block. Its |g; n> hold two
+    photons each, so (c) decomposes the block less 2 omega, a global phase
+    that keeps the overlap's rounding from growing with omega t. eigh reads
     one triangle of the block only, so a block that fails the entrywise
     hermiticity check raises ValueError.
     """
@@ -256,7 +258,7 @@ def selection_rule_check(
     eigen_residual = float(np.max(np.abs(block @ odd - 2.0 * omega * odd)))
 
     times = tuple(scale / gamma_coupling for scale in (0.1, 1.0, 10.0))
-    energies, vectors = np.linalg.eigh(block)
+    energies, vectors = np.linalg.eigh(block - 2.0 * omega * np.eye(len(block)))
     odd_e, excited_e = vectors.conj().T @ odd, vectors.conj().T @ excited
     overlaps = [
         float(abs(np.vdot(odd_e, np.exp(-1j * energies * t) * excited_e))) for t in times

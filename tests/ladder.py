@@ -1,7 +1,7 @@
 """Operator references for the tests.
 
-photonam stores each operator as one block per conserved sector. The tests
-check those blocks against dense dim x dim matrices built here, state by
+photonam stores each operator as one flat array of its blocks, one per
+conserved sector. The tests check those blocks against dense dim x dim matrices built here, state by
 state, from `fock.annihilation`: a ladder operator changes the photon number,
 so it has no sector blocks and stays a dense array. `creation` pushes the
 states at the cutoff out of the truncated basis and represents them as zero.

@@ -557,6 +557,31 @@ def test_invalid_parameter_value_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["algebra", "variance", "entangle", "verify-all"])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_json_only_command_refuses_csv(tmp_path, capsys, command, from_file):
+    # CSV asked of a command that writes JSON only is refused, not answered in JSON
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(f"command = {command}\nformat = csv\n")
+    args = ["--config", str(config_file)] if from_file else [command, "--format", "csv"]
+    assert run_cli(capsys, *args) == (
+        2, "", f"error: {command} writes json only, got --format csv\n"
+    )
+    # its own format is accepted, by flag and from a file alike
+    config_file.write_text(f"command = {command}\nformat = json\n")
+    args = ["--config", str(config_file)] if from_file else [command, "--format", "json"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(out)["schema"] == 1
+
+
+@pytest.mark.parametrize("command", ["radial", "decay"])
+def test_csv_commands_keep_both_formats(capsys, command):
+    for fmt in FORMATS:
+        code, out, err = run_cli(capsys, command, "--format", fmt, "--samples", "100")
+        assert code == 0 and err == ""
+        assert out.startswith("{") == (fmt == "json")
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("samples", [-5, 0, 1])
 def test_decay_samples_lower_bound(capsys, samples, fmt):

@@ -123,11 +123,12 @@ def leak_to_odd_pair(monkeypatch):
         vacuum = np.eye(space.field_space.dim)[0]
         excited = space.state("e", vacuum)[sector]
         odd = space.state("g", twins.pair_field_vector(space, twins.PARITY_BASIS[2]))[sector]
-        blocks = list(h.blocks)
-        blocks[twins.PAIR_SECTOR] = blocks[twins.PAIR_SECTOR] + eps * (
+        start = space.sectors.offsets[twins.PAIR_SECTOR]
+        flat = h.flat.copy()
+        flat[start : start + odd.size**2] += eps * (
             np.outer(odd, excited.conj()) + np.outer(excited, odd.conj())
-        )
-        return type(h)(h.space, tuple(blocks))
+        ).ravel()
+        return type(h)(h.space, flat)
 
     monkeypatch.setattr(twins, "interaction_hamiltonian", leaky)
 

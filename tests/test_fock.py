@@ -290,8 +290,11 @@ def test_operator_matrix_validation():
     space = build_space([M1], 2)
     with pytest.raises(ValueError, match="does not match space dim"):
         from_dense(space, np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="sector sizes"):
-        OperatorMatrix(space, (np.zeros((1, 1)),) * 2)
+    # three one-state sectors: a flat of three entries, no other shape
+    assert np.array_equal(OperatorMatrix(space, np.arange(3.0)).matrix, np.diag(np.arange(3.0)))
+    for flat in (np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match="sector sizes"):
+            OperatorMatrix(space, flat)
     assert not is_hermitian(annihilation(space, M1).matrix)
     assert is_hermitian_operator(from_dense(space, np.eye(space.dim)), 0.0)
 
@@ -307,3 +310,31 @@ def test_dense_round_trip_and_off_sector_entry():
     leaky[0, space.index_of((0, 0, 1))] = 1e-300
     with pytest.raises(ValueError, match="couples sector 1 to sector 0"):
         from_dense(space, leaky)
+
+
+def test_blocks_are_read_only_views_of_flat():
+    space = build_space([M1, M2, M3], 3)
+    ops = bilinear(space, (M1, M2, M3), [np.arange(9.0).reshape(3, 3), np.eye(3)])
+    for op in ops:
+        assert op.flat.shape == (space.sectors.offsets[-1],)
+        assert op.blocks is op.blocks
+        assert [b.shape for b in op.blocks] == [(n, n) for n in space.sectors.sizes]
+        for k, block in enumerate(op.blocks):
+            assert np.shares_memory(block, op.flat)
+            a, b = space.sectors.offsets[k : k + 2]
+            np.testing.assert_array_equal(block.ravel(), op.flat[a:b])
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            op.flat[0] = 1.0
+    # each row of the stacked array bilinear writes is an operator as it is
+    assert ops[0].flat.base is ops[1].flat.base
+
+
+def test_operator_equality_is_identity():
+    space = angular.three_mode_space(2)
+    jx = angular.j_operators(space).jx
+    again = angular.j_operators(space).jx
+    assert np.array_equal(jx.flat, again.flat)
+    assert jx == jx and jx != again and not (jx == again)
+    assert len({jx, again, jx}) == 2

@@ -348,6 +348,37 @@ def test_evolution_actually_radiates(space, hamiltonian):
     assert abs(np.vdot(even, evolved)) > 1e-3
 
 
+#: omega0 as (a, b) of a * omega + b: resonant, and detuned by omega and by 1.
+_OMEGA0_FORMS = ((2.0, 0.0), (3.0, 0.0), (2.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    log_omega=st.floats(-2.0, 8.0),
+    log_gamma=st.floats(-9.0, 2.0),
+    omega0_form=st.sampled_from(_OMEGA0_FORMS),
+)
+def test_selection_rule_passes_at_every_scale(space, log_omega, log_gamma, omega0_form):
+    # a correct Hamiltonian passes whatever omega t is: the evolution overlap
+    # reads rounding only, not rounding that grows with the 2 omega energy
+    omega, gamma = 10.0**log_omega, 10.0**log_gamma
+    a, b = omega0_form
+    h = interaction_hamiltonian(space, omega, a * omega + b, gamma)
+    report = selection_rule_check(h, space, omega, gamma)
+    assert report.passed, report
+    assert max(report.evolution_overlaps) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "omega,omega0,gamma", [(1.0, 2.0, 1e-9), (1e5, 2e5, 0.05), (1e8, 2e8, 0.05)]
+)
+def test_selection_rule_overlap_is_rounding_at_large_omega_t(space, omega, omega0, gamma):
+    # decomposing the unshifted block, these read 1.5e-7, 2.4e-10 and 3.7e-8
+    report = selection_rule_check(interaction_hamiltonian(space, omega, omega0, gamma),
+                                  space, omega, gamma)
+    assert report.passed and max(report.evolution_overlaps) <= 1e-15
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(gamma=st.floats(0.01, 0.1), leak=st.sampled_from([0.0, 1e-3]))
 def test_sector_evolution_matches_dense_eigh(space, gamma, leak):
