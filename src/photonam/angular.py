@@ -149,8 +149,8 @@ class AlgebraReport:
 #: Component positions (a, b, c) of the cyclic identities [J_a, J_b] = i J_c.
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-#: Radial factor of each AM density: the density at kr is f(kr) J.
-_DENSITY_FACTORS = {"spin": radial.f_spin, "oam": radial.f_oam}
+#: The AM densities at kr, f(kr) J, in the order radial._densities returns their f.
+_DENSITY_KINDS = ("spin", "oam")
 
 
 def _max_abs(arrays) -> float:
@@ -199,10 +199,10 @@ def density_commutator_check(
     kind other than 'spin' or 'oam', or a negative kr, raises ValueError.
     """
     for kind in (kind_a, kind_b):
-        if kind not in _DENSITY_FACTORS:
+        if kind not in _DENSITY_KINDS:
             raise ValueError(f"kind must be 'spin' or 'oam', got {kind!r}")
-    f_a = float(_DENSITY_FACTORS[kind_a](kr, config))
-    f_b = f_a if kind_b == kind_a else float(_DENSITY_FACTORS[kind_b](kr, config))
+    factors = dict(zip(_DENSITY_KINDS, map(float, radial._densities(kr, config))))
+    f_a, f_b = factors[kind_a], factors[kind_b]
     identity = f"[{kind_a}_a(r),{kind_b}_b(r)] = i eps_abc f_{kind_a}(kr) {kind_b}_c(r)"
     closure, size = triple.closure
     # each factor on its own: a product of small factors could underflow to 0

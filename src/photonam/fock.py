@@ -1,9 +1,9 @@
 """Truncated multimode bosonic Fock space, with operators stored as sector blocks.
 
-The basis enumerates occupation tuples with a total-occupation cutoff in
-lexicographic order, so basis indices are reproducible across runs and
-platforms. A state is an amplitude array over the basis, placed with
-`index_of`.
+The basis is one read-only dim x n_modes integer array, `occupations`: the
+occupations within a total-occupation cutoff in lexicographic order, so basis
+indices are reproducible. A state is an amplitude array over it, placed with
+`index_of` by mixed-radix key; the tuples `basis` are built only when read.
 
 Every operator photonam builds conserves an integer label of the basis
 states: the photon number on a FockSpace, twice the excitation number on the
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -106,44 +106,54 @@ def _flat_positions(sectors: Sectors, rows, cols) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Occupation-number basis for a set of modes with a total-occupation cutoff."""
+    """Occupation-number basis with a total-occupation cutoff: row i of `occupations`."""
 
     modes: tuple[ModeLabel, ...]
     cutoff: int
-    basis: tuple[tuple[int, ...], ...] = field(repr=False)
-    _index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
+    occupations: np.ndarray = field(repr=False, compare=False)
+    _positions: dict[ModeLabel, int] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.occupations)
+
+    @cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The occupation tuples in basis order, built on first read."""
+        return tuple(map(tuple, self.occupations.tolist()))
 
     def index_of(self, occupation: tuple[int, ...]) -> int:
-        try:
-            return self._index[tuple(occupation)]
-        except KeyError:
-            raise ValueError(f"occupation {occupation} not in truncated basis") from None
+        """Basis index by key; ValueError unless len(modes) integers >= 0 sum to <= cutoff."""
+        occ = tuple(occupation)
+        integers = all(isinstance(n, (int, np.integer)) and n >= 0 for n in occ)
+        if not integers or len(occ) != len(self.modes) or sum(occ) > self.cutoff:
+            raise ValueError(f"occupation {occupation} not in truncated basis")
+        keys, weights = self._radix
+        return int(keys.searchsorted(sum(int(n) * w for n, w in zip(occ, weights))))
 
     def mode_position(self, mode: ModeLabel) -> int:
         try:
-            return self.modes.index(mode)
-        except ValueError:
+            return self._positions[mode]
+        except KeyError:
             raise ValueError(f"unknown mode label {mode}") from None
 
     @cached_property
-    def _radix(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """Occupation array, mixed-radix keys and key weights of the basis."""
-        # the keys rise with the basis order; Python ints once the largest key,
-        # cutoff * weights[0], would overflow int64
+    def _radix(self) -> tuple[np.ndarray, list[int]]:
+        """Mixed-radix keys of the basis, rising with its order, and the key weights."""
+        # Python ints once the largest key, cutoff * weights[0], would overflow int64
         weights = [(self.cutoff + 1) ** k for k in reversed(range(len(self.modes)))]
         key_type = np.int64 if self.cutoff * weights[0] < 2**63 else object
-        occupations = np.array(self.basis)
-        keys = occupations.astype(key_type) @ np.array(weights, dtype=key_type)
-        return occupations, keys, weights
+        return self.occupations.astype(key_type) @ np.array(weights, dtype=key_type), weights
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """Row k < len(modes) is sqrt(n_k + 1) over the basis, row len(modes) + k sqrt(n_k)."""
+        return np.sqrt(np.vstack([self.occupations.T + 1, self.occupations.T]))
 
     @cached_property
     def sectors(self) -> Sectors:
         """Photon-number sectors: label N holds the states with N photons in total."""
-        return sectors_of(self._radix[0].sum(axis=1))
+        return sectors_of(self.occupations.sum(axis=1))
 
     @cached_property
     def _ladder(self) -> dict:
@@ -186,16 +196,18 @@ def build_space(modes: Sequence[ModeLabel], cutoff: int) -> FockSpace:
     modes = tuple(modes)
     if not modes:
         raise ValueError("mode list must be non-empty")
-    if len(set(modes)) != len(modes):
+    positions = dict(zip(modes, range(len(modes))))
+    if len(positions) != len(modes):
         raise ValueError("mode labels must be unique")
     check_dim(len(modes), cutoff)
     # stars and bars: each choice of len(modes) bars among cutoff + len(modes)
     # slots is one admitted occupation, the gaps before each bar, and the
     # bar choices come in the lexicographic order of their gaps
-    bars = combinations(range(cutoff + len(modes)), len(modes))
-    basis = tuple(tuple(b - a - 1 for a, b in zip((-1, *c), c)) for c in bars)
-    index = {occ: i for i, occ in enumerate(basis)}
-    return FockSpace(modes=modes, cutoff=cutoff, basis=basis, _index=index)
+    n, dim = len(modes), math.comb(cutoff + len(modes), len(modes))
+    bars = np.fromiter(chain.from_iterable(combinations(range(cutoff + n), n)), np.intp, dim * n)
+    occupations = np.diff(bars.reshape(dim, n), axis=1, prepend=-1) - 1
+    occupations.setflags(write=False)
+    return FockSpace(modes=modes, cutoff=cutoff, occupations=occupations, _positions=positions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,17 +280,16 @@ def _hops(space: FockSpace, raised: Sequence, lowered: Sequence) -> tuple[np.nda
     """(src, dst, amplitude) of prod_r a_r^dagger prod_l a_l over distinct modes.
 
     With no more raised than lowered modes no image leaves the truncated basis:
-    src lists the states with every lowered mode occupied, dst is found by the
-    key of src + sum_r e_r - sum_l e_l, amplitude = prod sqrt(n_r + 1) sqrt(n_l).
+    amplitude = prod sqrt(n_r + 1) sqrt(n_l) is nonzero on the states src with every
+    lowered mode occupied, and dst is found by the key of src + sum_r e_r - sum_l e_l.
     """
-    occupations, keys, weights = space._radix
+    keys, weights = space._radix
     up = [space.mode_position(mode) for mode in raised]
     down = [space.mode_position(mode) for mode in lowered]
-    src = np.flatnonzero(np.all(occupations[:, down] > 0, axis=1))
+    amplitude = space._roots[up + [len(space.modes) + k for k in down]].prod(axis=0)
+    src = amplitude.nonzero()[0]
     shift = sum(weights[k] for k in up) - sum(weights[k] for k in down)
-    dst = np.searchsorted(keys, keys[src] + shift)
-    counts = np.hstack([occupations[src][:, up] + 1, occupations[src][:, down]])
-    return src, dst, np.prod(np.sqrt(counts), axis=1)
+    return src, keys.searchsorted(keys[src] + shift), amplitude[src]
 
 
 def bilinear(space: FockSpace, modes: Sequence[ModeLabel], blocks) -> tuple[OperatorMatrix, ...]:
@@ -298,7 +309,7 @@ def bilinear(space: FockSpace, modes: Sequence[ModeLabel], blocks) -> tuple[Oper
         raise ValueError(f"block stack shape {blocks.shape} does not match {len(positions)} modes")
     table = space._ladder
     flat = np.zeros((len(blocks), space.sectors.offsets[-1]), dtype=complex)
-    flat[:, table[None]] = np.diagonal(blocks, axis1=1, axis2=2) @ space._radix[0][:, positions].T
+    flat[:, table[None]] = np.diagonal(blocks, axis1=1, axis2=2) @ space.occupations[:, positions].T
     hops = np.any(blocks != 0, axis=0) & ~np.eye(len(positions), dtype=bool)
     for i, j in zip(*np.nonzero(hops)):
         pair = positions[i], positions[j]

@@ -21,7 +21,6 @@ from functools import cache, cached_property
 from math import ceil, factorial, prod
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .output import csv_lines
 
@@ -142,8 +141,17 @@ _LOMMEL_SERIES = {
 }
 
 
+def _horner(x, coefficients: np.ndarray) -> np.ndarray:
+    """sum_n coefficients[n] x^n in place, rounded step for step as numpy's polyval."""
+    acc = np.full_like(x, coefficients[-1], dtype=float)
+    for c in coefficients[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
 def _bessel_series(ell: int, x):
-    return x**ell * polyval(np.square(x), _BESSEL_SERIES[ell])
+    return x**ell * _horner(np.square(x), _BESSEL_SERIES[ell])
 
 
 def _spherical_j1_j2(x):
@@ -171,7 +179,7 @@ def _shell_antiderivative(ell: int, x) -> np.ndarray:
     out = np.asarray(closed)  # a 0-d array where numpy returned a scalar
     if small.any():
         xs = x[small]
-        out[small] = xs ** (2 * ell + 3) * polyval(xs * xs, _LOMMEL_SERIES[ell])
+        out[small] = xs ** (2 * ell + 3) * _horner(xs * xs, _LOMMEL_SERIES[ell])
     return out
 
 

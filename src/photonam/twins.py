@@ -166,11 +166,11 @@ def atom_field_space(cutoff: int = 2) -> AtomFieldSpace:
 def pair_field_vector(space: AtomFieldSpace, amps: np.ndarray) -> np.ndarray:
     """Embed a 3x3 pair amplitude array as one forward and one backward photon."""
     fs = space.field_space
+    # |1_fwd, 1_bwd> has the key weights[fwd] + weights[bwd] in the field basis
+    keys, weights = fs._radix
+    fwd, bwd = ([weights[fs.mode_position(m)] for m in f] for f in (FORWARD_MODES, BACKWARD_MODES))
     vec = np.zeros(fs.dim, dtype=complex)
-    for i, fwd in enumerate(FORWARD_MODES):
-        for j, bwd in enumerate(BACKWARD_MODES):
-            occ = tuple(int(mode in (fwd, bwd)) for mode in fs.modes)
-            vec[fs.index_of(occ)] = amps[i, j]
+    vec[np.searchsorted(keys, np.add.outer(fwd, bwd))] = amps
     return vec
 
 

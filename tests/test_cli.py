@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from photonam import angular, radial, twins
+from photonam import angular, fock, radial, twins
 from photonam.cli import (
     COMMANDS,
     FORMATS,
@@ -225,6 +225,16 @@ def test_algebra_builds_the_space_once(capsys, monkeypatch):
     counts = count_calls(monkeypatch, [(angular, "three_mode_space")])
     assert run_cli(capsys, "algebra")[0] == 0
     assert counts == Counter(three_mode_space=1)
+
+
+@pytest.mark.parametrize("command", ["algebra", "entangle", "verify-all"])
+def test_commands_build_no_basis_tuples(capsys, monkeypatch, command):
+    # the spaces are read through their occupation array; the tuples are for inspection
+    def refuse(space):
+        raise AssertionError(f"{command} built FockSpace.basis")
+
+    monkeypatch.setattr(fock.FockSpace, "basis", property(refuse))
+    assert run_cli(capsys, command)[0] == 0
 
 
 def test_verify_all_shell_conservation_detects_bad_normalization(capsys, monkeypatch):

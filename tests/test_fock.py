@@ -72,6 +72,87 @@ def test_build_space_many_modes():
     assert build_space([ModeLabel(str(i)) for i in range(2000)], 0).basis == ((0,) * 2000,)
 
 
+def admitted_cutoffs(n_modes: int) -> list[int]:
+    """Every cutoff check_dim admits for n_modes modes."""
+    cutoffs = []
+    while True:
+        try:
+            check_dim(n_modes, len(cutoffs))
+        except ValueError:
+            return cutoffs
+        cutoffs.append(len(cutoffs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from(admitted_cutoffs(n)))
+    )
+)
+def test_occupations_match_brute_force_enumeration(case):
+    n_modes, cutoff = case
+    occupations = build_space([ModeLabel(str(i)) for i in range(n_modes)], cutoff).occupations
+    assert occupations.dtype == np.intp and not occupations.flags.writeable
+    assert occupations.tolist() == [list(occ) for occ in brute_force_basis(n_modes, cutoff)]
+
+
+def test_occupations_of_many_modes():
+    # 2000 modes hold the vacuum only; 70 modes at cutoff 1 the vacuum, then one
+    # photon in the last mode, ..., one photon in the first, as lexicographic order puts them
+    vacuum = build_space([ModeLabel(str(i)) for i in range(2000)], 0).occupations
+    assert vacuum.shape == (1, 2000) and not vacuum.any()
+    ones = build_space([ModeLabel(str(i)) for i in range(70)], 1).occupations
+    np.testing.assert_array_equal(ones, np.vstack([np.zeros(70), np.eye(70)[::-1]]))
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(3, 3), (3, 20), (6, 5), (1, 251), (70, 1), (2000, 0)])
+def test_index_of_round_trips_every_state(n_modes, cutoff):
+    # 70 modes at cutoff 1 take Python-int keys; the others int64
+    space = build_space([ModeLabel(str(i)) for i in range(n_modes)], cutoff)
+    assert [space.index_of(occ) for occ in space.basis] == list(range(space.dim))
+    assert [space.index_of(row) for row in space.occupations] == list(range(space.dim))
+
+
+@pytest.mark.parametrize(
+    "occupation",
+    [(-1, 1, 0), (0, -1, 0), (1, 0), (1, 0, 0, 0), (), (2, 2, 0), (4, 0, 0), (0.5, 0, 0),
+     (1.0, 0, 0), ("1", 0, 0), (None, 0, 0), (float("nan"), 0, 0)],
+)
+def test_index_of_refuses_states_outside_the_basis(occupation):
+    space = build_space([M1, M2, M3], 3)
+    with pytest.raises(ValueError) as info:
+        space.index_of(occupation)
+    assert str(info.value) == f"occupation {occupation} not in truncated basis"
+
+
+def reference_hops(space, raised, lowered):
+    """(src, dst, amplitude) of prod creation(raised) prod annihilation(lowered),
+    multiplied out from the dense per-state matrices of fock.annihilation."""
+    product = np.eye(space.dim, dtype=complex)
+    for mode in raised:
+        product = product @ fock.annihilation(space, mode).conj().T
+    for mode in lowered:
+        product = product @ fock.annihilation(space, mode)
+    src, dst = np.nonzero(product.T)
+    assert not product.imag.any()
+    return src, dst, product.real[dst, src]
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 4), (2, 5), (3, 4), (4, 3), (70, 1)])
+def test_hops_match_the_dense_ladder_reference(n_modes, cutoff):
+    modes = [ModeLabel(str(i)) for i in range(n_modes)]
+    space = build_space(modes, cutoff)
+    picked = modes[:4] if n_modes <= 4 else [modes[0], modes[1], modes[-2], modes[-1]]
+    for k in range(len(picked) + 1):
+        for chosen in itertools.permutations(picked, k):
+            # every split of the chosen modes with no more raised than lowered
+            for n_up in range(k // 2 + 1):
+                raised, lowered = chosen[:n_up], chosen[n_up:]
+                got = fock._hops(space, raised, lowered)
+                for a, b in zip(got, reference_hops(space, raised, lowered), strict=True):
+                    assert np.array_equal(a, b), (raised, lowered)
+
+
 def test_basis_ordering_deterministic_and_bijective():
     a = build_space([M1, M2, M3], 3)
     b = build_space([M1, M2, M3], 3)

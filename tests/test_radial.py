@@ -22,6 +22,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import mpmath
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
@@ -132,6 +133,13 @@ def test_bessel_matches_scipy_over_wide_range():
         ours = spherical_bessel(ell, x)
         ref = spherical_jn(ell, x)
         np.testing.assert_allclose(ours, ref, atol=1e-13, rtol=1e-12)
+
+
+def test_series_horner_rounds_as_polyval():
+    # the series run in-place Horner steps; numpy's polyval is the loop they must round like
+    x = np.linspace(0.0, 9.0, 20001)
+    for coefficients in (*radial._BESSEL_SERIES.values(), *radial._LOMMEL_SERIES.values()):
+        assert np.array_equal(radial._horner(x, coefficients), polyval(x, coefficients))
 
 
 def test_bessel_series_seam():
