@@ -411,8 +411,9 @@ def _validate(cfg: RunConfig) -> None:
     """
     if cfg.format == "csv" and cfg.command not in ("radial", "decay"):
         raise ValueError(f"{cfg.command} writes json only, got --format csv")
-    if not (np.isfinite(cfg.tol) and cfg.tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {cfg.tol}")
+    for name in ("kR", "omega0_over_gamma", "tol"):
+        if not (np.isfinite(value := getattr(cfg, name)) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     if cfg.samples is not None and cfg.samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {cfg.samples}")
     fewest = radial.MIN_SAMPLES if cfg.command == "radial" else MIN_DECAY_SAMPLES

@@ -14,9 +14,9 @@ its `blocks`, read-only views of it. `.matrix` assembles the dense array.
 
 One ladder map fills the blocks: a product of ladder operators on distinct
 modes that adds no photon moves each basis state to one other, found by index
-arithmetic, so it is exact on every sector. `bilinear` maps a stack of blocks
-to the number-conserving operators sum_ij block[i, j] a_i^dagger a_j that way,
-each hop found once per space and kept in the space's ladder table.
+arithmetic, so it is exact on every sector; one call maps every term of an
+operator set. `bilinear` maps a stack of blocks to the number-conserving
+operators sum_ij block[i, j] a_i^dagger a_j that way.
 `annihilation` stays as the dense per-state reference; it changes the photon
 number, so it is a plain dim x dim array.
 """
@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, repeat
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -138,12 +139,13 @@ class FockSpace:
             raise ValueError(f"unknown mode label {mode}") from None
 
     @cached_property
-    def _radix(self) -> tuple[np.ndarray, list[int]]:
+    def _radix(self) -> tuple[np.ndarray, np.ndarray]:
         """Mixed-radix keys of the basis, rising with its order, and the key weights."""
+        weights = [*accumulate(repeat(self.cutoff + 1, len(self.modes) - 1), mul, initial=1)][::-1]
         # Python ints once the largest key, cutoff * weights[0], would overflow int64
-        weights = [(self.cutoff + 1) ** k for k in reversed(range(len(self.modes)))]
         key_type = np.int64 if self.cutoff * weights[0] < 2**63 else object
-        return self.occupations.astype(key_type) @ np.array(weights, dtype=key_type), weights
+        weights = np.array(weights, dtype=key_type)
+        return self.occupations.astype(key_type) @ weights, weights
 
     @cached_property
     def _roots(self) -> np.ndarray:
@@ -154,13 +156,6 @@ class FockSpace:
     def sectors(self) -> Sectors:
         """Photon-number sectors: label N holds the states with N photons in total."""
         return sectors_of(self.occupations.sum(axis=1))
-
-    @cached_property
-    def _ladder(self) -> dict:
-        """Filled by `bilinear` as used: (i, j) of mode positions -> flat positions and
-        amplitudes of a_i^dagger a_j; None -> flat positions of the diagonal."""
-        states = np.arange(self.dim)
-        return {None: _flat_positions(self.sectors, states, states)}
 
 
 def check_dim(n_modes: int, cutoff: int) -> None:
@@ -276,46 +271,42 @@ def annihilation(space: FockSpace, mode: ModeLabel) -> np.ndarray:
     return mat
 
 
-def _hops(space: FockSpace, raised: Sequence, lowered: Sequence) -> tuple[np.ndarray, ...]:
-    """(src, dst, amplitude) of prod_r a_r^dagger prod_l a_l over distinct modes.
+def _hops(space: FockSpace, up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(term, src, dst, amplitude) of each term t, prod_r a_r^dagger prod_l a_l over the
+    distinct mode positions r in row t of the array up and l in row t of down.
 
     With no more raised than lowered modes no image leaves the truncated basis:
     amplitude = prod sqrt(n_r + 1) sqrt(n_l) is nonzero on the states src with every
     lowered mode occupied, and dst is found by the key of src + sum_r e_r - sum_l e_l.
     """
     keys, weights = space._radix
-    up = [space.mode_position(mode) for mode in raised]
-    down = [space.mode_position(mode) for mode in lowered]
-    amplitude = space._roots[up + [len(space.modes) + k for k in down]].prod(axis=0)
-    src = amplitude.nonzero()[0]
-    shift = sum(weights[k] for k in up) - sum(weights[k] for k in down)
-    return src, keys.searchsorted(keys[src] + shift), amplitude[src]
+    amplitude = space._roots[np.hstack([up, len(space.modes) + down])].prod(axis=1)
+    term, src = amplitude.nonzero()
+    shift = weights[up].sum(axis=1) - weights[down].sum(axis=1)
+    return term, src, keys.searchsorted(keys[src] + shift[term]), amplitude[term, src]
 
 
 def bilinear(space: FockSpace, modes: Sequence[ModeLabel], blocks) -> tuple[OperatorMatrix, ...]:
     """sum_ij block[i, j] a_i^dagger a_j over the distinct `modes`, per block of a (k, n, n) stack.
 
-    Diagonal: sum_i block[i, i] n_i, exact for integer-valued blocks. Each
-    off-diagonal a_i^dagger a_j is a ladder-map hop from the space's table,
-    |n> to |n + e_i - e_j> with amplitude sqrt(n_i + 1) sqrt(n_j), scattered
-    into all k blocks at once. An exactly hermitian block gives an exactly
-    hermitian operator.
+    Diagonal: sum_i block[i, i] n_i, exact for integer-valued blocks. Every
+    off-diagonal a_i^dagger a_j that a block uses is a term of one ladder-map
+    call, |n> to |n + e_i - e_j> with amplitude sqrt(n_i + 1) sqrt(n_j),
+    scattered into all k blocks at once. An exactly hermitian block gives an
+    exactly hermitian operator.
     """
     blocks = np.asarray(blocks, dtype=complex)
-    positions = [space.mode_position(mode) for mode in modes]
-    if len(set(positions)) != len(positions):
+    positions = np.array([space.mode_position(mode) for mode in modes], dtype=np.intp)
+    if len(set(positions.tolist())) != positions.size:
         raise ValueError("bilinear modes must be distinct")
     if blocks.ndim != 3 or blocks.shape[1:] != (len(positions),) * 2:
         raise ValueError(f"block stack shape {blocks.shape} does not match {len(positions)} modes")
-    table = space._ladder
+    i, j = np.nonzero(np.any(blocks != 0, axis=0) & ~np.eye(len(positions), dtype=bool))
+    term, src, dst, amplitude = _hops(space, positions[i, None], positions[j, None])
+    states = np.arange(space.dim)
+    where = _flat_positions(space.sectors, np.append(states, dst), np.append(states, src))
+    diagonal = np.diagonal(blocks, axis1=1, axis2=2) @ space.occupations[:, positions].T
     flat = np.zeros((len(blocks), space.sectors.offsets[-1]), dtype=complex)
-    flat[:, table[None]] = np.diagonal(blocks, axis1=1, axis2=2) @ space.occupations[:, positions].T
-    hops = np.any(blocks != 0, axis=0) & ~np.eye(len(positions), dtype=bool)
-    for i, j in zip(*np.nonzero(hops)):
-        pair = positions[i], positions[j]
-        if pair not in table:
-            src, dst, amplitude = _hops(space, (modes[i],), (modes[j],))
-            table[pair] = _flat_positions(space.sectors, dst, src), amplitude
-        where, amplitude = table[pair]
-        flat[:, where] = blocks[:, i, j, None] * amplitude
+    flat[:, where[: space.dim]] = diagonal
+    flat[:, where[space.dim :]] = blocks[:, i[term], j[term]] * amplitude
     return tuple(OperatorMatrix(space, row) for row in flat)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -163,14 +164,19 @@ def atom_field_space(cutoff: int = 2) -> AtomFieldSpace:
     return AtomFieldSpace(field_space=field)
 
 
+def _pair_hops(fs: FockSpace, pairs) -> tuple[np.ndarray, ...]:
+    """The ladder map of a_f a_b, one term per (f, b) of the mode pairs: no mode raised."""
+    lowered = [[fs.mode_position(f), fs.mode_position(b)] for f, b in pairs]
+    return _hops(fs, np.empty((len(lowered), 0), dtype=np.intp), np.array(lowered))
+
+
 def pair_field_vector(space: AtomFieldSpace, amps: np.ndarray) -> np.ndarray:
     """Embed a 3x3 pair amplitude array as one forward and one backward photon."""
     fs = space.field_space
-    # |1_fwd, 1_bwd> has the key weights[fwd] + weights[bwd] in the field basis
-    keys, weights = fs._radix
-    fwd, bwd = ([weights[fs.mode_position(m)] for m in f] for f in (FORWARD_MODES, BACKWARD_MODES))
+    _, src, dst, _ = _pair_hops(fs, product(FORWARD_MODES, BACKWARD_MODES))
     vec = np.zeros(fs.dim, dtype=complex)
-    vec[np.searchsorted(keys, np.add.outer(fwd, bwd))] = amps
+    # a_fwd a_bwd lowers |1_fwd, 1_bwd> alone onto the vacuum: one source per term
+    vec[src[dst == 0].reshape(3, 3)] = amps
     return vec
 
 
@@ -185,23 +191,22 @@ def interaction_hamiltonian(
     The interaction creates one photon in each family with opposite
     projections, so only the exchange-even pair combination couples to the
     excited atom. H conserves N_exc, so it is built as the blocks of
-    space.sectors: the diagonal, then each term of L as one ladder-map hop from
-    |g; n> to |e; n - pair> and its exact adjoint, so H is exactly hermitian.
+    space.sectors: the diagonal, then the terms of L in one ladder-map call,
+    hops |g; n> to |e; n - pair>, and their exact adjoints: H is exactly hermitian.
     """
     fs = space.field_space
     g_offset, e_offset = (space.atom_index(level) * fs.dim for level in ("g", "e"))
     photons = fs.sectors.labels
     states = np.arange(space.dim)
-    rows, cols = [states], [states]
-    values = [np.concatenate([omega * photons + (level == "e") * omega0 for level in ATOM_LEVELS])]
-    for fwd, m in zip(FORWARD_MODES, M_VALUES):
-        src, dst, amplitude = _hops(fs, (), (fwd, BACKWARD_MODES[M_VALUES.index(-m)]))
-        coupling = gamma_coupling * amplitude
-        rows += [e_offset + dst, g_offset + src]
-        cols += [g_offset + src, e_offset + dst]
-        values += [coupling, coupling.conj()]
+    bwd = (BACKWARD_MODES[M_VALUES.index(-m)] for m in M_VALUES)
+    _, src, dst, amplitude = _pair_hops(fs, zip(FORWARD_MODES, bwd))
+    coupling = gamma_coupling * amplitude
+    diagonal = np.concatenate([omega * photons + (level == "e") * omega0 for level in ATOM_LEVELS])
     return OperatorMatrix.from_entries(
-        space, np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+        space,
+        np.concatenate([states, e_offset + dst, g_offset + src]),
+        np.concatenate([states, g_offset + src, e_offset + dst]),
+        np.concatenate([diagonal, coupling, coupling.conj()]),
     )
 
 

@@ -520,7 +520,7 @@ def test_invalid_flags_exit_2():
     assert info.value.code == 2
 
 
-def test_invalid_parameter_value_exit_2(capsys):
+def test_invalid_parameter_value_exit_2(tmp_path, capsys):
     # kR below the enforced floor is a domain error, not a crash
     code, _, err = run_cli(capsys, "radial", "--kR", "5")
     assert code == 2
@@ -565,6 +565,17 @@ def test_invalid_parameter_value_exit_2(capsys):
         assert code == 2, args
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # a value refused by the cavity or decay model names the option, not the model's field
+    config_file = tmp_path / "run.cfg"
+    for key in ("kR", "omega0_over_gamma"):
+        for value in ("nan", "inf", "-5"):
+            want = (2, "", f"error: {key} must be finite and > 0, got {float(value)}\n")
+            for command in ("radial", "decay", "verify-all"):
+                flag = "--" + key.replace("_", "-")
+                assert run_cli(capsys, command, flag, value) == want, (command, key, value)
+            config_file.write_text(f"command = radial\n{key} = {value}\n")
+            assert run_cli(capsys, "--config", str(config_file)) == want, (key, value)
 
 
 @pytest.mark.parametrize("command", ["algebra", "variance", "entangle", "verify-all"])

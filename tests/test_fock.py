@@ -144,13 +144,17 @@ def test_hops_match_the_dense_ladder_reference(n_modes, cutoff):
     space = build_space(modes, cutoff)
     picked = modes[:4] if n_modes <= 4 else [modes[0], modes[1], modes[-2], modes[-1]]
     for k in range(len(picked) + 1):
-        for chosen in itertools.permutations(picked, k):
-            # every split of the chosen modes with no more raised than lowered
-            for n_up in range(k // 2 + 1):
-                raised, lowered = chosen[:n_up], chosen[n_up:]
-                got = fock._hops(space, raised, lowered)
-                for a, b in zip(got, reference_hops(space, raised, lowered), strict=True):
-                    assert np.array_equal(a, b), (raised, lowered)
+        terms = list(itertools.permutations(picked, k))
+        positions = np.array([[space.mode_position(m) for m in t] for t in terms], dtype=np.intp)
+        # every split of the chosen modes with no more raised than lowered, each
+        # split's terms in one call, against the per-term references in term order
+        for n_up in range(k // 2 + 1):
+            got = fock._hops(space, positions[:, :n_up], positions[:, n_up:])
+            per_term = [reference_hops(space, t[:n_up], t[n_up:]) for t in terms]
+            want = [np.concatenate([np.full(len(src), t) for t, (src, _, _) in enumerate(per_term)])]
+            want += [np.concatenate(column) for column in zip(*per_term)]
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b), (k, n_up)
 
 
 def test_basis_ordering_deterministic_and_bijective():
@@ -314,25 +318,24 @@ def test_bilinear_validation():
         bilinear(space, (M1, M2), np.eye(2))
 
 
-def test_ladder_table_finds_each_hop_once_per_space(monkeypatch):
+def test_bilinear_makes_one_ladder_call_per_stack(monkeypatch):
     calls, hops = [], fock._hops
 
-    def counted(*args):
-        calls.append(args)
-        return hops(*args)
+    def counted(space, up, down):
+        calls.append((np.shape(up), np.shape(down)))
+        return hops(space, up, down)
 
     monkeypatch.setattr(fock, "_hops", counted)
     space = angular.three_mode_space(4)
     angular.j_operators(space)
     angular.su3_generators(space)
     angular.j_operators(space)
-    # a three-mode space has 6 ordered mode pairs, and the SU(3) set uses all of them
-    assert len(calls) == 6
-    # an equal space built anew keeps its own table
-    other = angular.three_mode_space(4)
-    assert other == space
-    angular.su3_generators(other)
-    assert len(calls) == 12
+    # J uses the four hops to or from m = 0; SU(3) all six ordered pairs of three modes;
+    # nothing is kept between calls
+    assert calls == [((4, 1), (4, 1)), ((6, 1), (6, 1)), ((4, 1), (4, 1))]
+    # a diagonal-only stack makes the call too, with no term
+    bilinear(space, angular.AM_MODES, [np.diag([1.0, 2.0, 3.0])])
+    assert calls[3:] == [((0, 1), (0, 1))]
 
 
 def test_bilinear_refuses_a_hop_out_of_its_sector(monkeypatch):
@@ -340,9 +343,9 @@ def test_bilinear_refuses_a_hop_out_of_its_sector(monkeypatch):
     hops = fock._hops
 
     def leaky(*args):
-        src, dst, amplitude = hops(*args)
+        term, src, dst, amplitude = hops(*args)
         # send the first image to the vacuum, sector 0; every hop source holds a photon
-        return src, np.concatenate(([0], dst[1:])), amplitude
+        return term, src, np.concatenate(([0], dst[1:])), amplitude
 
     monkeypatch.setattr(fock, "_hops", leaky)
     with pytest.raises(ValueError, match="couples sector 1 to sector 0"):

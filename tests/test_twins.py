@@ -268,6 +268,35 @@ def test_hamiltonian_blocks_are_exact(cutoff, omega, omega0, gamma):
     assert np.array_equal(block, gamma * pair)
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+def test_pair_field_vector_places_each_pair_by_index_of(cutoff):
+    # independent of the ladder map: |1_{m1} fwd, 1_{m2} bwd> found through index_of
+    space = atom_field_space(cutoff)
+    fs = space.field_space
+    units = [np.eye(9)[k].reshape(3, 3) for k in range(9)]
+    for amps in units + list(PARITY_BASIS):
+        want = np.zeros(fs.dim, dtype=complex)
+        for a, b in itertools.product(range(3), repeat=2):
+            occ = [0] * len(fs.modes)
+            occ[fs.mode_position(FORWARD_MODES[a])] = 1
+            occ[fs.mode_position(BACKWARD_MODES[b])] = 1
+            want[fs.index_of(tuple(occ))] = amps[a, b]
+        assert np.array_equal(pair_field_vector(space, amps), want)
+
+
+def test_interaction_hamiltonian_makes_one_ladder_call(monkeypatch):
+    calls, hops = [], twins._hops
+
+    def counted(space, up, down):
+        calls.append((np.shape(up), np.shape(down)))
+        return hops(space, up, down)
+
+    monkeypatch.setattr(twins, "_hops", counted)
+    interaction_hamiltonian(atom_field_space(3), omega=1.0, omega0=2.0, gamma_coupling=0.05)
+    # the three pair terms a_m^fwd a_{-m}^bwd, no mode raised
+    assert calls == [((3, 0), (3, 2))]
+
+
 def test_interaction_couples_even_states_only(space, hamiltonian):
     gamma = 0.05
     vac = np.zeros(space.field_space.dim, dtype=complex)
