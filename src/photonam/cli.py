@@ -383,6 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "radial density profiles, operator-algebra checks, decay curves, "
         "and photon-twin entanglement.",
     )
+    # one `error: ...` line, as every other refusal, without argparse's usage block
+    parser.error = lambda message: parser.exit(2, f"error: {message}\n")
     parser.add_argument(
         "command", nargs="?", choices=COMMANDS, default=None,
         help=f"the computation to run (default {RunConfig.command})",

@@ -123,14 +123,17 @@ class FockSpace:
         """The occupation tuples in basis order, built on first read."""
         return tuple(map(tuple, self.occupations.tolist()))
 
-    def index_of(self, occupation: tuple[int, ...]) -> int:
-        """Basis index by key; ValueError unless len(modes) integers >= 0 sum to <= cutoff."""
-        occ = tuple(occupation)
-        integers = all(isinstance(n, (int, np.integer)) and n >= 0 for n in occ)
-        if not integers or len(occ) != len(self.modes) or sum(occ) > self.cutoff:
+    def index_of(self, occupation):
+        """Basis index of an occupation, or the k indices of a (k, n_modes) array of them,
+        from one search of their mixed-radix keys; ValueError unless each occupation is
+        len(modes) integers >= 0 (bools count) that sum to <= cutoff."""
+        occ = np.asarray(occupation)
+        fits = occ.ndim in (1, 2) and occ.shape[-1] == len(self.modes) and occ.dtype.kind in "biu"
+        if not fits or (occ < 0).any() or (occ.sum(axis=-1) > self.cutoff).any():
             raise ValueError(f"occupation {occupation} not in truncated basis")
         keys, weights = self._radix
-        return int(keys.searchsorted(sum(int(n) * w for n, w in zip(occ, weights))))
+        index = keys.searchsorted(occ.astype(weights.dtype) @ weights)
+        return int(index) if occ.ndim == 1 else index
 
     def mode_position(self, mode: ModeLabel) -> int:
         try:

@@ -99,88 +99,78 @@ class CavityConfig:
 
 
 def spherical_bessel(ell: int, x):
-    """j0 or j2 for finite x >= 0, scalar or array.
-
-    From SERIES_SWITCH[ell] on, j0 = sin(x)/x and j2 by upward recurrence from
-    it (`_spherical_j1_j2`); below the seam the Taylor series, where the
-    recurrence cancels. The series is evaluated on those arguments only.
-    """
+    """j0 or j2 for finite x >= 0, scalar or array: its row of `_radial_functions`."""
     if ell not in (0, 2):
         raise ValueError(f"ell must be 0 or 2, got {ell}")
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0) & (arr < np.inf)):
         raise ValueError("argument must be finite and >= 0")
-    small = arr < SERIES_SWITCH[ell]
-    safe = np.where(small, SERIES_SWITCH[ell], arr)  # keep the unused branch finite
-    closed = np.sin(safe) / safe if ell == 0 else _spherical_j1_j2(safe)[1]
-    out = np.asarray(closed)  # a 0-d array where numpy returned a scalar
-    if small.any():
-        out[small] = _bessel_series(ell, arr[small])
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    out = _radial_functions(arr)[ell // 2]
+    return float(out) if arr.ndim == 0 else out
 
 
-def _series_coefficients(ell: int) -> np.ndarray:
-    """a_s in j_ell(x) = x^ell sum_s a_s x^(2s), a_s = (-1/2)^s / (s! (2 ell + 2s + 1)!!)."""
-    return np.array(
-        [
-            (-0.5) ** s / (factorial(s) * prod(range(2 * ell + 2 * s + 1, 0, -2)))
-            for s in range(_SERIES_TERMS)
-        ]
-    )
+def _series_table() -> np.ndarray:
+    """Taylor coefficients of the rows j0, j2, A_0, A_2 of `_radial_functions`, (terms, 4, 1).
+
+    j_ell(x) = x^ell sum_s a_s x^(2s) with a_s = (-1/2)^s / (s! (2 ell + 2s + 1)!!), and
+    A_ell(x) = x^(2 ell + 3) sum_n c_n x^(2n): the squared series integrated term by term.
+    """
+    n = np.arange(_SERIES_TERMS)
+    bessel = [
+        [(-0.5) ** s / (factorial(s) * prod(range(2 * ell + 2 * s + 1, 0, -2))) for s in n.tolist()]
+        for ell in (0, 2)
+    ]
+    lommel = [np.convolve(a, a)[: n.size] / (2 * ell + 2 * n + 3) for ell, a in zip((0, 2), bessel)]
+    return np.stack(bessel + lommel, axis=1)[:, :, None]
 
 
-_BESSEL_SERIES = {ell: _series_coefficients(ell) for ell in (0, 2)}
-
-#: c_n in A_ell(x) = x^(2 ell + 3) sum_n c_n x^(2n): the squared j_ell series
-#: integrated term by term.
-_LOMMEL_SERIES = {
-    ell: np.convolve(a, a)[:_SERIES_TERMS] / (2 * ell + 2 * np.arange(_SERIES_TERMS) + 3)
-    for ell, a in _BESSEL_SERIES.items()
-}
+#: Row r of `_radial_functions` is x^_SERIES_POWERS[r] times its series in x^2
+#: below _SEAMS[r], the seam of its ell.
+_SERIES = _series_table()
+_SERIES_POWERS = (0, 2, 3, 7)
+_SEAMS = np.array([SERIES_SWITCH[0], SERIES_SWITCH[2]] * 2)[:, None]
 
 
 def _horner(x, coefficients: np.ndarray) -> np.ndarray:
-    """sum_n coefficients[n] x^n in place, rounded step for step as numpy's polyval."""
-    acc = np.full_like(x, coefficients[-1], dtype=float)
+    """sum_n coefficients[n] x^n in place, rounded step for step as numpy's polyval.
+
+    A stacked (terms, k, 1) table evaluates k series at once, each rounded as
+    polyval of its column.
+    """
+    acc = coefficients[-1] + np.zeros_like(x)
     for c in coefficients[-2::-1]:
         acc *= x
         acc += c
     return acc
 
 
-def _bessel_series(ell: int, x):
-    return x**ell * _horner(np.square(x), _BESSEL_SERIES[ell])
-
-
-def _spherical_j1_j2(x):
-    """(j1, j2) at x > 0 by upward recurrence from j0 = sin(x)/x; they cancel below x ~ 1."""
+def _spherical_j0_j1_j2(x):
+    """(j0, j1, j2) at x > 0 by upward recurrence from j0 = sin(x)/x; j1 and j2 cancel below x ~ 1."""
     j0 = np.sin(x) / x
     j1 = (j0 - np.cos(x)) / x
-    return j1, 3.0 * j1 / x - j0
+    return j0, j1, 3.0 * j1 / x - j0
 
 
-def _shell_antiderivative(ell: int, x) -> np.ndarray:
-    """A_ell(x) = int_0^x t^2 j_ell(t)^2 dt for ell = 0, 2 (Lommel, DLMF 10.22).
+def _radial_functions(x) -> np.ndarray:
+    """Rows j0, j2, A_0, A_2 at finite x >= 0, an array of shape (4, *x.shape).
 
-    From SERIES_SWITCH[ell] on, the closed forms x/2 - sin(2x)/4 and
-    (x^3/2)(j2^2 - j1 j3), with j1, j2 and j3 by upward recurrence from
-    j0 = sin(x)/x; below it, the Taylor series, evaluated on those arguments only.
+    A_ell(x) = int_0^x t^2 j_ell(t)^2 dt (Lommel, DLMF 10.22). From its seam
+    on, SERIES_SWITCH[ell], a row is its closed form: j0 = sin(x)/x, j2 by
+    upward recurrence, A_0 = x/2 - sin(2x)/4 and A_2 = (x^3/2)(j2^2 - j1 j3),
+    from one sin, one cos and one sin(2x). Below it, the Taylor series, all
+    four in one Horner pass over the arguments below the upper seam.
     """
     x = np.asarray(x, dtype=float)
-    small = x < SERIES_SWITCH[ell]
-    xc = np.where(small, SERIES_SWITCH[ell], x)  # keep the unused branch finite
-    if ell == 0:
-        closed = xc / 2.0 - np.sin(2.0 * xc) / 4.0
-    else:
-        j1, j2 = _spherical_j1_j2(xc)
-        closed = xc**3 / 2.0 * (j2 * j2 - j1 * (5.0 * j2 / xc - j1))
-    out = np.asarray(closed)  # a 0-d array where numpy returned a scalar
+    safe = np.where(x < SERIES_SWITCH[0], SERIES_SWITCH[0], x)  # keep the unused branch finite
+    j0, j1, j2 = _spherical_j0_j1_j2(safe)
+    a0 = safe / 2.0 - np.sin(2.0 * safe) / 4.0
+    rows = np.array([j0, j2, a0, safe**3 / 2.0 * (j2 * j2 - j1 * (5.0 * j2 / safe - j1))])
+    small = x < SERIES_SWITCH[2]
     if small.any():
         xs = x[small]
-        out[small] = xs ** (2 * ell + 3) * _horner(xs * xs, _LOMMEL_SERIES[ell])
-    return out
+        series = np.array([xs**p for p in _SERIES_POWERS]) * _horner(xs * xs, _SERIES)
+        rows[:, small] = np.where(xs < _SEAMS, series, rows[:, small])
+    return rows
 
 
 def normalize_mode(config: CavityConfig, ell: int) -> float:
@@ -190,18 +180,24 @@ def normalize_mode(config: CavityConfig, ell: int) -> float:
     """
     if ell not in (0, 2):
         raise ValueError(f"ell must be 0 or 2, got {ell}")
-    raw = float(_shell_antiderivative(ell, config.kR))
+    raw = float(_radial_functions(config.kR)[2 + ell // 2])
     return float(np.sqrt(config.volume * config.k**3 / raw))
 
 
+def _spin_oam(j0, j2, config: CavityConfig):
+    """(f_spin, f_oam) from j0 and j2 at the same points, with j2 squared once."""
+    w0, w2 = config.density_weights
+    j2_sq = j2**2
+    return 2.0 * w0 * j0**2 - 0.5 * w2 * j2_sq, 1.5 * w2 * j2_sq
+
+
 def _densities(kr, config: CavityConfig):
-    """(f_spin, f_oam) at finite kr >= 0, floats for a scalar kr, with j2 evaluated once."""
+    """(f_spin, f_oam) at finite kr >= 0, floats for a scalar kr."""
     x = np.asarray(kr, dtype=float)
     if not np.all((x >= 0) & (x < np.inf)):
         raise ValueError("kr must be finite and >= 0")
-    w0, w2 = config.density_weights
-    j2_sq = spherical_bessel(2, x) ** 2
-    return 2.0 * w0 * spherical_bessel(0, x) ** 2 - 0.5 * w2 * j2_sq, 1.5 * w2 * j2_sq
+    rows = _radial_functions(x)[:2]
+    return _spin_oam(*(rows.tolist() if x.ndim == 0 else rows), config)
 
 
 def f_spin(kr, config: CavityConfig):
@@ -244,10 +240,10 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
     kR = config.kR
-    grid = np.linspace(kR / n_samples, kR, n_samples)
-    a0 = _shell_antiderivative(0, grid) / _shell_antiderivative(0, kR)
-    a2 = _shell_antiderivative(2, grid) / _shell_antiderivative(2, kR)
-    spin, oam = _densities(grid, config)
+    grid = np.linspace(kR / n_samples, kR, n_samples)  # its last point is kR exactly
+    j0, j2, a0, a2 = _radial_functions(grid)
+    a0, a2 = a0 / a0[-1], a2 / a2[-1]
+    spin, oam = _spin_oam(j0, j2, config)
     arrays = dict(
         kr=grid,
         f_spin=spin,
@@ -320,7 +316,7 @@ def _oam_peak_kr() -> float:
     lo, hi = 0.0, 2.0 * np.pi
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        j1, j2 = _spherical_j1_j2(mid)
+        _, j1, j2 = _spherical_j0_j1_j2(mid)
         if j1 - 3.0 * j2 / mid > 0.0:
             lo = mid
         else:

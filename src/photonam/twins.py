@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -164,19 +163,15 @@ def atom_field_space(cutoff: int = 2) -> AtomFieldSpace:
     return AtomFieldSpace(field_space=field)
 
 
-def _pair_hops(fs: FockSpace, pairs) -> tuple[np.ndarray, ...]:
-    """The ladder map of a_f a_b, one term per (f, b) of the mode pairs: no mode raised."""
-    lowered = [[fs.mode_position(f), fs.mode_position(b)] for f, b in pairs]
-    return _hops(fs, np.empty((len(lowered), 0), dtype=np.intp), np.array(lowered))
-
-
 def pair_field_vector(space: AtomFieldSpace, amps: np.ndarray) -> np.ndarray:
     """Embed a 3x3 pair amplitude array as one forward and one backward photon."""
     fs = space.field_space
-    _, src, dst, _ = _pair_hops(fs, product(FORWARD_MODES, BACKWARD_MODES))
+    units = np.eye(len(fs.modes), dtype=np.intp)
+    fwd = units[[fs.mode_position(m) for m in FORWARD_MODES]]
+    bwd = units[[fs.mode_position(m) for m in BACKWARD_MODES]]
     vec = np.zeros(fs.dim, dtype=complex)
-    # a_fwd a_bwd lowers |1_fwd, 1_bwd> alone onto the vacuum: one source per term
-    vec[src[dst == 0].reshape(3, 3)] = amps
+    # row (a, b) of the nine occupations is |1_{m_a} fwd, 1_{m_b} bwd>
+    vec[fs.index_of((fwd[:, None] + bwd[None, :]).reshape(9, -1)).reshape(3, 3)] = amps
     return vec
 
 
@@ -199,7 +194,8 @@ def interaction_hamiltonian(
     photons = fs.sectors.labels
     states = np.arange(space.dim)
     bwd = (BACKWARD_MODES[M_VALUES.index(-m)] for m in M_VALUES)
-    _, src, dst, amplitude = _pair_hops(fs, zip(FORWARD_MODES, bwd))
+    lowered = [[fs.mode_position(f), fs.mode_position(b)] for f, b in zip(FORWARD_MODES, bwd)]
+    _, src, dst, amplitude = _hops(fs, np.empty((3, 0), dtype=np.intp), np.array(lowered))
     coupling = gamma_coupling * amplitude
     diagonal = np.concatenate([omega * photons + (level == "e") * omega0 for level in ATOM_LEVELS])
     return OperatorMatrix.from_entries(

@@ -508,16 +508,20 @@ def test_second_command_exits_2(capsys):
     assert "unrecognized arguments: algebra" in captured.err
 
 
-def test_invalid_flags_exit_2():
-    with pytest.raises(SystemExit) as info:
-        main(["radial", "--bogus"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["variance", "--m", "7"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["bogus"])
-    assert info.value.code == 2
+def test_invalid_flags_exit_2(capsys):
+    # argparse's refusals are one `error: ...` line, as every other refusal, with no usage block
+    for argv, message in (
+        (["radial", "--bogus"], "unrecognized arguments: --bogus"),
+        (["variance", "--m", "7"], "argument --m: invalid choice"),
+        (["bogus"], "argument command: invalid choice"),
+        (["--kR", "abc", "radial"], "argument --kR: invalid float value"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}"), err
+        assert err.endswith("\n") and err.count("\n") == 1, err
 
 
 def test_invalid_parameter_value_exit_2(tmp_path, capsys):

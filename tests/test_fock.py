@@ -111,6 +111,9 @@ def test_index_of_round_trips_every_state(n_modes, cutoff):
     space = build_space([ModeLabel(str(i)) for i in range(n_modes)], cutoff)
     assert [space.index_of(occ) for occ in space.basis] == list(range(space.dim))
     assert [space.index_of(row) for row in space.occupations] == list(range(space.dim))
+    # the whole basis as one (dim, n_modes) array: one search of all the keys
+    assert space.index_of(space.occupations).tolist() == list(range(space.dim))
+    assert space.index_of(space.occupations[::-1]).tolist() == list(range(space.dim))[::-1]
 
 
 @pytest.mark.parametrize(
@@ -123,6 +126,15 @@ def test_index_of_refuses_states_outside_the_basis(occupation):
     with pytest.raises(ValueError) as info:
         space.index_of(occupation)
     assert str(info.value) == f"occupation {occupation} not in truncated basis"
+
+
+def test_index_of_refuses_an_array_with_one_state_outside_the_basis():
+    space = build_space([M1, M2, M3], 3)
+    for bad in ([[0, 0, 1], [2, 2, 0]], [[0, 0, 1], [0, -1, 0]], [[1.0, 0, 0]], [[[0, 0, 0]]]):
+        with pytest.raises(ValueError, match="not in truncated basis"):
+            space.index_of(np.array(bad))
+    assert space.index_of(np.zeros((0, 3), dtype=int)).tolist() == []
+    assert space.index_of(np.array([[True, False, True]])).tolist() == [space.index_of((1, 0, 1))]
 
 
 def reference_hops(space, raised, lowered):

@@ -136,19 +136,27 @@ def test_bessel_matches_scipy_over_wide_range():
 
 
 def test_series_horner_rounds_as_polyval():
-    # the series run in-place Horner steps; numpy's polyval is the loop they must round like
+    # the series run in-place Horner steps; numpy's polyval is the loop they must round like,
+    # each series alone and all four from the stacked (terms, 4, 1) table in one pass
     x = np.linspace(0.0, 9.0, 20001)
-    for coefficients in (*radial._BESSEL_SERIES.values(), *radial._LOMMEL_SERIES.values()):
-        assert np.array_equal(radial._horner(x, coefficients), polyval(x, coefficients))
+    table = radial._SERIES
+    stacked = radial._horner(x, table)
+    assert stacked.shape == (4, x.size)
+    for row, coefficients in enumerate(table[:, :, 0].T):
+        want = polyval(x, coefficients)
+        assert np.array_equal(radial._horner(x, coefficients), want)
+        assert np.array_equal(stacked[row], want)
 
 
 def test_bessel_series_seam():
-    # at its seam each series agrees with the textbook closed form to 1 ulp
+    # at its seam each Bessel series of the stacked table agrees with the textbook
+    # closed form to 1 ulp
     x0, x2 = radial.SERIES_SWITCH[0], radial.SERIES_SWITCH[2]
+    series = radial._horner(np.array([x0, x2]) ** 2, radial._SERIES)
     j0_closed = np.sin(x0) / x0
     j2_closed = (3.0 / x2**3 - 1.0 / x2) * np.sin(x2) - 3.0 * np.cos(x2) / x2**2
-    assert radial._bessel_series(0, x0) == pytest.approx(j0_closed, rel=2.3e-16, abs=0)
-    assert radial._bessel_series(2, x2) == pytest.approx(j2_closed, rel=2.3e-16, abs=0)
+    assert series[0, 0] == pytest.approx(j0_closed, rel=2.3e-16, abs=0)
+    assert x2**2 * series[1, 1] == pytest.approx(j2_closed, rel=2.3e-16, abs=0)
 
 
 def test_bessel_relative_error_against_mpmath():
@@ -193,14 +201,16 @@ def _straddle(seam):
     extra=st.lists(st.floats(0.0, 1e3), max_size=6),
 )
 def test_scalar_calls_equal_array_elements_bitwise(pairs, extra):
-    # a scalar call evaluates the series only below its seam; the array call
+    # a 0-d call evaluates the series only below the upper seam; the array call
     # evaluates both branches on a mix of arguments on either side of every seam
     xs = [x for pair in pairs for x in pair] + extra
-    for func in (spherical_bessel, radial._shell_antiderivative):
-        for ell in (0, 2):
-            whole = func(ell, np.array(xs))
-            single = np.array([float(func(ell, x)) for x in xs])
-            assert whole.tobytes() == single.tobytes()
+    whole = radial._radial_functions(np.array(xs))
+    single = np.array([radial._radial_functions(x) for x in xs]).T
+    assert whole.shape == single.shape == (4, len(xs))
+    assert whole.tobytes() == single.tobytes()
+    for row, ell in enumerate((0, 2)):
+        assert spherical_bessel(ell, np.array(xs)).tobytes() == whole[row].tobytes()
+        assert [spherical_bessel(ell, x) for x in xs] == whole[row].tolist()
 
 
 # ---------------------------------------------------------------- config
@@ -242,10 +252,34 @@ def test_normalization_round_trip(kR, ell):
 
 @pytest.mark.parametrize("ell", [0, 2])
 def test_shell_antiderivative_across_series_seam(ell):
-    seam = radial.SERIES_SWITCH[ell]
-    x = np.array([1e-3, 0.1, 1.0, np.nextafter(seam, 0.0), seam, 5.0])
+    # rows A_0 and A_2 of the kernel, on both sides of both seams
+    seams = list(radial.SERIES_SWITCH.values())
+    x = np.sort([1e-3, 0.1, 1.0, 5.0, *seams, *np.nextafter(seams, 0.0)])
     want = np.cumsum(gl_panels(ell, np.concatenate(([0.0], x))))
-    np.testing.assert_allclose(radial._shell_antiderivative(ell, x), want, rtol=1e-14)
+    np.testing.assert_allclose(radial._radial_functions(x)[2 + ell // 2], want, rtol=1e-14)
+
+
+def test_one_kernel_call_per_profile_density_and_normalization(monkeypatch):
+    # j0, j2, A_0 and A_2 come from one kernel call on each set of points
+    kernel, calls = radial._radial_functions, []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return kernel(x)
+
+    monkeypatch.setattr(radial, "_radial_functions", counted)
+    cavity = CavityConfig(k=1.0, R=100.0)
+    normalize_mode(cavity, 2)
+    assert calls == [()]
+    cavity.density_weights  # one normalization per ell
+    assert calls == [()] * 3
+    calls.clear()
+    radial_profile(cavity, 300)
+    assert calls == [(300,)]
+    calls.clear()
+    radial._densities(np.linspace(0.0, 5.0, 7), cavity)
+    f_oam(2.5, cavity)
+    assert calls == [(7,), ()]
 
 
 def test_c0_large_argument_asymptotic():

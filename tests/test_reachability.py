@@ -48,8 +48,8 @@ ALLOWED = {
     "fock.FockSpace.basis": "the occupation tuples, built on demand for inspection: the "
     "benchmark's operator-sweep reads them outside its timed operation "
     "(perfbench/workloads.py); the commands read the occupation array",
-    "fock.FockSpace.index_of": "the benchmark's operator-sweep places its pair and excited "
-    "states with it (perfbench/workloads.py), and fock.annihilation's reference does",
+    "radial.spherical_bessel": "public j0/j2; the tests check the kernel's Bessel rows "
+    "against mpmath through it",
     "radial.f_spin": "the benchmark's radial-sweep reports it (perfbench/workloads.py); "
     "density_commutator_check reads both factors from one radial._densities call",
 }
@@ -129,6 +129,6 @@ def test_every_function_is_reached_by_a_command(tmp_path):
     # equality: an allowed function that a command starts to call, or that is
     # deleted, leaves the list too
     assert unreached == set(ALLOWED)
-    # four entries, and three the benchmark reads since the commands stopped calling
-    # them: FockSpace.basis, FockSpace.index_of and radial.f_spin
+    # five entries, and two the benchmark reads since the commands stopped calling
+    # them: FockSpace.basis and radial.f_spin
     assert len(ALLOWED) <= 7 and all(ALLOWED.values())
