@@ -132,11 +132,8 @@ _SEAMS = np.array([SERIES_SWITCH[0], SERIES_SWITCH[2]] * 2)[:, None]
 
 
 def _horner(x, coefficients: np.ndarray) -> np.ndarray:
-    """sum_n coefficients[n] x^n in place, rounded step for step as numpy's polyval.
-
-    A stacked (terms, k, 1) table evaluates k series at once, each rounded as
-    polyval of its column.
-    """
+    """sum_n coefficients[n] x^n in place, rounded step for step as numpy's polyval; a stacked
+    (terms, k, 1) table evaluates k series at once, each rounded as polyval of its column."""
     acc = coefficients[-1] + np.zeros_like(x)
     for c in coefficients[-2::-1]:
         acc *= x
@@ -145,7 +142,7 @@ def _horner(x, coefficients: np.ndarray) -> np.ndarray:
 
 
 def _spherical_j0_j1_j2(x):
-    """(j0, j1, j2) at x > 0 by upward recurrence from j0 = sin(x)/x; j1 and j2 cancel below x ~ 1."""
+    """(j0, j1, j2) at x > 0, j0 = sin(x)/x and upward recurrence; j1, j2 cancel below x ~ 1."""
     j0 = np.sin(x) / x
     j1 = (j0 - np.cos(x)) / x
     return j0, j1, 3.0 * j1 / x - j0
@@ -242,7 +239,9 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
     kR = config.kR
     grid = np.linspace(kR / n_samples, kR, n_samples)  # its last point is kR exactly
     j0, j2, a0, a2 = _radial_functions(grid)
-    a0, a2 = a0 / a0[-1], a2 / a2[-1]
+    # in place: copies left a grid-sized hole in the heap, +7 MiB peak RSS at 10^6 samples
+    a0 /= a0[-1]
+    a2 /= a2[-1]
     spin, oam = _spin_oam(j0, j2, config)
     arrays = dict(
         kr=grid,
