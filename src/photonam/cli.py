@@ -29,7 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import angular, decay, fock, output, radial, twins
+from . import angular, decay, fock, output, radial
+# a from-import probes decay for __path__, which calls decay.__getattr__ (tests/test_reachability.py)
+from .decay import DecayParams
 
 SCHEMA_VERSION = 1
 
@@ -159,11 +161,11 @@ def cmd_variance(cfg: RunConfig) -> tuple[str, int]:
     return _json_text({"m": cfg.m, "varJx": var_x, "varJy": var_y, "varJz": var_z}), 0
 
 
-def _decay_params(cfg: RunConfig, n_times: int) -> decay.DecayParams:
+def _decay_params(cfg: RunConfig, n_times: int) -> DecayParams:
     gamma = 1.0
     omega0 = cfg.omega0_over_gamma * gamma
     grid = np.linspace(0.0, 10.0 / gamma, n_times)
-    return decay.DecayParams(omega0=omega0, gamma=gamma, time_grid=grid)
+    return DecayParams(omega0=omega0, gamma=gamma, time_grid=grid)
 
 
 def cmd_decay(cfg: RunConfig) -> tuple[str, int]:
@@ -186,6 +188,8 @@ def cmd_decay(cfg: RunConfig) -> tuple[str, int]:
 
 def _selection_rule() -> twins.SelectionRuleReport:
     """The selection rule of the resonant pair Hamiltonian."""
+    from . import twins  # entangle and verify-all alone load twins
+
     space = twins.atom_field_space()
     hamiltonian = twins.interaction_hamiltonian(
         space, ENTANGLE_OMEGA, ENTANGLE_OMEGA0, ENTANGLE_COUPLING
@@ -194,6 +198,8 @@ def _selection_rule() -> twins.SelectionRuleReport:
 
 
 def cmd_entangle(cfg: RunConfig) -> tuple[str, int]:
+    from . import twins
+
     optimum, rule = twins.maximize_entanglement(), _selection_rule()
     ok = optimum.variational_pass and rule.passed
     payload = {**_fields(optimum), "selection_rule": _fields(rule), "pass": ok}
@@ -248,7 +254,7 @@ def _density_commutators(cfg: RunConfig, densities: list[dict]) -> dict:
 def _decay_conservation(cfg: RunConfig) -> dict:
     residuals = []
     for ratio in (1e2, 1e3, 1e4):
-        params = decay.DecayParams(omega0=ratio, gamma=1.0, time_grid=np.array([0.0]))
+        params = DecayParams(omega0=ratio, gamma=1.0, time_grid=np.array([0.0]))
         residuals.append(abs(decay.conservation_check(params, 10.0)))
     curve = decay.sz_curve(_decay_params(cfg, 41))
     closed_form = np.max(np.abs(curve.excited_pop + 2.0 * curve.sz_expect - 1.0))
@@ -262,6 +268,8 @@ def _decay_conservation(cfg: RunConfig) -> dict:
 
 
 def _entanglement_maximum(optimum: twins.EntanglementOptimum) -> dict:
+    from . import twins
+
     deviations = (
         optimum.c1_abs - 1.0 / np.sqrt(3.0),
         optimum.c2_abs - np.sqrt(2.0 / 3.0),
@@ -281,6 +289,8 @@ def _selection_rule_check(rule: twins.SelectionRuleReport) -> dict:
 
 
 def cmd_verify_all(cfg: RunConfig) -> tuple[str, int]:
+    from . import twins
+
     su2_closure, *densities = _algebra_checks(cfg, angular.three_mode_space(cfg.cutoff))
     cavity = _cavity(cfg)
     zone = radial.zone_report(cavity)

@@ -32,8 +32,6 @@ from .output import csv_lines
 SERIES_SWITCH = {0: 2.0, 2: 3.0}
 _SERIES_TERMS = 24
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
 MIN_KR = 20.0
 
 #: Fewest points of a radial profile grid.
@@ -84,6 +82,11 @@ class CavityConfig:
     @property
     def wavelength(self) -> float:
         return 2.0 * np.pi / self.k
+
+    @cached_property
+    def _shell_antiderivatives(self) -> np.ndarray:
+        """(A_0(kR), A_2(kR)), from one kernel call for both mode normalizations."""
+        return _radial_functions(self.kR)[2:]
 
     @cached_property
     def density_weights(self) -> tuple[float, float]:
@@ -177,7 +180,7 @@ def normalize_mode(config: CavityConfig, ell: int) -> float:
     """
     if ell not in (0, 2):
         raise ValueError(f"ell must be 0 or 2, got {ell}")
-    raw = float(_radial_functions(config.kR)[2 + ell // 2])
+    raw = float(config._shell_antiderivatives[ell // 2])
     return float(np.sqrt(config.volume * config.k**3 / raw))
 
 
@@ -255,6 +258,13 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
     return RadialProfile(config=config, **arrays)
 
 
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 16 Gauss-Legendre nodes and weights on [-1, 1], built on the first shell integral,
+    so that only commands that integrate import numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def shell_integrals(config: CavityConfig, start_kr: float, stop_kr: float) -> tuple[float, float]:
     """Gauss-Legendre shell integrals of f_spin and f_oam over kr in [start_kr, stop_kr].
 
@@ -266,11 +276,12 @@ def shell_integrals(config: CavityConfig, start_kr: float, stop_kr: float) -> tu
     edges = np.linspace(start_kr, stop_kr, max(8, ceil(2.0 * (stop_kr - start_kr) / np.pi)) + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    points = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    nodes, weights = _gauss_legendre()
+    points = mid[:, None] + half[:, None] * nodes[None, :]
     x = points.ravel()
     k3 = config.k**3
     return tuple(
-        float(np.sum(half * ((f * x * x / k3).reshape(points.shape) @ _GL_WEIGHTS)))
+        float(np.sum(half * ((f * x * x / k3).reshape(points.shape) @ weights)))
         for f in _densities(x, config)
     )
 

@@ -1,26 +1,31 @@
-"""Import hygiene: photonam runs on numpy alone, and no command loads scipy.
+"""Import hygiene: photonam runs on numpy alone, no command loads scipy, and a
+command loads only the modules it runs.
 
-Each case runs in a fresh interpreter, because the test process itself has
-imported scipy long before.
+`import photonam` loads no submodule and no numpy: each public name imports its
+submodule on first use. Each module-set case runs in a fresh interpreter,
+because the test process itself has imported scipy long before.
 """
 
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
+import photonam
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 import photonam
 command = sys.argv[1]
 if command:
     import photonam.cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert photonam.cli.main([command]) == 0
-print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 #: Refuses every scipy import, then runs each argument list (one per line of
@@ -56,14 +61,34 @@ COMMANDS = [
 ]
 
 
-def scipy_modules_after(command: str) -> set[str]:
-    """scipy modules loaded by `import photonam` and then, unless command is "", the command."""
+#: Every public name of the package, by the submodule that defines it.
+PUBLIC = {
+    "angular": ["AlgebraReport", "AmOperatorTriple", "Su3GeneratorSet", "am_variances",
+                "density_commutator_check", "j_operators", "su3_generators",
+                "three_mode_space", "verify_su2"],
+    "decay": ["DecayCurve", "DecayParams", "conservation_check", "sz_curve", "sz_expectation"],
+    "fock": ["FockSpace", "ModeLabel", "OperatorMatrix", "annihilation", "build_space"],
+    "radial": ["CavityConfig", "RadialProfile", "ZoneReport", "f_oam", "f_spin",
+               "normalize_mode", "radial_profile", "spherical_bessel",
+               "wave_zone_discrepancy", "zone_report"],
+    "twins": ["AtomFieldSpace", "EntanglementOptimum", "SelectionRuleReport",
+              "atom_field_space", "entanglement_measure", "interaction_hamiltonian",
+              "local_expectations", "maximize_entanglement", "selection_rule_check"],
+}
+
+
+def modules_after(command: str) -> set[str]:
+    """Modules loaded by `import photonam` and then, unless command is "", the command."""
     env = {**os.environ, "PYTHONPATH": SRC}
     result = subprocess.run(
         [sys.executable, "-c", PROBE, command], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    return set(result.stdout.split())
+    return set(json.loads(result.stdout))
+
+
+def scipy_modules_after(command: str) -> set[str]:
+    return {m for m in modules_after(command) if m == "scipy" or m.startswith("scipy.")}
 
 
 @pytest.mark.parametrize("command", ["", "radial", "algebra", "variance", "entangle"])
@@ -85,3 +110,55 @@ def test_every_command_runs_with_scipy_blocked():
     )
     assert result.returncode == 0, result.stderr
     assert dict(zip(COMMANDS, result.stdout.split())) == dict.fromkeys(COMMANDS, "0")
+
+
+def test_import_photonam_loads_no_submodule_and_no_numpy():
+    loaded = modules_after("")
+    assert {m for m in loaded if m.startswith("photonam.")} == set()
+    assert "photonam" in loaded and "numpy" not in loaded
+
+
+def test_every_public_name_resolves_through_its_submodule():
+    assert sorted(photonam.__all__) == sorted(name for names in PUBLIC.values() for name in names)
+    assert len(photonam.__all__) == 38
+    for module, names in PUBLIC.items():
+        for name in names:
+            assert getattr(photonam, name) is getattr(getattr(photonam, module), name)
+    assert photonam.__version__ == "0.1.0"
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from photonam import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == {name for names in PUBLIC.values() for name in names}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        photonam.no_such_name
+
+
+@pytest.mark.parametrize("command", ["radial", "algebra", "variance", "decay"])
+def test_command_loads_no_twins_and_no_numpy_polynomial(command):
+    loaded = modules_after(command)
+    assert "photonam.twins" not in loaded
+    assert "numpy.polynomial" not in loaded
+
+
+def test_verify_all_loads_twins_and_numpy_polynomial():
+    # the one default command that runs the twins checks and the shell quadrature
+    loaded = modules_after("verify-all")
+    assert {"photonam.twins", "numpy.polynomial"} <= loaded
+
+
+def test_importtime_reports_every_submodule_a_command_loads():
+    # a submodule loaded through the package's lazy names is timed like any other import
+    env = {**os.environ, "PYTHONPATH": SRC}
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "photonam", "entangle"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    reported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert {f"photonam.{m}" for m in (*PUBLIC, "output", "cli")} <= reported

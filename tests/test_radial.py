@@ -271,8 +271,8 @@ def test_one_kernel_call_per_profile_density_and_normalization(monkeypatch):
     cavity = CavityConfig(k=1.0, R=100.0)
     normalize_mode(cavity, 2)
     assert calls == [()]
-    cavity.density_weights  # one normalization per ell
-    assert calls == [()] * 3
+    cavity.density_weights  # both normalizations read the cavity's one kernel call
+    assert calls == [()]
     calls.clear()
     radial_profile(cavity, 300)
     assert calls == [(300,)]
