@@ -21,6 +21,7 @@ import numpy as np
 
 from . import radial
 from .fock import FockSpace, ModeLabel, OperatorMatrix, bilinear, build_space, check_dim
+from .output import Check
 
 M_PLUS = ModeLabel("+1")
 M_ZERO = ModeLabel("0")
@@ -146,6 +147,13 @@ class AlgebraReport:
     degenerate: bool = False
 
 
+#: Radii and operator pairs of the nine density-commutator identities.
+DENSITY_RADII = (0.5, 3.0, 50.0)
+DENSITY_PAIRS = (("spin", "spin"), ("oam", "oam"), ("oam", "spin"))
+
+#: (var Jx, var Jy, var Jz) of the one-photon state |1_m>, by m, that variance_table expects.
+VARIANCES = {0: (1.0, 1.0, 0.0), 1: (0.5, 0.5, 0.0), -1: (0.5, 0.5, 0.0)}
+
 #: Component positions (a, b, c) of the cyclic identities [J_a, J_b] = i J_c.
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -181,22 +189,16 @@ def verify_su2(triple: AmOperatorTriple, tol: float = 1e-12) -> AlgebraReport:
 
 
 def density_commutator_check(
-    kind_a: str,
-    kind_b: str,
-    kr: float,
-    tol: float = 1e-12,
-    *,
-    config: radial.CavityConfig,
-    triple: AmOperatorTriple,
+    kind_a: str, kind_b: str, kr: float, tol: float = 1e-12, *,
+    config: radial.CavityConfig, triple: AmOperatorTriple,
 ) -> AlgebraReport:
-    """Verify [A_a(r), B_b(r)] = i eps_abc f_A(kr) B_c(r) for density operators.
+    """Verify [A_a(r), B_b(r)] = i eps_abc f_A(kr) B_c(r) for the densities f(kr) J.
 
-    A density at kr is f(kr) J with f = f_spin or f_oam, so [A_a, B_b] - i f_A B_c
-    = f_A f_B ([J_a, J_b] - i J_c): relative to the operator magnitudes, the
-    residual is the triple's SU(2) closure residual over max|J|^2, the same at
-    every kr. Densities at two different radii are not covered. The identity
-    holds vacuously (degenerate) when f_A(kr), f_B(kr) or the triple is zero. A
-    kind other than 'spin' or 'oam', or a negative kr, raises ValueError.
+    Relative to the operator magnitudes, the residual is the triple's SU(2)
+    closure residual over max|J|^2, the same at every kr (module docstring);
+    densities at two different radii are not covered. The identity holds
+    vacuously (degenerate) when f_A(kr), f_B(kr) or the triple is zero. A kind
+    other than 'spin' or 'oam', or a negative kr, raises ValueError.
     """
     for kind in (kind_a, kind_b):
         if kind not in _DENSITY_KINDS:
@@ -229,3 +231,42 @@ def am_variances(m: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float, fl
         float((block @ block)[row, row].real - block[row, row].real ** 2)
         for block in SPIN1_BLOCKS
     )
+
+
+def _residual_check(name: str, report: AlgebraReport) -> Check:
+    values = {"max_residual": report.max_residual, "tolerance": report.tolerance}
+    return Check(name, report.passed, report.tolerance, values)
+
+
+def su2_closure(triple: AmOperatorTriple, tol: float) -> Check:
+    return _residual_check("su2_closure", verify_su2(triple, tol))
+
+
+def density_identities(triple: AmOperatorTriple, config, tol: float) -> list[Check]:
+    """The nine density identities, "... @ kr=...", over DENSITY_RADII and DENSITY_PAIRS."""
+    reports = [(kr, density_commutator_check(a, b, kr, tol, config=config, triple=triple))
+               for kr in DENSITY_RADII for a, b in DENSITY_PAIRS]
+    return [_residual_check(f"{rep.identity} @ kr={kr}", rep) for kr, rep in reports]
+
+
+def density_commutators(triple: AmOperatorTriple, config, tol: float) -> Check:
+    """The nine density identities as one check."""
+    checks = density_identities(triple, config, tol)
+    worst = max(check.values["max_residual"] for check in checks)
+    passed = all(check.passed for check in checks)
+    return Check("density_commutators", passed, tol, {"max_residual": worst, "tolerance": tol})
+
+
+def variance_table(cutoff: int, tol: float) -> Check:
+    """am_variances within tol of VARIANCES at every m, the m = 0 photon's the larger."""
+    got = {m: am_variances(m, cutoff) for m in VARIANCES}
+    worst = max(abs(g - w) for m, want in VARIANCES.items() for g, w in zip(got[m], want))
+    passed = worst < tol and got[0][0] > got[1][0]
+    return Check("variance_table", passed, tol, {"max_deviation": worst, "tolerance": tol})
+
+
+def su3_diagonal_dependence(space: FockSpace, tol: float) -> Check:
+    # the three raw diagonals summed as stored, so no dense operator is assembled
+    residual = float(np.max(np.abs(sum(op.flat for op in su3_generators(space).diagonal_raw))))
+    return Check("su3_diagonal_dependence", residual < tol, tol,
+                 {"max_residual": residual, "tolerance": tol})

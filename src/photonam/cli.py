@@ -11,10 +11,11 @@ either side of the command; of a flag given twice the later value wins. A JSON
 report is "schema", then the fields of the library's report dataclass in order,
 a `passed` field written as "pass" (`_fields`).
 
-`verify-all` is one list of checks in report order: su2_closure and
-density_commutators come from `algebra`'s helper (`_algebra_checks`),
-selection_rule from `entangle`'s (`_selection_rule`). Of its checks --tol bounds
-su2_closure, variance_table and density_commutators; the rest have fixed bounds.
+`algebra` and `verify-all` are ordered lists of checks, each an `output.Check`
+computed in the module whose physics it tests (`angular`, `radial`, `decay`,
+`twins`) against a bound that module names; `_report_text` writes each as its
+name, "pass", "bound" and its readings. --tol is the bound of every `algebra`
+check and of verify-all's su2_closure, variance_table and density_commutators.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import angular, decay, fock, output, radial
+from . import angular, decay, output, radial
 # a from-import probes decay for __path__, which calls decay.__getattr__ (tests/test_reachability.py)
 from .decay import DecayParams
 
@@ -39,22 +40,6 @@ SCHEMA_VERSION = 1
 ENTANGLE_OMEGA = 1.0
 ENTANGLE_OMEGA0 = 2.0
 ENTANGLE_COUPLING = 0.05
-
-#: Radii and operator pairs of the nine density-commutator identities.
-DENSITY_RADII = (0.5, 3.0, 50.0)
-DENSITY_PAIRS = (("spin", "spin"), ("oam", "oam"), ("oam", "spin"))
-
-#: Bound of verify-all's near_ratio = f_spin / f_oam at 0.1 wavelength, which
-#: reads 1760-1783 for every kR from 20 to 1e14: f_oam 19% too large fails it.
-NEAR_RATIO_MIN = 1500.0
-
-#: Bound of verify-all's wave-zone discrepancies at kR = 1000, the largest of
-#: which reads 5.75e-4 (the window at kr = 100).
-WAVE_DISCREPANCY_MAX = 1e-3
-
-#: Bound of the norm residual at t = 10 / gamma, in `decay --format json` and at
-#: omega0 / gamma = 1e3 in verify-all's decay_conservation.
-DECAY_RESIDUAL_MAX = 0.02
 
 #: Largest radial or decay grid; it is checked before anything is allocated.
 MAX_SAMPLES = 10**6
@@ -107,13 +92,11 @@ def _fields(report) -> dict:
     return {("pass" if key == "passed" else key): value for key, value in asdict(report).items()}
 
 
-def _check(name: str, passed: bool, **details) -> dict:
-    return {"name": name, "pass": bool(passed), **details}
-
-
-def _report_text(checks: list[dict]) -> tuple[str, int]:
-    ok = all(c["pass"] for c in checks)
-    return _json_text({"checks": checks, "pass": ok}), 0 if ok else 1
+def _report_text(checks: list[output.Check]) -> tuple[str, int]:
+    """The checks in order, each its name, "pass", "bound" and readings; exit 1 if one fails."""
+    rows = [{"name": c.name, "pass": bool(c.passed), "bound": c.bound, **c.values} for c in checks]
+    ok = all(row["pass"] for row in rows)
+    return _json_text({"checks": rows, "pass": ok}), 0 if ok else 1
 
 
 def _cavity(cfg: RunConfig) -> radial.CavityConfig:
@@ -131,29 +114,14 @@ def cmd_radial(cfg: RunConfig) -> tuple[str, int]:
     return _json_text(_fields(report)), 0
 
 
-def _algebra_checks(cfg: RunConfig, space: fock.FockSpace) -> list[dict]:
-    """su2_closure, then the nine density identities "... @ kr=...", each bounded by --tol."""
-    triple = angular.j_operators(space)
-    cavity = _cavity(cfg)
-    named = [("su2_closure", angular.verify_su2(triple, cfg.tol))]
-    for kr in DENSITY_RADII:
-        for a, b in DENSITY_PAIRS:
-            rep = angular.density_commutator_check(a, b, kr, cfg.tol, config=cavity, triple=triple)
-            named.append((f"{rep.identity} @ kr={kr}", rep))
-    return [
-        _check(name, rep.passed, max_residual=rep.max_residual, tolerance=rep.tolerance)
-        for name, rep in named
-    ]
-
-
 def cmd_algebra(cfg: RunConfig) -> tuple[str, int]:
     space = angular.three_mode_space(cfg.cutoff)
-    # the three diagonals summed as stored, so no dense operator is assembled
-    raw = angular.su3_generators(space).diagonal_raw
-    su3_residual = float(np.max(np.abs(sum(op.flat for op in raw))))
-    su3 = _check("su3_diagonal_dependence", su3_residual < cfg.tol, max_residual=su3_residual,
-                 tolerance=cfg.tol)
-    return _report_text(_algebra_checks(cfg, space) + [su3])
+    triple = angular.j_operators(space)
+    return _report_text([
+        angular.su2_closure(triple, cfg.tol),
+        *angular.density_identities(triple, _cavity(cfg), cfg.tol),
+        angular.su3_diagonal_dependence(space, cfg.tol),
+    ])
 
 
 def cmd_variance(cfg: RunConfig) -> tuple[str, int]:
@@ -162,10 +130,8 @@ def cmd_variance(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _decay_params(cfg: RunConfig, n_times: int) -> DecayParams:
-    gamma = 1.0
-    omega0 = cfg.omega0_over_gamma * gamma
-    grid = np.linspace(0.0, 10.0 / gamma, n_times)
-    return DecayParams(omega0=omega0, gamma=gamma, time_grid=grid)
+    # gamma = 1: times in units of 1 / gamma, n_times of them from 0 to 10
+    return DecayParams(cfg.omega0_over_gamma, 1.0, np.linspace(0.0, 10.0, n_times))
 
 
 def cmd_decay(cfg: RunConfig) -> tuple[str, int]:
@@ -175,14 +141,11 @@ def cmd_decay(cfg: RunConfig) -> tuple[str, int]:
     if fmt == "csv":
         curve = decay.sz_curve(params)
         return "\n".join(decay.decay_csv_lines(curve)) + "\n", 0
-    residual = decay.conservation_check(params, 10.0 / params.gamma)
-    ok = abs(residual) < DECAY_RESIDUAL_MAX
-    payload = {
-        "omega0_over_gamma": cfg.omega0_over_gamma,
-        "sz_over_hbar_final": decay.sz_expectation(10.0 / params.gamma, params),
-        "norm_residual_at_10_over_gamma": residual,
-        "pass": ok,
-    }
+    residual = decay.conservation_check(params, 10.0)
+    ok = abs(residual) < decay.DECAY_RESIDUAL_MAX
+    payload = {"omega0_over_gamma": cfg.omega0_over_gamma,
+               "sz_over_hbar_final": decay.sz_expectation(10.0, params),
+               "norm_residual_at_10_over_gamma": residual, "pass": ok}
     return _json_text(payload), 0 if ok else 1
 
 
@@ -191,10 +154,8 @@ def _selection_rule() -> twins.SelectionRuleReport:
     from . import twins  # entangle and verify-all alone load twins
 
     space = twins.atom_field_space()
-    hamiltonian = twins.interaction_hamiltonian(
-        space, ENTANGLE_OMEGA, ENTANGLE_OMEGA0, ENTANGLE_COUPLING
-    )
-    return twins.selection_rule_check(hamiltonian, space, ENTANGLE_OMEGA, ENTANGLE_COUPLING)
+    h = twins.interaction_hamiltonian(space, ENTANGLE_OMEGA, ENTANGLE_OMEGA0, ENTANGLE_COUPLING)
+    return twins.selection_rule_check(h, space, ENTANGLE_OMEGA, ENTANGLE_COUPLING)
 
 
 def cmd_entangle(cfg: RunConfig) -> tuple[str, int]:
@@ -206,105 +167,23 @@ def cmd_entangle(cfg: RunConfig) -> tuple[str, int]:
     return _json_text(payload), 0 if ok else 1
 
 
-def _variance_table(cfg: RunConfig) -> dict:
-    expected = {0: (1.0, 1.0, 0.0), 1: (0.5, 0.5, 0.0), -1: (0.5, 0.5, 0.0)}
-    got = {m: angular.am_variances(m, cfg.cutoff) for m in expected}
-    worst = max(abs(g - w) for m, want in expected.items() for g, w in zip(got[m], want))
-    ordering = got[0][0] > got[1][0]
-    return _check("variance_table", worst < cfg.tol and ordering, max_deviation=worst,
-                  tolerance=cfg.tol)
-
-
-def _shell_conservation() -> dict:
-    # quadrature of the densities: the profile's cum_* columns end at 1/2 anyway
-    cavities = [radial.CavityConfig(k=1.0, R=kR) for kR in (20.0, 100.0, 500.0)]
-    integrals = [radial.shell_integrals(cavity, 0.0, cavity.kR) for cavity in cavities]
-    worst = max(max(abs(s - 0.5), abs(o - 0.5), abs(s + o - 1.0) / 2.0) for s, o in integrals)
-    return _check("shell_conservation", worst < 1e-6, max_deviation=worst, tolerance=1e-6)
-
-
-def _near_zone_spin_dominance(cavity: radial.CavityConfig, zone: radial.ZoneReport) -> dict:
-    near_ok = (
-        zone.near_ratio > NEAR_RATIO_MIN
-        and radial.f_oam(0.0, cavity) == 0.0
-        and int(np.argmax(radial.radial_profile(cavity).f_spin)) == 0
-    )
-    return _check("near_zone_spin_dominance", near_ok, near_ratio=zone.near_ratio)
-
-
-def _oam_peak_location(zone: radial.ZoneReport) -> dict:
-    peak = zone.oam_peak_over_lambda
-    return _check("oam_peak_location", 0.4 <= peak <= 0.65, oam_peak_over_lambda=peak)
-
-
-def _wave_zone_equality() -> dict:
-    wide = radial.CavityConfig(k=1.0, R=1000.0)
-    discrepancies = [radial.wave_zone_discrepancy(wide, start) for start in (100.0, 200.0, 400.0, 800.0)]
-    falling = all(a > b for a, b in zip(discrepancies, discrepancies[1:]))
-    wave_ok = falling and all(d < WAVE_DISCREPANCY_MAX for d in discrepancies)
-    return _check("wave_zone_equality", wave_ok, discrepancies=discrepancies)
-
-
-def _density_commutators(cfg: RunConfig, densities: list[dict]) -> dict:
-    """The nine density identities of _algebra_checks as one check."""
-    return _check("density_commutators", all(c["pass"] for c in densities),
-                  max_residual=max(c["max_residual"] for c in densities), tolerance=cfg.tol)
-
-
-def _decay_conservation(cfg: RunConfig) -> dict:
-    residuals = []
-    for ratio in (1e2, 1e3, 1e4):
-        params = DecayParams(omega0=ratio, gamma=1.0, time_grid=np.array([0.0]))
-        residuals.append(abs(decay.conservation_check(params, 10.0)))
-    curve = decay.sz_curve(_decay_params(cfg, 41))
-    closed_form = np.max(np.abs(curve.excited_pop + 2.0 * curve.sz_expect - 1.0))
-    decay_ok = (
-        closed_form == 0.0
-        and residuals[1] < DECAY_RESIDUAL_MAX
-        and residuals[0] > residuals[1] > residuals[2]
-    )
-    return _check("decay_conservation", decay_ok, residuals=residuals,
-                  closed_form_deviation=float(closed_form))
-
-
-def _entanglement_maximum(optimum: twins.EntanglementOptimum) -> dict:
-    from . import twins
-
-    deviations = (
-        optimum.c1_abs - 1.0 / np.sqrt(3.0),
-        optimum.c2_abs - np.sqrt(2.0 / 3.0),
-        optimum.mu_max - 2.0 / (3.0 * np.sqrt(3.0)),
-        optimum.local_expectation_max_abs,
-    )
-    return _check("entanglement_maximum", all(abs(d) < twins.OPTIMUM_TOL for d in deviations),
-                  c1_abs=optimum.c1_abs, c2_abs=optimum.c2_abs, mu_max=optimum.mu_max,
-                  local_expectation_max_abs=optimum.local_expectation_max_abs)
-
-
-def _selection_rule_check(rule: twins.SelectionRuleReport) -> dict:
-    """verify-all's selection_rule: the report of _selection_rule(), in brief."""
-    return _check("selection_rule", rule.passed, coupling_to_odd=rule.coupling_to_odd,
-                  eigen_residual=rule.eigen_residual,
-                  max_evolution_overlap=max(rule.evolution_overlaps))
-
-
 def cmd_verify_all(cfg: RunConfig) -> tuple[str, int]:
     from . import twins
 
-    su2_closure, *densities = _algebra_checks(cfg, angular.three_mode_space(cfg.cutoff))
+    triple = angular.j_operators(angular.three_mode_space(cfg.cutoff))
     cavity = _cavity(cfg)
     zone = radial.zone_report(cavity)
     return _report_text([
-        su2_closure,
-        _variance_table(cfg),
-        _shell_conservation(),
-        _near_zone_spin_dominance(cavity, zone),
-        _oam_peak_location(zone),
-        _wave_zone_equality(),
-        _density_commutators(cfg, densities),
-        _decay_conservation(cfg),
-        _entanglement_maximum(twins.maximize_entanglement()),
-        _selection_rule_check(_selection_rule()),
+        angular.su2_closure(triple, cfg.tol),
+        angular.variance_table(cfg.cutoff, cfg.tol),
+        radial.shell_conservation(),
+        radial.near_zone_spin_dominance(cavity, zone),
+        radial.oam_peak_location(zone),
+        radial.wave_zone_equality(),
+        angular.density_commutators(triple, cavity, cfg.tol),
+        decay.decay_conservation(_decay_params(cfg, 41)),
+        twins.entanglement_maximum(twins.maximize_entanglement()),
+        twins.selection_rule(_selection_rule()),
     ])
 
 
@@ -337,9 +216,8 @@ _OPTIONS = {
     "kR": _Option(float, None, "dimensionless cavity size k*R (default {:g})"),
     "samples": _Option(int, None, "grid size (default: 2000 radial, 200 decay)"),
     "m": _Option(int, M_VALUES, "AM projection for variance (default {:g})"),
-    "omega0_over_gamma": _Option(
-        float, None, "transition frequency over decay width (default {:g})"
-    ),
+    "omega0_over_gamma": _Option(float, None,
+                                 "transition frequency over decay width (default {:g})"),
     "cutoff": _Option(
         int, None,
         "Fock-space total-occupation cutoff (default {:g}); entangle and verify-all's "
@@ -369,9 +247,7 @@ def load_config(path: str) -> RunConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         option = _OPTIONS[key]

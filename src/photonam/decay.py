@@ -21,10 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .output import csv_lines
+from .output import Check, csv_lines
 
 #: Integration window half-width in units of the decay width.
 WINDOW_WIDTHS = 40.0
+
+#: Bound of the norm residual at t = 10 / gamma: of `decay --format json`, and
+#: at omega0 / gamma = 1e3 of decay_conservation.
+DECAY_RESIDUAL_MAX = 0.02
 
 #: Markov validity floor for the transition-frequency-to-width ratio.
 MIN_OMEGA0_OVER_GAMMA = 50.0
@@ -212,6 +216,18 @@ def sz_curve(params: DecayParams) -> DecayCurve:
     for arr in arrays.values():
         arr.setflags(write=False)
     return DecayCurve(**arrays)
+
+
+def decay_conservation(params: DecayParams) -> Check:
+    """Residuals at G t = 10 falling over omega0/gamma = 1e2, 1e3, 1e4, the middle one below
+    DECAY_RESIDUAL_MAX, and S_z + P_exc / 2 = 1/2 exactly on the grid of params."""
+    residuals = [abs(conservation_check(DecayParams(r, 1.0), 10.0)) for r in (1e2, 1e3, 1e4)]
+    curve = sz_curve(params)
+    closed_form = float(np.max(np.abs(curve.excited_pop + 2.0 * curve.sz_expect - 1.0)))
+    passed = closed_form == 0.0 and residuals[1] < DECAY_RESIDUAL_MAX
+    passed = passed and residuals[0] > residuals[1] > residuals[2]
+    return Check("decay_conservation", passed, DECAY_RESIDUAL_MAX,
+                 {"residuals": residuals, "closed_form_deviation": closed_form})
 
 
 CSV_HEADER = "t,sz_over_hbar,excited_pop,norm_residual"

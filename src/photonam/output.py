@@ -23,7 +23,8 @@ per-cell writer as the oracle.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -111,6 +112,17 @@ def _tables() -> tuple[np.ndarray, ...]:
 
 _QUADS, _SIGNIFICANT, _PREFIX, _EXPONENT, _INTEGER_DIGITS, _KEEP, _POINT, _SIGN = _tables()
 _SIGNIFICANT_OFFSET = (10000 * np.arange(3))[:, None]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check of `algebra` or `verify-all`: its name, outcome, bound and readings."""
+
+    name: str
+    passed: bool
+    #: what pass/fail compares against, as applied: a number, a (lo, hi) pair or a dict by reading
+    bound: Any
+    values: dict
 
 
 def g12(value: float) -> str:

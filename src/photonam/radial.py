@@ -22,7 +22,7 @@ from math import ceil, factorial, prod
 
 import numpy as np
 
-from .output import csv_lines
+from .output import Check, csv_lines
 
 #: Per-ell seam of j_ell and of its shell antiderivative A_ell: below it the
 #: closed forms cancel (for ell = 2, j2 loses 7e-11 and A_2 1.2e-7 relative at
@@ -144,11 +144,11 @@ def _horner(x, coefficients: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _spherical_j0_j1_j2(x):
+def _spherical_j0_j1_j2(x, out_j0=None, out_j2=None):
     """(j0, j1, j2) at x > 0, j0 = sin(x)/x and upward recurrence; j1, j2 cancel below x ~ 1."""
-    j0 = np.sin(x) / x
+    j0 = np.divide(np.sin(x), x, out=out_j0)
     j1 = (j0 - np.cos(x)) / x
-    return j0, j1, 3.0 * j1 / x - j0
+    return j0, j1, np.subtract(3.0 * j1 / x, j0, out=out_j2)
 
 
 def _radial_functions(x) -> np.ndarray:
@@ -157,20 +157,29 @@ def _radial_functions(x) -> np.ndarray:
     A_ell(x) = int_0^x t^2 j_ell(t)^2 dt (Lommel, DLMF 10.22). From its seam
     on, SERIES_SWITCH[ell], a row is its closed form: j0 = sin(x)/x, j2 by
     upward recurrence, A_0 = x/2 - sin(2x)/4 and A_2 = (x^3/2)(j2^2 - j1 j3),
-    from one sin, one cos and one sin(2x). Below it, the Taylor series, all
-    four in one Horner pass over the arguments below the upper seam.
+    from one sin, one cos and one sin(2x), each written into its row. Below
+    it, the Taylor series, all four in one Horner pass over the arguments
+    below the upper seam.
     """
-    x = np.asarray(x, dtype=float)
+    shape = np.shape(x)
+    # flat, so that a scalar's rows are arrays too: out= refuses a numpy scalar
+    x = np.asarray(x, dtype=float).ravel()
+    rows = np.empty((4, x.size))
+    j0, j2, a0, a2 = rows
     safe = np.where(x < SERIES_SWITCH[0], SERIES_SWITCH[0], x)  # keep the unused branch finite
-    j0, j1, j2 = _spherical_j0_j1_j2(safe)
-    a0 = safe / 2.0 - np.sin(2.0 * safe) / 4.0
-    rows = np.array([j0, j2, a0, safe**3 / 2.0 * (j2 * j2 - j1 * (5.0 * j2 / safe - j1))])
+    _, j1, _ = _spherical_j0_j1_j2(safe, j0, j2)
+    # (x^3 / 2) (j2 j2 - j1 (5 j2 / x - j1)), a step at a time into its row
+    np.multiply(5.0 * j2 / safe - j1, j1, out=a2)
+    np.subtract(j2 * j2, a2, out=a2)
+    a2 *= safe**3 / 2.0
+    np.sin(np.multiply(2.0, safe, out=a0), out=a0)
+    np.subtract(safe / 2.0, a0 / 4.0, out=a0)
     small = x < SERIES_SWITCH[2]
     if small.any():
         xs = x[small]
         series = np.array([xs**p for p in _SERIES_POWERS]) * _horner(xs * xs, _SERIES)
         rows[:, small] = np.where(xs < _SEAMS, series, rows[:, small])
-    return rows
+    return rows.reshape(4, *shape)
 
 
 def normalize_mode(config: CavityConfig, ell: int) -> float:
@@ -356,6 +365,58 @@ def zone_report(config: CavityConfig, n_samples: int = 2000) -> ZoneReport:
         oam_peak_over_lambda=peak_r / config.wavelength,
         wave_zone_discrepancy=wave_zone_discrepancy(config, start),
     )
+
+
+#: Bound of shell_conservation on the deviations of the shell integrals from hbar/2.
+SHELL_DEVIATION_MAX = 1e-6
+
+#: Bound of near_zone_spin_dominance on near_ratio, which reads 1760-1783 for
+#: every kR from 20 to 1e14: f_oam 19% too large fails it.
+NEAR_RATIO_MIN = 1500.0
+
+#: Points of the grid over the first wavelength, kr in [0, 2 pi], on which
+#: near_zone_spin_dominance finds f_spin largest at the atom.
+NEAR_ZONE_SAMPLES = 201
+
+#: The wavelengths within which oam_peak_location places the OAM peak (0.532).
+OAM_PEAK_RANGE = (0.4, 0.65)
+
+#: Bound of wave_zone_equality's discrepancies at kR = 1000, the largest of
+#: which reads 5.75e-4 (the window at kr = 100).
+WAVE_DISCREPANCY_MAX = 1e-3
+
+
+def shell_conservation() -> Check:
+    # quadrature of the densities: the profile's cum_* columns end at 1/2 anyway
+    integrals = [shell_integrals(CavityConfig(1.0, kR), 0.0, kR) for kR in (20.0, 100.0, 500.0)]
+    worst = max(max(abs(s - 0.5), abs(o - 0.5), abs(s + o - 1.0) / 2.0) for s, o in integrals)
+    return Check("shell_conservation", worst < SHELL_DEVIATION_MAX, SHELL_DEVIATION_MAX,
+                 {"max_deviation": worst, "tolerance": SHELL_DEVIATION_MAX})
+
+
+def near_zone_spin_dominance(config: CavityConfig, zone: ZoneReport) -> Check:
+    """near_ratio past its bound, f_oam(0) = 0, and f_spin largest at kr = 0 over the first
+    wavelength, on a grid fixed in kr: it depends on neither kR nor a profile's samples."""
+    grid = np.linspace(0.0, 2.0 * np.pi, NEAR_ZONE_SAMPLES)
+    ratio = zone.near_ratio
+    passed = ratio > NEAR_RATIO_MIN and f_oam(0.0, config) == 0.0
+    passed = passed and int(np.argmax(f_spin(grid, config))) == 0
+    return Check("near_zone_spin_dominance", passed, NEAR_RATIO_MIN, {"near_ratio": ratio})
+
+
+def oam_peak_location(zone: ZoneReport) -> Check:
+    peak = zone.oam_peak_over_lambda
+    passed = OAM_PEAK_RANGE[0] <= peak <= OAM_PEAK_RANGE[1]
+    return Check("oam_peak_location", passed, OAM_PEAK_RANGE, {"oam_peak_over_lambda": peak})
+
+
+def wave_zone_equality() -> Check:
+    """Discrepancies of the windows at kr = 100-800 in a kR = 1000 cavity, falling."""
+    wide = CavityConfig(k=1.0, R=1000.0)
+    found = [wave_zone_discrepancy(wide, start) for start in (100.0, 200.0, 400.0, 800.0)]
+    passed = all(a > b for a, b in zip(found, found[1:]))
+    passed = passed and all(d < WAVE_DISCREPANCY_MAX for d in found)
+    return Check("wave_zone_equality", passed, WAVE_DISCREPANCY_MAX, {"discrepancies": found})
 
 
 CSV_HEADER = "kr,f_spin,f_oam,cum_spin,cum_oam"

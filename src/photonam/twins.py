@@ -15,7 +15,7 @@ expectations vanishing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +31,7 @@ from .fock import (
     is_hermitian,
     sectors_of,
 )
+from .output import Check
 
 FORWARD_MODES = tuple(ModeLabel(m.name, "fwd") for m in AM_MODES)
 BACKWARD_MODES = tuple(ModeLabel(m.name, "bwd") for m in AM_MODES)
@@ -114,6 +115,14 @@ def maximize_entanglement() -> EntanglementOptimum:
         local_expectation_max_abs=max_abs,
         variational_pass=max_abs < OPTIMUM_TOL,
     )
+
+
+def entanglement_maximum(optimum: EntanglementOptimum) -> Check:
+    """|c1|, |c2|, mu and the local SU(3) expectations at 1/sqrt(3), sqrt(2/3), 2/(3 sqrt(3)), 0."""
+    values = dict(list(asdict(optimum).items())[:4])
+    exact = (1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0), 2.0 / (3.0 * np.sqrt(3.0)), 0.0)
+    passed = all(abs(v - w) < OPTIMUM_TOL for v, w in zip(values.values(), exact))
+    return Check("entanglement_maximum", passed, OPTIMUM_TOL, values)
 
 
 #: Atomic levels in the order of the atom index, the major index of the basis.
@@ -229,10 +238,7 @@ class SelectionRuleReport:
 
 
 def selection_rule_check(
-    h: OperatorMatrix,
-    space: AtomFieldSpace,
-    omega: float,
-    gamma_coupling: float,
+    h: OperatorMatrix, space: AtomFieldSpace, omega: float, gamma_coupling: float
 ) -> SelectionRuleReport:
     """Verify the odd pair state decouples from the radiating atom.
 
@@ -278,3 +284,11 @@ def selection_rule_check(
         evolution_overlaps=tuple(overlaps),
         passed=passed,
     )
+
+
+def selection_rule(rule: SelectionRuleReport) -> Check:
+    """The readings of selection_rule_check in brief, each with its bound."""
+    names = ("coupling_to_odd", "eigen_residual", "max_evolution_overlap")
+    values = (rule.coupling_to_odd, rule.eigen_residual, max(rule.evolution_overlaps))
+    bound = dict(zip(names, (COUPLING_TOL, COUPLING_TOL, OVERLAP_TOL)))
+    return Check("selection_rule", rule.passed, bound, dict(zip(names, values)))

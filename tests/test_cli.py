@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from photonam import angular, fock, radial, twins
+from photonam import angular, decay, fock, radial, twins
 from photonam.cli import (
     COMMANDS,
     FORMATS,
@@ -177,6 +177,7 @@ def test_verify_all_algebra_checks_are_algebras(capsys, cutoff, tol):
     assert verify["density_commutators"] == {
         "name": "density_commutators",
         "pass": all(c["pass"] for c in densities),
+        "bound": float(tol),
         "max_residual": max(c["max_residual"] for c in densities),
         "tolerance": float(tol),
     }
@@ -190,6 +191,29 @@ def test_verify_all_tol_bounds_its_algebra_and_variance_checks(capsys):
         "su2_closure", "variance_table", "density_commutators"
     ]
     assert all(check["tolerance"] == 1e-30 for check in failed)
+
+
+def test_every_check_carries_the_bound_its_module_names(capsys):
+    tol = 1e-9
+    _, algebra = checks_of(capsys, "algebra", "--tol", str(tol))
+    assert [check["bound"] for check in algebra] == [tol] * 11
+    _, verify = checks_of(capsys, "verify-all", "--tol", str(tol))
+    assert {check["name"]: check["bound"] for check in verify} == {
+        "su2_closure": tol,
+        "variance_table": tol,
+        "shell_conservation": radial.SHELL_DEVIATION_MAX,
+        "near_zone_spin_dominance": radial.NEAR_RATIO_MIN,
+        "oam_peak_location": list(radial.OAM_PEAK_RANGE),
+        "wave_zone_equality": radial.WAVE_DISCREPANCY_MAX,
+        "density_commutators": tol,
+        "decay_conservation": decay.DECAY_RESIDUAL_MAX,
+        "entanglement_maximum": twins.OPTIMUM_TOL,
+        "selection_rule": {"coupling_to_odd": twins.COUPLING_TOL,
+                           "eigen_residual": twins.COUPLING_TOL,
+                           "max_evolution_overlap": twins.OVERLAP_TOL},
+    }
+    # "bound" follows "pass"; every other key keeps its place
+    assert all(list(check)[:3] == ["name", "pass", "bound"] for check in algebra + verify)
 
 
 def count_calls(monkeypatch, targets):

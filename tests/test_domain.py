@@ -1,0 +1,55 @@
+"""Every command over its accepted domain: exit 0 and strict JSON at seeded draws.
+
+`verify-all` runs at log-uniform kR in [20, 1e14], log-uniform omega0/gamma in
+[50, 1e300] and cutoffs 1-20, all drawn together; `radial --format json` at
+each kR and `decay --format json` at each omega0/gamma. The kR of two former
+failures of near_zone_spin_dominance, whose profile grid started past the
+central lobe of f_spin, are run too.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from photonam.cli import main
+
+DRAWS = 200
+
+
+def draws(seed: int) -> list[tuple[float, float, int]]:
+    rng = np.random.default_rng(seed)
+    # clipped: 10 ** log10(20) may round below 20
+    kR = np.clip(10.0 ** rng.uniform(np.log10(20.0), 14.0, DRAWS), 20.0, 1e14)
+    ratio = np.clip(10.0 ** rng.uniform(np.log10(50.0), 300.0, DRAWS), 50.0, None)
+    cutoff = rng.integers(1, 21, DRAWS)
+    return list(zip(kR.tolist(), ratio.tolist(), cutoff.tolist()))
+
+
+def refused_runs(capsys, argvs) -> list[tuple[list[str], int]]:
+    """The argument lists whose run does not exit 0 with strict JSON on stdout."""
+    refused = []
+    for argv in argvs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        try:
+            json.loads(out, parse_constant=lambda name: 1 / 0)
+        except (ValueError, ZeroDivisionError):
+            code = code or -1
+        if code != 0:
+            refused.append((argv, code))
+    return refused
+
+
+def test_every_command_passes_over_its_accepted_domain(capsys):
+    argvs = []
+    for kR, ratio, cutoff in draws(20240613):
+        flags = ["--kR", repr(kR), "--omega0-over-gamma", repr(ratio), "--cutoff", str(cutoff)]
+        argvs += [["verify-all", *flags], ["radial", "--format", "json", *flags],
+                  ["decay", "--format", "json", *flags]]
+    assert refused_runs(capsys, argvs) == []
+
+
+@pytest.mark.parametrize("kR", ["5736.288000174625", "20000"])
+def test_verify_all_passes_where_a_sampled_profile_peaked_off_the_atom(capsys, kR):
+    assert refused_runs(capsys, [["verify-all", "--kR", kR]]) == []

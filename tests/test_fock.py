@@ -278,34 +278,52 @@ def test_number_operator_diagonal_integer_hermitian():
         )
 
 
-def ladder_bilinear(space, modes, block):
+def ladder_products(space, modes):
+    """creation(m_i) @ annihilation(m_j) for every ordered pair of modes, dense."""
+    lowers = [annihilation(space, mode) for mode in modes]
+    return [[(lower.dag() @ other).matrix for other in lowers] for lower in lowers]
+
+
+def ladder_bilinear(space, modes, block, products=None):
     """Independent route: sum_ij block[i, j] creation(i) @ annihilation(j)."""
+    products = ladder_products(space, modes) if products is None else products
     total = np.zeros((space.dim, space.dim), dtype=complex)
-    for i, mi in enumerate(modes):
-        for j, mj in enumerate(modes):
-            total += block[i, j] * (creation(space, mi) @ annihilation(space, mj)).matrix
+    for i, row in enumerate(products):
+        for j, product in enumerate(row):
+            total += block[i, j] * product
     return total
+
+
+#: Entries drawn by Hypothesis into the blocks: zeros of both signs, the ends
+#: of the drawn range and the smallest subnormal.
+SPECIAL_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324])
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
-    data=st.data(), n_modes=st.integers(1, 4), cutoff=st.integers(0, 8), k=st.integers(1, 4)
+    data=st.data(), n_modes=st.integers(1, 4), cutoff=st.integers(0, 8), k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_bilinear_matches_ladder_products(data, n_modes, cutoff, k):
+def test_bilinear_matches_ladder_products(data, n_modes, cutoff, k, seed):
     space = build_space([ModeLabel(str(i)) for i in range(n_modes)], cutoff)
     picked = data.draw(st.permutations(space.modes).map(tuple))
     picked = picked[: data.draw(st.integers(1, n_modes))]
-    parts = st.floats(-1.0, 1.0)
-    # zero entries are drawn often, so stacks mix hops some blocks use and others skip
-    entry = st.one_of(st.just(0j), st.builds(complex, parts, parts))
     size = k * len(picked) ** 2
-    blocks = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)))
+    # the bulk from the seed: parts uniform in [-1, 1], and about half the
+    # entries zero, so stacks mix hops some blocks use and others skip
+    rng = np.random.default_rng(seed)
+    blocks = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size)
+    blocks[rng.random(size) < 0.5] = 0j
+    specials = st.tuples(st.integers(0, size - 1), st.builds(complex, SPECIAL_PARTS, SPECIAL_PARTS))
+    for position, value in data.draw(st.lists(specials, max_size=4)):
+        blocks[position] = value
     blocks = blocks.reshape(k, len(picked), len(picked))
     ops = bilinear(space, picked, blocks)
     assert len(ops) == k
+    products = ladder_products(space, picked)
     for op, block in zip(ops, blocks, strict=True):
         np.testing.assert_allclose(
-            op.matrix, ladder_bilinear(space, picked, block), rtol=0, atol=1e-13
+            op.matrix, ladder_bilinear(space, picked, block, products), rtol=0, atol=1e-13
         )
         # the block is the operator's restriction to the one-photon states
         if cutoff >= 1:

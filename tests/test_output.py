@@ -51,30 +51,59 @@ def signed(magnitudes):
     return st.tuples(magnitudes, st.booleans()).map(lambda pair: -pair[0] if pair[1] else pair[0])
 
 
-CELLS = st.one_of(
-    st.floats(width=64),
+#: Cells Hypothesis draws into each table: zeros, the float range's ends, the
+#: ties and seams, and subnormals.
+SPECIAL_CELLS = st.one_of(
     st.sampled_from([0.0, -0.0, TINY, -TINY, SMALLEST_NORMAL, LARGEST, -LARGEST] + TIES + SEAMS),
-    signed(st.floats(min_value=TINY, max_value=SMALLEST_NORMAL)),  # subnormals
-    signed(st.floats(min_value=1e307, max_value=LARGEST)),
-    signed(st.floats(min_value=1e-308, max_value=1e-306)),
-    signed(st.floats(min_value=1e-5, max_value=1e13)),
-    signed(st.floats(min_value=1e12, max_value=1e300).map(lambda v: float(math.floor(v)))),
-    signed(st.integers(min_value=10**12, max_value=2**63).map(float)),
-    signed(st.integers(min_value=1, max_value=10**13).map(lambda v: v / 10 ** (v % 17))),
+    signed(st.floats(min_value=TINY, max_value=SMALLEST_NORMAL)),
 )
 
-#: Up to 500 rows of up to 6 columns. The row count is drawn first, so tables
-#: of a few hundred rows are common.
-TABLES = st.tuples(st.integers(min_value=1, max_value=6), st.integers(0, 500)).flatmap(
-    lambda shape: st.lists(
-        st.tuples(*[CELLS] * shape[0]), min_size=shape[1], max_size=shape[1]
-    ).map(lambda rows: [np.array([row[i] for row in rows], dtype=np.float64) for i in range(shape[0])])
+
+def log_uniform(rng, low, high, n):
+    return np.clip(10.0 ** rng.uniform(np.log10(low), np.log10(high), n), low, high)
+
+
+def bulk_cells(rng, n):
+    """n cells, each from one of nine kinds picked uniformly: any float64 (NaN and
+    inf included), a special cell, and signed cells of the ranges subnormal,
+    [1e307, LARGEST], [1e-308, 1e-306], [1e-5, 1e13], integral in [1e12, 1e300],
+    integers in [1e12, 2^63], and v / 10^(v mod 17) for integers v in [1, 1e13]."""
+    v = np.floor(log_uniform(rng, 1.0, 1e13, n))
+    kinds = np.stack([
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        rng.choice([0.0, TINY, SMALLEST_NORMAL, LARGEST] + TIES + SEAMS, n),
+        rng.integers(1, 2**52, n, dtype=np.uint64, endpoint=True).view(np.float64),
+        rng.uniform(1e307, LARGEST, n),
+        rng.uniform(1e-308, 1e-306, n),
+        log_uniform(rng, 1e-5, 1e13, n),
+        np.floor(log_uniform(rng, 1e12, 1e300, n)),
+        np.floor(log_uniform(rng, 1e12, 2.0**63, n)),
+        v / 10.0 ** (v % 17),
+    ])
+    cells = kinds[rng.integers(0, len(kinds), n), np.arange(n)]
+    # signed at random, as `signed` draws them; the random bits carry a random sign anyway
+    return np.where(rng.random(n) < 0.5, -cells, cells)
+
+
+#: Up to 500 rows of up to 6 columns: the shape, a seed for the bulk of the
+#: cells, and special cells at drawn positions.
+TABLES = st.tuples(
+    st.integers(min_value=1, max_value=6),
+    st.integers(0, 500),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 2999), SPECIAL_CELLS), max_size=20),
 )
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(TABLES)
-def test_writer_matches_per_cell_format(columns):
+def test_writer_matches_per_cell_format(table):
+    n_columns, n_rows, seed, specials = table
+    cells = bulk_cells(np.random.default_rng(seed), n_columns * n_rows)
+    for position, value in specials:
+        if cells.size:
+            cells[position % cells.size] = value
+    columns = list(cells.reshape(n_rows, n_columns).T.copy())
     expected = reference_csv_lines(HEADER, columns)
     assert csv_lines(HEADER, columns) == expected
     # passes of a few cells, so that every drawn table spans many of them

@@ -17,6 +17,7 @@ import functools
 import json
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
@@ -30,10 +31,11 @@ from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from photonam import radial
-from photonam.cli import NEAR_RATIO_MIN, main
+from photonam.cli import main
 from photonam.radial import (
     CavityConfig,
     CSV_HEADER,
+    NEAR_RATIO_MIN,
     f_oam,
     f_spin,
     normalize_mode,
@@ -280,6 +282,27 @@ def test_one_kernel_call_per_profile_density_and_normalization(monkeypatch):
     radial._densities(np.linspace(0.0, 5.0, 7), cavity)
     f_oam(2.5, cavity)
     assert calls == [(7,), ()]
+
+
+def test_kernel_writes_its_rows_in_place():
+    # at 10^6 samples a float array is 8 MB: the grid, the four kernel rows,
+    # x clipped to its seam and j1, then a temporary, or the profile's own
+    # columns later, nine in all, where copying the rows took eleven
+    cavity = CavityConfig(k=1.0, R=100.0)
+    cavity.density_weights
+    tracemalloc.start()
+    try:
+        radial_profile(cavity, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 8 * 10**6 + 2**16
+
+
+@pytest.mark.parametrize("x", [0.0, 1.5, 2.5, 4.0, 1e14])
+def test_kernel_at_a_scalar_matches_the_kernel_on_an_array(x):
+    # a 0-d argument writes its rows through 0-d views
+    assert np.array_equal(radial._radial_functions(x), radial._radial_functions(np.array([x]))[:, 0])
 
 
 def test_c0_large_argument_asymptotic():
@@ -532,6 +555,20 @@ def test_near_ratio_clears_the_verify_all_bound(log_kR):
     # the bound at every kR
     report = zone_report(CavityConfig(k=1.0, R=10.0**log_kR))
     assert NEAR_RATIO_MIN < report.near_ratio < 1.2 * NEAR_RATIO_MIN
+
+
+@pytest.mark.parametrize("kR", [100.0, 5736.288000174625, 20000.0, 1.58e13])
+def test_near_zone_check_reads_no_profile(monkeypatch, kR):
+    # f_spin peaks at the atom on a grid fixed in kr; a profile grid starting at
+    # kR / 2000 began past the central lobe from kR ~ 5268 on
+    def refuse(*args):
+        raise AssertionError("near_zone_spin_dominance built a profile")
+
+    monkeypatch.setattr(radial, "radial_profile", refuse)
+    cavity = CavityConfig(k=1.0, R=kR)
+    check = radial.near_zone_spin_dominance(cavity, zone_report(cavity))
+    assert check.passed and check.bound == NEAR_RATIO_MIN
+    assert check.values == {"near_ratio": zone_report(cavity).near_ratio}
 
 
 def test_bessel_large_arguments_without_overflow_warning():

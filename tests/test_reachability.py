@@ -51,8 +51,6 @@ ALLOWED = {
     "(perfbench/workloads.py); the commands read the occupation array",
     "radial.spherical_bessel": "public j0/j2; the tests check the kernel's Bessel rows "
     "against mpmath through it",
-    "radial.f_spin": "the benchmark's radial-sweep reports it (perfbench/workloads.py); "
-    "density_commutator_check reads both factors from one radial._densities call",
 }
 
 #: Runs each argument list through the CLI under a profile hook installed before
@@ -130,6 +128,6 @@ def test_every_function_is_reached_by_a_command(tmp_path):
     # equality: an allowed function that a command starts to call, or that is
     # deleted, leaves the list too
     assert unreached == set(ALLOWED)
-    # five entries, and two the benchmark reads since the commands stopped calling
-    # them: FockSpace.basis and radial.f_spin
-    assert len(ALLOWED) <= 7 and all(ALLOWED.values())
+    # five entries, and FockSpace.basis, which the benchmark reads since the commands
+    # stopped calling it
+    assert len(ALLOWED) <= 6 and all(ALLOWED.values())
