@@ -51,10 +51,12 @@ def signed(magnitudes):
     return st.tuples(magnitudes, st.booleans()).map(lambda pair: -pair[0] if pair[1] else pair[0])
 
 
-#: Cells Hypothesis draws into each table: zeros, the float range's ends, the
-#: ties and seams, and subnormals.
+#: Cells Hypothesis draws into each table: zeros, the float range's ends, NaN
+#: and the infinities, which random bits almost never give, the ties and seams,
+#: and subnormals.
 SPECIAL_CELLS = st.one_of(
-    st.sampled_from([0.0, -0.0, TINY, -TINY, SMALLEST_NORMAL, LARGEST, -LARGEST] + TIES + SEAMS),
+    st.sampled_from([0.0, -0.0, TINY, -TINY, SMALLEST_NORMAL, LARGEST, -LARGEST] + TIES + SEAMS
+                    + [math.nan, math.inf, -math.inf]),
     signed(st.floats(min_value=TINY, max_value=SMALLEST_NORMAL)),
 )
 
