@@ -1,16 +1,18 @@
 """Photon twins from a quadrupole-degenerate (j=2 to j=0) transition.
 
 The two emitted photons counter-propagate and are modeled as two
-distinguishable three-mode families. Total projection conservation confines
-the pair to the m1 + m2 = 0 subspace, spanned by two exchange-even states
-and one exchange-odd state; the pair-creation interaction couples only to
-the even combination, so the odd state is never radiated. The Hamiltonian
-conserves the excitation number N_exc = |e><e| + N_photons / 2, so it is
-stored as one block per value of 2 N_exc, and the selection rule is checked
-inside the 2 N_exc = 2 sector: |e; vac> and the two-photon states |g; n>.
-Entanglement of the radiated state is measured by mu = |c1| |c2|^2 over the
-even pair, and its maximum coincides with all sixteen local SU(3) generator
-expectations vanishing.
+distinguishable three-mode families. The atom radiates through the pair
+operator L = sum_ab C[a, b] a_{m_a}^fwd a_{m_b}^bwd, whose coupling array C
+(`PAIR_COUPLING`) is one where m_a + m_b = 0: total projection conservation.
+That subspace is spanned by two exchange-even states and one exchange-odd
+state; C is exchange-even, so the odd state is never radiated. The
+Hamiltonian conserves the excitation number N_exc = |e><e| + N_photons / 2,
+so it is stored as one block per value of 2 N_exc. In the 2 N_exc = 2 sector
+|e; vac> couples to one state only, |g; L^dagger vac>, so the radiated pair is
+C* / ||C|| at every time and detuning; the selection rule is checked there.
+Entanglement is measured by mu = |c1| |c2|^2 over the even pair, and the
+radiated pair sits at its maximum, where all sixteen local SU(3) generator
+expectations vanish.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .output import Check
 FORWARD_MODES = tuple(ModeLabel(m.name, "fwd") for m in AM_MODES)
 BACKWARD_MODES = tuple(ModeLabel(m.name, "bwd") for m in AM_MODES)
 
-#: Bound on the local SU(3) expectations at the optimum (variational_pass) and,
-#: in verify-all's entanglement_maximum, on the deviations of |c1|, |c2| and mu
-#: from their closed forms. They read 0.0, 1.1e-16, 0 and 5.6e-17.
+#: Bound on the local SU(3) expectations of the radiated pair (variational_pass)
+#: and, in verify-all's entanglement_maximum, on the deviations of its |c1|, |c2|
+#: and mu from their closed forms at the maximum. All four read 0.0.
 OPTIMUM_TOL = 1e-14
 #: Bounds on the odd-state coupling and eigen-residual, and on its evolved overlap.
 COUPLING_TOL = 1e-12
@@ -64,6 +66,15 @@ PARITY_BASIS = (
 )
 
 
+#: C of the pair operator L = sum_ab C[a, b] a_{m_a}^fwd a_{m_b}^bwd: read-only,
+#: rows m_a and columns m_b in M_VALUES order, one where m_a + m_b = 0. The
+#: Hamiltonian's pair terms and the radiated pair L^dagger |vac> are read from it.
+PAIR_COUPLING = _pair_state({(m, -m): 1.0 for m in M_VALUES})
+
+#: The eight SU(3) generator blocks as one (8, 3, 3) stack.
+_SU3_STACK = np.stack(SU3_BLOCKS.all_generators())
+
+
 def entanglement_measure(c1: complex, c2: complex) -> float:
     """mu = |c1| |c2|^2 of c1 psi1 + c2 psi2; zero on both product-state endpoints."""
     return abs(c1) * abs(c2) ** 2
@@ -72,19 +83,15 @@ def entanglement_measure(c1: complex, c2: complex) -> float:
 def local_expectations(psi: np.ndarray) -> np.ndarray:
     """Sixteen generator expectations of the 3x3 pair state psi.
 
-    Eight on photon 1, then eight on photon 2.
+    Eight on photon 1, <psi| G (x) 1 |psi>, then eight on photon 2, <psi| 1 (x) G |psi>.
     """
-    rho1 = psi @ psi.conj().T
-    rho2 = (psi.conj().T @ psi).T
-    blocks = SU3_BLOCKS.all_generators()
-    values = [np.trace(g @ rho1).real for g in blocks]
-    values += [np.trace(g @ rho2).real for g in blocks]
-    return np.array(values)
+    photons = np.stack([psi, psi.T])
+    return np.einsum("pia,kij,pja->pk", photons.conj(), _SU3_STACK, photons).real.ravel()
 
 
 @dataclass(frozen=True)
 class EntanglementOptimum:
-    """Maximizer of mu with its variational check; its fields lead the entangle report."""
+    """The radiated pair's |c1|, |c2|, mu and variational check; they lead the entangle report."""
 
     c1_abs: float
     c2_abs: float
@@ -94,27 +101,16 @@ class EntanglementOptimum:
 
 
 def maximize_entanglement() -> EntanglementOptimum:
-    """Maximize mu = a (1 - a^2) over a = |c1| by Newton steps on mu' = 1 - 3 a^2.
+    """The radiated pair L^dagger |vac> / ||C|| = C* / ||C|| as c1 psi1 + c2 psi2.
 
-    mu' is concave and falling, so from a = 1 the iterates fall monotonically
-    onto the maximizer 1/sqrt(3); they stop at the first step that does not
-    decrease the iterate, at the root to rounding, where value comparisons
-    would stall on the flat maximum. The optimum is cross-checked against the
-    variational condition that all sixteen local generator expectations vanish.
+    mu = a (1 - a^2) of a = |c1| is largest at a = 1/sqrt(3), which
+    entanglement_maximum holds c1 to; there all sixteen local generator
+    expectations vanish, the variational condition checked here.
     """
-    c1 = 1.0
-    while (nxt := c1 + (1.0 - 3.0 * c1 * c1) / (6.0 * c1)) < c1:
-        c1 = nxt
-    c2 = float(np.sqrt(1.0 - c1 * c1))
-    psi1, psi2, _ = PARITY_BASIS
-    max_abs = float(np.max(np.abs(local_expectations(c1 * psi1 + c2 * psi2))))
-    return EntanglementOptimum(
-        c1_abs=c1,
-        c2_abs=c2,
-        mu_max=entanglement_measure(c1, c2),
-        local_expectation_max_abs=max_abs,
-        variational_pass=max_abs < OPTIMUM_TOL,
-    )
+    pair = PAIR_COUPLING.conj() / np.linalg.norm(PAIR_COUPLING)
+    c1, c2 = (float(abs(np.vdot(state, pair))) for state in PARITY_BASIS[:2])
+    max_abs = float(np.max(np.abs(local_expectations(pair))))
+    return EntanglementOptimum(c1, c2, entanglement_measure(c1, c2), max_abs, max_abs < OPTIMUM_TOL)
 
 
 def entanglement_maximum(optimum: EntanglementOptimum) -> Check:
@@ -190,22 +186,25 @@ def interaction_hamiltonian(
     """Pair-emission Hamiltonian with the m1 + m2 = 0 selection rule.
 
     H = omega * N_photons + omega0 * |e><e|
-        + gamma * (|e><g| L + |g><e| L^dagger),  L = sum_m a_m^fwd a_{-m}^bwd
+        + gamma * (|e><g| L + |g><e| L^dagger),  L = sum_ab C[a, b] a_{m_a}^fwd a_{m_b}^bwd
 
-    The interaction creates one photon in each family with opposite
-    projections, so only the exchange-even pair combination couples to the
-    excited atom. H conserves N_exc, so it is built as the blocks of
-    space.sectors: the diagonal, then the terms of L in one ladder-map call,
-    hops |g; n> to |e; n - pair>, and their exact adjoints: H is exactly hermitian.
+    with C = PAIR_COUPLING. The interaction creates one photon in each family
+    with opposite projections, so only the exchange-even pair combination
+    couples to the excited atom. H conserves N_exc, so it is built as the blocks
+    of space.sectors: the diagonal, then the terms of L, one per nonzero entry
+    of C, in one ladder-map call, hops |g; n> to |e; n - pair>, and their exact
+    adjoints: H is exactly hermitian.
     """
     fs = space.field_space
     g_offset, e_offset = (space.atom_index(level) * fs.dim for level in ("g", "e"))
     photons = fs.sectors.labels
     states = np.arange(space.dim)
-    bwd = (BACKWARD_MODES[M_VALUES.index(-m)] for m in M_VALUES)
-    lowered = [[fs.mode_position(f), fs.mode_position(b)] for f, b in zip(FORWARD_MODES, bwd)]
-    _, src, dst, amplitude = _hops(fs, np.empty((3, 0), dtype=np.intp), np.array(lowered))
-    coupling = gamma_coupling * amplitude
+    fwd, bwd = np.nonzero(PAIR_COUPLING)
+    positions = np.array([[fs.mode_position(m) for m in family]
+                          for family in (FORWARD_MODES, BACKWARD_MODES)])
+    lowered = np.stack([positions[0, fwd], positions[1, bwd]], axis=1)
+    term, src, dst, amplitude = _hops(fs, np.empty((len(fwd), 0), dtype=np.intp), lowered)
+    coupling = gamma_coupling * PAIR_COUPLING[fwd[term], bwd[term]] * amplitude
     diagonal = np.concatenate([omega * photons + (level == "e") * omega0 for level in ATOM_LEVELS])
     return OperatorMatrix.from_entries(
         space,

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
 
 from photonam import twins
 from photonam.angular import SU3_BLOCKS
@@ -23,6 +22,7 @@ from photonam.twins import (
     BACKWARD_MODES,
     FORWARD_MODES,
     M_VALUES,
+    PAIR_COUPLING,
     PARITY_BASIS,
     AtomFieldSpace,
     atom_field_space,
@@ -364,18 +364,51 @@ def test_selection_rule_check_rejects_non_hermitian(space, hamiltonian):
         selection_rule_check(from_dense(space, skewed), space, omega=1.0, gamma_coupling=0.05)
 
 
-def test_evolution_actually_radiates(space, hamiltonian):
-    # sanity of the dynamics: resonant pair emission moves population out of
-    # the excited state and into the even pair sector, never the odd one
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    log_gamma=st.floats(-3.0, 0.0),
+    gamma_t=st.floats(0.0, 20.0),
+    detuning=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+)
+def test_radiated_pair_is_the_coupling_array(space, log_gamma, gamma_t, detuning):
+    # the dynamics as the oracle of maximize_entanglement's pair: |e; vac>
+    # evolved through an eigh of the dense H, at omega0 = 2 omega + detuning,
+    # leaves in its g block only the pair C* / ||C||, whatever t and detuning.
+    # H is decomposed less 2 omega N_exc, which commutes with it and only shifts
+    # the sector's phase, so the phases carry no rounding of omega t.
+    gamma, t = 10.0**log_gamma, gamma_t / 10.0**log_gamma
+    h = interaction_hamiltonian(space, 1.0, 2.0 + detuning, gamma).matrix
+    h = h - 2.0 * np.diag(excitation_number(space))
+    energies, vectors = np.linalg.eigh(h)
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0
-    excited = space.state("e", vac)
-    t = 1.0 / 0.05
-    evolved = expm(-1j * hamiltonian.matrix * t) @ excited
-    survival = abs(np.vdot(excited, evolved)) ** 2
-    assert survival < 0.999
-    even = space.state("g", pair_field_vector(space, PSI2))
-    assert abs(np.vdot(even, evolved)) > 1e-3
+    evolved = vectors @ (np.exp(-1j * energies * t) * (vectors.conj().T @ space.state("e", vac)))
+    g_block = evolved.reshape(2, -1)[space.atom_index("g")]
+    pair = pair_field_vector(space, PAIR_COUPLING.conj() / np.linalg.norm(PAIR_COUPLING))
+    amplitude = np.vdot(pair, g_block)
+    assert np.linalg.norm(g_block - amplitude * pair) ** 2 <= 1e-14
+    if detuning == 0.0:
+        # a two-level Rabi problem with coupling sqrt(3) gamma
+        assert abs(amplitude) ** 2 == pytest.approx(np.sin(np.sqrt(3.0) * gamma_t) ** 2, abs=1e-13)
+
+
+def test_maximize_entanglement_reads_the_coupling_array(monkeypatch):
+    # no space and no Hamiltonian: the radiated pair is read from C alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("maximize_entanglement built a space or a Hamiltonian")
+
+    for name in ("atom_field_space", "build_space", "interaction_hamiltonian"):
+        monkeypatch.setattr(twins, name, refuse)
+    result = maximize_entanglement()
+    assert (result.c1_abs, result.c2_abs) == pytest.approx((INV_RT3, RT23), abs=1e-15)
+    # C is the m1 + m2 = 0 rule, read-only, and the radiated pair is c1 psi1 + c2 psi2
+    support = [[m1 + m2 == 0 for m2 in M_VALUES] for m1 in M_VALUES]
+    assert np.array_equal(PAIR_COUPLING != 0, support)
+    with pytest.raises(ValueError):
+        PAIR_COUPLING[0, 0] = 1.0
+    np.testing.assert_allclose(
+        PAIR_COUPLING / np.sqrt(3.0), radiated(result.c1_abs, result.c2_abs), atol=1e-15
+    )
 
 
 #: omega0 as (a, b) of a * omega + b: resonant, and detuned by omega and by 1.
