@@ -7,7 +7,9 @@ entanglement of counter-propagating photon twins.
 
 There is no state type: a state is a plain amplitude array, over a Fock
 basis placed with `FockSpace.index_of`, or, for a photon twin pair, a 3x3
-array over |1_{m1}; 1_{m2}>. An operator is one flat array of its blocks, one per
+array over |1_{m1}; 1_{m2}>. There is no mode type either: a mode is its
+label, the projection m of `angular.M_VALUES`, or (m, "fwd") and (m, "bwd")
+for the twins. An operator is one flat array of its blocks, one per
 sector of the label it conserves (`OperatorMatrix.flat`; `.blocks` are views).
 
 `import photonam` loads nothing else: a public name, or a submodule such as
@@ -25,7 +27,7 @@ _PUBLIC = {
                 "density_commutator_check", "j_operators", "su3_generators",
                 "three_mode_space", "verify_su2"),
     "decay": ("DecayCurve", "DecayParams", "conservation_check", "sz_curve", "sz_expectation"),
-    "fock": ("FockSpace", "ModeLabel", "OperatorMatrix", "annihilation", "build_space"),
+    "fock": ("FockSpace", "OperatorMatrix", "annihilation", "build_space"),
     "radial": ("CavityConfig", "RadialProfile", "ZoneReport", "f_oam", "f_spin",
                "normalize_mode", "radial_profile", "spherical_bessel",
                "wave_zone_discrepancy", "zone_report"),

@@ -20,17 +20,11 @@ from functools import cached_property
 import numpy as np
 
 from . import radial
-from .fock import FockSpace, ModeLabel, OperatorMatrix, bilinear, build_space, check_dim
+from .fock import FockSpace, OperatorMatrix, bilinear, build_space, check_dim
 from .output import Check
 
-M_PLUS = ModeLabel("+1")
-M_ZERO = ModeLabel("0")
-M_MINUS = ModeLabel("-1")
-
-#: Canonical mode order (m = +1, 0, -1) used for single-photon blocks.
-AM_MODES = (M_PLUS, M_ZERO, M_MINUS)
-
-#: Projection m of each AM_MODES entry: the row order of every 3x3 block.
+#: The photon modes, each labelled by its projection m: the mode order of the
+#: three-mode space and the row order of every 3x3 block.
 M_VALUES = (1, 0, -1)
 
 DEFAULT_CUTOFF = 3
@@ -50,14 +44,14 @@ def three_mode_space(cutoff: int = DEFAULT_CUTOFF) -> FockSpace:
     zero and each identity would hold vacuously.
     """
     check_cutoff(cutoff)
-    return build_space(AM_MODES, cutoff)
+    return build_space(M_VALUES, cutoff)
 
 
 def check_cutoff(cutoff: int) -> None:
     """ValueError unless cutoff admits a photon and three-mode sectors within MAX_SECTOR_DIM."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1 to hold a photon, got {cutoff}")
-    check_dim(len(AM_MODES), cutoff)
+    check_dim(len(M_VALUES), cutoff)
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ def j_operators(space: FockSpace) -> AmOperatorTriple:
     and Jx, Jy move one photon to or from m = 0, exactly on every occupation
     sector. A space without the three AM modes raises ValueError.
     """
-    return AmOperatorTriple(*bilinear(space, AM_MODES, SPIN1_BLOCKS))
+    return AmOperatorTriple(*bilinear(space, M_VALUES, SPIN1_BLOCKS))
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ def _unit(row: int, col: int) -> np.ndarray:
     return np.outer(np.eye(3)[row], np.eye(3)[col])
 
 
-#: Cyclic pairs (m, m-1) = (+1, 0), (0, -1), (-1, +1) as positions in AM_MODES.
+#: Cyclic pairs (m, m-1) = (+1, 0), (0, -1), (-1, +1) as positions in M_VALUES.
 _CYCLIC_PAIRS = ((0, 1), (1, 2), (2, 0))
 
 #: Single-photon blocks of the SU(3) generators: per cyclic pair, n_m - n_{m-1}
@@ -132,7 +126,7 @@ SU3_BLOCKS = Su3GeneratorSet(
 def su3_generators(space: FockSpace) -> Su3GeneratorSet:
     """Hermitian SU(3) generator set with the cyclic lower-index convention."""
     blocks = SU3_BLOCKS.diagonal_raw + SU3_BLOCKS.offdiag_real + SU3_BLOCKS.offdiag_imag
-    ops = bilinear(space, AM_MODES, blocks)
+    ops = bilinear(space, M_VALUES, blocks)
     return Su3GeneratorSet(diagonal_raw=ops[:3], offdiag_real=ops[3:6], offdiag_imag=ops[6:])
 
 

@@ -234,10 +234,10 @@ _OPTIONS = {
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse a `key = value` config file; `#` starts a comment."""
+    """Parse a UTF-8 `key = value` config file, a byte-order mark allowed; `#` starts a comment."""
     values = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, combinations, repeat
 from operator import mul
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -41,19 +41,6 @@ HERMITICITY_TOL = 1e-12
 #: about 0.33 s (median of 7 runs, 2 cores, Python 3.11, numpy 2.4); 252 is six
 #: modes at cutoff 5, so the twins atom-field space keeps cutoffs up to 5.
 MAX_SECTOR_DIM = 252
-
-
-@dataclass(frozen=True)
-class ModeLabel:
-    """Symbolic bosonic mode label, optionally tagged by propagation direction."""
-
-    name: str
-    direction: str | None = None
-
-    def __str__(self) -> str:
-        if self.direction is None:
-            return self.name
-        return f"{self.name}@{self.direction}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +96,10 @@ def _flat_positions(sectors: Sectors, rows, cols) -> np.ndarray:
 class FockSpace:
     """Occupation-number basis with a total-occupation cutoff: row i of `occupations`."""
 
-    modes: tuple[ModeLabel, ...]
+    modes: tuple[Hashable, ...]
     cutoff: int
     occupations: np.ndarray = field(repr=False, compare=False)
-    _positions: dict[ModeLabel, int] = field(repr=False, compare=False)
+    _positions: dict[Hashable, int] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -135,11 +122,11 @@ class FockSpace:
         index = keys.searchsorted(occ.astype(weights.dtype) @ weights)
         return int(index) if occ.ndim == 1 else index
 
-    def mode_position(self, mode: ModeLabel) -> int:
+    def mode_position(self, mode: Hashable) -> int:
         try:
             return self._positions[mode]
         except KeyError:
-            raise ValueError(f"unknown mode label {mode}") from None
+            raise ValueError(f"unknown mode label {mode!r}") from None
 
     @cached_property
     def _radix(self) -> tuple[np.ndarray, np.ndarray]:
@@ -185,8 +172,10 @@ def check_dim(n_modes: int, cutoff: int) -> None:
         )
 
 
-def build_space(modes: Sequence[ModeLabel], cutoff: int) -> FockSpace:
+def build_space(modes: Sequence[Hashable], cutoff: int) -> FockSpace:
     """Enumerate the occupation basis with sum(n) <= cutoff, lexicographically.
+
+    `modes` are distinct hashable labels; column k of `occupations` is modes[k].
 
     The ordering is deterministic: same modes and cutoff always produce the
     identical basis, with the vacuum at index 0.
@@ -262,7 +251,7 @@ def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
 
 
 # kept as the dense per-state reference: perfbench/spans.py LAYERS looks it up by name
-def annihilation(space: FockSpace, mode: ModeLabel) -> np.ndarray:
+def annihilation(space: FockSpace, mode: Hashable) -> np.ndarray:
     """Dense ladder-down matrix, <..., n-1, ...| a |..., n, ...> = sqrt(n), state by state."""
     pos = space.mode_position(mode)
     mat = np.zeros((space.dim, space.dim), dtype=complex)
@@ -289,7 +278,7 @@ def _hops(space: FockSpace, up: np.ndarray, down: np.ndarray) -> tuple[np.ndarra
     return term, src, keys.searchsorted(keys[src] + shift[term]), amplitude[term, src]
 
 
-def bilinear(space: FockSpace, modes: Sequence[ModeLabel], blocks) -> tuple[OperatorMatrix, ...]:
+def bilinear(space: FockSpace, modes: Sequence[Hashable], blocks) -> tuple[OperatorMatrix, ...]:
     """sum_ij block[i, j] a_i^dagger a_j over the distinct `modes`, per block of a (k, n, n) stack.
 
     Diagonal: sum_i block[i, i] n_i, exact for integer-valued blocks. Every

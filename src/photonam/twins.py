@@ -22,10 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .angular import AM_MODES, M_VALUES, SU3_BLOCKS
+from .angular import M_VALUES, SU3_BLOCKS
 from .fock import (
     FockSpace,
-    ModeLabel,
     OperatorMatrix,
     Sectors,
     _hops,
@@ -35,8 +34,9 @@ from .fock import (
 )
 from .output import Check
 
-FORWARD_MODES = tuple(ModeLabel(m.name, "fwd") for m in AM_MODES)
-BACKWARD_MODES = tuple(ModeLabel(m.name, "bwd") for m in AM_MODES)
+#: The twins' modes, each labelled by its projection m and propagation direction.
+FORWARD_MODES = tuple((m, "fwd") for m in M_VALUES)
+BACKWARD_MODES = tuple((m, "bwd") for m in M_VALUES)
 
 #: Bound on the local SU(3) expectations of the radiated pair (variational_pass)
 #: and, in verify-all's entanglement_maximum, on the deviations of its |c1|, |c2|

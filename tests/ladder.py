@@ -17,6 +17,7 @@ photonam reads the residual from the SU(2) closure of J.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Hashable
 
 import numpy as np
 
@@ -65,11 +66,11 @@ def _require_same_space(a: DenseOperator, b: DenseOperator) -> None:
         raise ValueError("operators act on different spaces")
 
 
-def annihilation(space: fock.FockSpace, mode: fock.ModeLabel) -> DenseOperator:
+def annihilation(space: fock.FockSpace, mode: Hashable) -> DenseOperator:
     return DenseOperator(space, fock.annihilation(space, mode))
 
 
-def creation(space: fock.FockSpace, mode: fock.ModeLabel) -> DenseOperator:
+def creation(space: fock.FockSpace, mode: Hashable) -> DenseOperator:
     """Adjoint of annihilation; states pushed past the cutoff map to zero."""
     return annihilation(space, mode).dag()
 

@@ -9,11 +9,8 @@ from scipy.special import spherical_jn
 
 from photonam import angular
 from photonam.angular import (
-    AM_MODES,
     AmOperatorTriple,
-    M_MINUS,
-    M_PLUS,
-    M_ZERO,
+    M_VALUES,
     am_variances,
     density_commutator_check,
     j_operators,
@@ -29,7 +26,7 @@ from ladder import (
     is_hermitian_operator,
     scaled_density_residual,
 )
-from photonam.fock import ModeLabel, bilinear, build_space
+from photonam.fock import bilinear, build_space
 from photonam.radial import CavityConfig, f_oam, f_spin, normalize_mode
 
 RT2 = np.sqrt(2.0)
@@ -43,7 +40,7 @@ SPIN1_JZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 def one_photon_indices(space):
     """Basis indices of |1_m> for m = +1, 0, -1, placed by index_of."""
     return [
-        space.index_of(tuple(int(m == mode) for m in space.modes)) for mode in AM_MODES
+        space.index_of(tuple(int(m == mode) for m in space.modes)) for mode in M_VALUES
     ]
 
 
@@ -77,14 +74,14 @@ def test_single_photon_blocks_are_spin_one_matrices(space, triple):
 
 def ladder_formulas(space):
     """J and SU(3) operators written out as products of ladder matrices."""
-    a = {mode: annihilation(space, mode).matrix for mode in AM_MODES}
-    c = {mode: creation(space, mode).matrix for mode in AM_MODES}
-    raise_0 = c[M_ZERO] @ (a[M_PLUS] + a[M_MINUS])
-    diff_0 = c[M_ZERO] @ (a[M_PLUS] - a[M_MINUS])
+    a = {mode: annihilation(space, mode).matrix for mode in M_VALUES}
+    c = {mode: creation(space, mode).matrix for mode in M_VALUES}
+    raise_0 = c[0] @ (a[1] + a[-1])
+    diff_0 = c[0] @ (a[1] - a[-1])
     jx = (raise_0 + raise_0.conj().T) / RT2
     jy = 1j * (diff_0 - diff_0.conj().T) / RT2
-    jz = c[M_PLUS] @ a[M_PLUS] - c[M_MINUS] @ a[M_MINUS]
-    pairs = [(M_PLUS, M_ZERO), (M_ZERO, M_MINUS), (M_MINUS, M_PLUS)]
+    jz = c[1] @ a[1] - c[-1] @ a[-1]
+    pairs = [(1, 0), (0, -1), (-1, 1)]
     hops = [c[up] @ a[low] for up, low in pairs]
     diag_raw = [c[up] @ a[up] - c[low] @ a[low] for up, low in pairs]
     off_real = [0.5 * (h + h.conj().T) for h in hops]
@@ -174,7 +171,7 @@ def test_verify_su2_zero_triple_degenerate(space):
 
 
 def test_wrong_mode_set_raises():
-    other = build_space([ModeLabel("a"), ModeLabel("b")], 2)
+    other = build_space(["a", "b"], 2)
     with pytest.raises(ValueError):
         j_operators(other)
     with pytest.raises(ValueError):
@@ -325,7 +322,7 @@ def triple_at(cutoff, jx_scale):
     """J at cutoff with its Jx block scaled by jx_scale (1.0: the exact triple)."""
     jx, jy, jz = angular.SPIN1_BLOCKS
     space = three_mode_space(cutoff)
-    return AmOperatorTriple(*bilinear(space, AM_MODES, [jx * jx_scale, jy, jz]))
+    return AmOperatorTriple(*bilinear(space, M_VALUES, [jx * jx_scale, jy, jz]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -415,7 +415,8 @@ _comment = st.just("") | st.text(
 
 @st.composite
 def _config_files(draw):
-    """A valid RunConfig and a config file that spells it out in random order and spacing."""
+    """A valid RunConfig and a config file that spells it out in random order and spacing,
+    with or without a UTF-8 byte-order mark."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
     fields = {
         "command": st.sampled_from(COMMANDS),
@@ -438,7 +439,8 @@ def _config_files(draw):
         # str of a float is its shortest round-tripping repr
         lines.append(draw(_blank) + key + draw(_blank) + "=" + draw(_blank) + str(values[key])
                      + draw(_blank) + draw(_comment))
-    return RunConfig(**values), "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return RunConfig(**values), bom + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=80,

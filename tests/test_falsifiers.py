@@ -2,7 +2,8 @@
 
 Each row monkeypatches one constant or function, runs a command, and names
 the checks that must then read "pass": false, with exit 1; every other check
-must still pass. The unperturbed commands pass (tests/test_cli.py). Where two
+must still pass. entangle reports no check list: its two readings,
+variational_pass and selection_rule.pass, stand in for it. The unperturbed commands pass (tests/test_cli.py). Where two
 checks rest on the same computation the row states it, so that they are seen
 to flip together. Each perturbation's comment gives the smallest one of its
 kind that flips the row's check, measured by bisection on the factor.
@@ -113,8 +114,9 @@ def leak_to_odd_pair(monkeypatch):
     # A hermitian coupling eps between |e; vac> and |g; psi3> inside the
     # 2 N_exc = 2 sector radiates the odd pair state: coupling_to_odd reads
     # eps, so eps = 1.0e-12 (the coupling bound) is the smallest that flips
-    # selection_rule. entanglement_maximum reads the coupling array C, not H,
-    # so a leak added to H alone moves no other check.
+    # selection_rule (and entangle's selection_rule.pass). entanglement_maximum
+    # and variational_pass read the coupling array C, not H, so a leak added
+    # to H alone moves no other check.
     exact = twins.interaction_hamiltonian
     eps = 1e-9
 
@@ -139,6 +141,9 @@ def unequal_psi2(monkeypatch):
     # |-1, +1>: c2, the radiated pair's overlap with psi2, moves by delta/sqrt(3),
     # so delta = +1.74e-14 or -1.75e-14 is the smallest that passes the 1e-14
     # bound and flips entanglement_maximum. The selection rule reads psi3 only.
+    # entangle stays at exit 0: it bounds only the local expectations
+    # (variational_pass) and the selection rule, never c1, c2 or mu, which
+    # verify-all's entanglement_maximum alone holds to their closed forms.
     psi1, _, psi3 = twins.PARITY_BASIS
     root = 1.0 / np.sqrt(2.0)
     skewed = twins._pair_state({(1, -1): root + 1e-13, (-1, 1): root})
@@ -156,8 +161,9 @@ def _scale_coupling(monkeypatch, m, factor):
 def scale_m0_coupling(monkeypatch):
     # C at m = 0 x 1.01: the radiated pair leaves the maximum, and the local
     # SU(3) expectations read ~(2/3) delta, so C x (1 +- 1.5e-14) is the smallest
-    # that flips entanglement_maximum. The m = 0 term couples to psi1, which
-    # psi3 is orthogonal to, so selection_rule still passes.
+    # that flips entanglement_maximum, and entangle's variational_pass, which
+    # bounds those expectations alone. The m = 0 term couples to psi1, which
+    # psi3 is orthogonal to, so both selection-rule readings still pass.
     _scale_coupling(monkeypatch, 0, 1.01)
 
 
@@ -201,7 +207,18 @@ ROWS = [
     (scale_m0_coupling, "verify-all", only("entanglement_maximum"), 1),
     (asymmetric_coupling, "verify-all", only("selection_rule", "entanglement_maximum"), 2),
     (slightly_asymmetric_coupling, "verify-all", only("entanglement_maximum"), 1),
+    (scale_m0_coupling, "entangle", only("variational_pass"), 1),
+    (leak_to_odd_pair, "entangle", only("selection_rule.pass"), 1),
 ]
+
+
+def checks(payload):
+    """(name, passed) of each check in a command's JSON: its "checks" list, or
+    entangle's two readings."""
+    if "checks" not in payload:
+        return [("variational_pass", payload["variational_pass"]),
+                ("selection_rule.pass", payload["selection_rule"]["pass"])]
+    return [(check["name"], check["pass"]) for check in payload["checks"]]
 
 
 @pytest.mark.parametrize("perturb,command,flipped,count", ROWS,
@@ -210,8 +227,8 @@ def test_perturbation_flips_its_checks(capsys, monkeypatch, perturb, command, fl
     perturb(monkeypatch)
     code = main([command])
     payload = json.loads(capsys.readouterr().out)
-    named = [check["name"] for check in payload["checks"] if flipped(check["name"])]
-    failed = [check["name"] for check in payload["checks"] if not check["pass"]]
+    named = [name for name, _ in checks(payload) if flipped(name)]
+    failed = [name for name, passed in checks(payload) if not passed]
     assert code == 1 and payload["pass"] is False
     assert len(named) == count
     assert failed == named
@@ -228,7 +245,7 @@ NO_ROW = {
 def uncovered(capsys, command):
     """The command's check names that no row of that command flips and NO_ROW does not list."""
     assert main([command]) == 0
-    names = [check["name"] for check in json.loads(capsys.readouterr().out)["checks"]]
+    names = [name for name, _ in checks(json.loads(capsys.readouterr().out))]
     covered = {
         name for _, row_command, flipped, _ in ROWS if row_command == command
         for name in names if flipped(name)
@@ -243,3 +260,7 @@ def test_every_verify_all_check_has_a_row(capsys):
 
 def test_every_algebra_check_has_a_row_or_a_reason(capsys):
     assert uncovered(capsys, "algebra") == set()
+
+
+def test_both_entangle_readings_have_a_row(capsys):
+    assert uncovered(capsys, "entangle") == set()

@@ -67,7 +67,7 @@ PUBLIC = {
                 "density_commutator_check", "j_operators", "su3_generators",
                 "three_mode_space", "verify_su2"],
     "decay": ["DecayCurve", "DecayParams", "conservation_check", "sz_curve", "sz_expectation"],
-    "fock": ["FockSpace", "ModeLabel", "OperatorMatrix", "annihilation", "build_space"],
+    "fock": ["FockSpace", "OperatorMatrix", "annihilation", "build_space"],
     "radial": ["CavityConfig", "RadialProfile", "ZoneReport", "f_oam", "f_spin",
                "normalize_mode", "radial_profile", "spherical_bessel",
                "wave_zone_discrepancy", "zone_report"],
@@ -120,7 +120,7 @@ def test_import_photonam_loads_no_submodule_and_no_numpy():
 
 def test_every_public_name_resolves_through_its_submodule():
     assert sorted(photonam.__all__) == sorted(name for names in PUBLIC.values() for name in names)
-    assert len(photonam.__all__) == 38
+    assert len(photonam.__all__) == 37
     for module, names in PUBLIC.items():
         for name in names:
             assert getattr(photonam, name) is getattr(getattr(photonam, module), name)

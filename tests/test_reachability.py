@@ -44,8 +44,6 @@ ALLOWED = {
     "matrices to its checker (perfbench/workloads.py)",
     "radial.RadialProfile.n_samples": "the benchmark's radial-sweep reports it "
     "(perfbench/workloads.py)",
-    "fock.ModeLabel.__str__": "formats a mode label in error messages, which no "
-    "successful command prints",
     "fock.FockSpace.basis": "the occupation tuples, built on demand for inspection: the "
     "benchmark's operator-sweep reads them outside its timed operation "
     "(perfbench/workloads.py); the commands read the occupation array",
@@ -128,6 +126,5 @@ def test_every_function_is_reached_by_a_command(tmp_path):
     # equality: an allowed function that a command starts to call, or that is
     # deleted, leaves the list too
     assert unreached == set(ALLOWED)
-    # five entries, and FockSpace.basis, which the benchmark reads since the commands
-    # stopped calling it
-    assert len(ALLOWED) <= 6 and all(ALLOWED.values())
+    # the five entries above; the cap falls with each one removed
+    assert len(ALLOWED) <= 5 and all(ALLOWED.values())
