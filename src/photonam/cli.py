@@ -16,23 +16,22 @@ computed in the module whose physics it tests (`angular`, `radial`, `decay`,
 `twins`) against a bound that module names; `_report_text` writes each as its
 name, "pass", "bound" and its readings. --tol is the bound of every `algebra`
 check and of verify-all's su2_closure, variance_table and density_commutators.
+
+The module level imports only the standard library that argparse and
+`RunConfig` need. Each command imports the modules it runs, and `_validate`
+makes the checks that need no module first, so --help, an argparse refusal and
+those refusals load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
-
-import numpy as np
-
-from . import angular, decay, output, radial
-# a from-import probes decay for __path__, which calls decay.__getattr__ (tests/test_reachability.py)
-from .decay import DecayParams
 
 SCHEMA_VERSION = 1
 
@@ -49,8 +48,10 @@ MAX_SAMPLES = 10**6
 MIN_DECAY_SAMPLES = 2
 
 #: The values --format and --m accept; a config file must keep to them too.
+#: M_VALUES is sorted(angular.M_VALUES), written out so that argparse runs
+#: before numpy loads (tests/test_cli.py holds the two equal).
 FORMATS = ("csv", "json")
-M_VALUES = tuple(sorted(angular.M_VALUES))
+M_VALUES = (-1, 0, 1)
 
 
 class ConfigError(ValueError):
@@ -70,21 +71,24 @@ class RunConfig:
     format: str | None = None
 
 
-def _rounded(value):
-    """value with every float at the output precision, through dicts, lists and tuples."""
-    if isinstance(value, float):
-        return float(output.g12(value))
-    if isinstance(value, dict):
-        return {key: _rounded(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_rounded(item) for item in value]
-    return value
-
-
 def _json_text(payload: dict) -> str:
     """payload as strict JSON at the output precision, after a leading "schema"."""
+    import json
+
+    from .output import g12
+
+    def rounded(value):
+        """value with every float at the output precision, through dicts, lists and tuples."""
+        if isinstance(value, float):
+            return float(g12(value))
+        if isinstance(value, dict):
+            return {key: rounded(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [rounded(item) for item in value]
+        return value
+
     payload = {"schema": SCHEMA_VERSION, **payload}
-    return json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n"
+    return json.dumps(rounded(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _fields(report) -> dict:
@@ -100,10 +104,14 @@ def _report_text(checks: list[output.Check]) -> tuple[str, int]:
 
 
 def _cavity(cfg: RunConfig) -> radial.CavityConfig:
-    return radial.CavityConfig(k=1.0, R=cfg.kR)
+    from .radial import CavityConfig
+
+    return CavityConfig(k=1.0, R=cfg.kR)
 
 
 def cmd_radial(cfg: RunConfig) -> tuple[str, int]:
+    from . import radial
+
     fmt = cfg.format or "csv"
     samples = cfg.samples if cfg.samples is not None else 2000
     cavity = _cavity(cfg)
@@ -115,6 +123,8 @@ def cmd_radial(cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_algebra(cfg: RunConfig) -> tuple[str, int]:
+    from . import angular
+
     space = angular.three_mode_space(cfg.cutoff)
     triple = angular.j_operators(space)
     return _report_text([
@@ -125,16 +135,25 @@ def cmd_algebra(cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_variance(cfg: RunConfig) -> tuple[str, int]:
+    from . import angular
+
     var_x, var_y, var_z = angular.am_variances(cfg.m, cfg.cutoff)
     return _json_text({"m": cfg.m, "varJx": var_x, "varJy": var_y, "varJz": var_z}), 0
 
 
-def _decay_params(cfg: RunConfig, n_times: int) -> DecayParams:
+def _decay_params(cfg: RunConfig, n_times: int) -> decay.DecayParams:
+    import numpy as np
+
+    # a from-import probes decay for __path__, which calls decay.__getattr__ (tests/test_reachability.py)
+    from .decay import DecayParams
+
     # gamma = 1: times in units of 1 / gamma, n_times of them from 0 to 10
     return DecayParams(cfg.omega0_over_gamma, 1.0, np.linspace(0.0, 10.0, n_times))
 
 
 def cmd_decay(cfg: RunConfig) -> tuple[str, int]:
+    from . import decay
+
     fmt = cfg.format or "csv"
     samples = cfg.samples if cfg.samples is not None else 200
     params = _decay_params(cfg, samples)
@@ -168,7 +187,7 @@ def cmd_entangle(cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_verify_all(cfg: RunConfig) -> tuple[str, int]:
-    from . import twins
+    from . import angular, decay, radial, twins
 
     triple = angular.j_operators(angular.three_mode_space(cfg.cutoff))
     cavity = _cavity(cfg)
@@ -295,15 +314,18 @@ def _validate(cfg: RunConfig) -> None:
     """Refuse a tolerance that judges nothing, a grid out of bounds and CSV of a JSON report.
 
     The cutoff, cavity and decay parameters are checked whatever the command, so
-    a flag the command does not read is refused just as one it reads.
+    a flag the command does not read is refused just as one it reads. The checks
+    that need no module come first: those refusals load no numpy.
     """
     if cfg.format == "csv" and cfg.command not in ("radial", "decay"):
         raise ValueError(f"{cfg.command} writes json only, got --format csv")
     for name in ("kR", "omega0_over_gamma", "tol"):
-        if not (np.isfinite(value := getattr(cfg, name)) and value > 0):
+        if not (math.isfinite(value := getattr(cfg, name)) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     if cfg.samples is not None and cfg.samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {cfg.samples}")
+    from . import angular, radial
+
     fewest = radial.MIN_SAMPLES if cfg.command == "radial" else MIN_DECAY_SAMPLES
     if cfg.samples is not None and cfg.samples < fewest:
         raise ValueError(f"samples must be >= {fewest}, got {cfg.samples}")

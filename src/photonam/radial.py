@@ -159,10 +159,11 @@ def _radial_functions(x) -> np.ndarray:
     upward recurrence, A_0 = x/2 - sin(2x)/4 and A_2 = (x^3/2)(j2^2 - j1 j3),
     from one sin, one cos and one sin(2x), each written into its row. Below
     it, the Taylor series, all four in one Horner pass over the arguments
-    below the upper seam.
+    below the upper seam. A scalar x takes `_point_rows`.
     """
+    if np.ndim(x) == 0:
+        return _point_rows(float(x))
     shape = np.shape(x)
-    # flat, so that a scalar's rows are arrays too: out= refuses a numpy scalar
     x = np.asarray(x, dtype=float).ravel()
     rows = np.empty((4, x.size))
     j0, j2, a0, a2 = rows
@@ -180,6 +181,41 @@ def _radial_functions(x) -> np.ndarray:
         series = np.array([xs**p for p in _SERIES_POWERS]) * _horner(xs * xs, _SERIES)
         rows[:, small] = np.where(xs < _SEAMS, series, rows[:, small])
     return rows.reshape(4, *shape)
+
+
+#: Per row of `_radial_functions`: its power of x, its seam and its Taylor
+#: coefficients in x^2, highest first, as floats for `_point_rows`.
+_POINT_SERIES = [
+    (power, seam, coefficients[::-1])
+    for power, seam, coefficients in zip(_SERIES_POWERS, _SEAMS[:, 0].tolist(),
+                                         _SERIES[:, :, 0].T.tolist())
+]
+
+
+def _point_rows(x: float) -> np.ndarray:
+    """`_radial_functions` at one point, bit for bit the rows of a one-element array.
+
+    Only the branch each row takes is evaluated. sin, cos and x^3, x^7 run as
+    the array's ufuncs, whose loops need not round as libm does; the rest is
+    float arithmetic in the array's order of operations, rounded the same.
+    """
+    rows = [0.0] * 4
+    if x >= SERIES_SWITCH[0]:
+        j0 = float(np.sin(x)) / x
+        j1 = (j0 - float(np.cos(x))) / x
+        j2 = 3.0 * j1 / x - j0
+        a0 = x / 2.0 - float(np.sin(2.0 * x)) / 4.0
+        a2 = (j2 * j2 - (5.0 * j2 / x - j1) * j1) * (float(np.power(x, 3)) / 2.0)
+        rows = [j0, j2, a0, a2]
+    x2 = x * x
+    for row, (power, seam, coefficients) in enumerate(_POINT_SERIES):
+        if x < seam:
+            acc = coefficients[0]
+            for c in coefficients[1:]:
+                acc = acc * x2 + c
+            scale = 1.0 if power == 0 else x2 if power == 2 else float(np.power(x, power))
+            rows[row] = scale * acc
+    return np.array(rows)
 
 
 def normalize_mode(config: CavityConfig, ell: int) -> float:
@@ -267,30 +303,40 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
     return RadialProfile(config=config, **arrays)
 
 
-@cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 16 Gauss-Legendre nodes and weights on [-1, 1], built on the first shell integral,
-    so that only commands that integrate import numpy.polynomial."""
-    return np.polynomial.legendre.leggauss(16)
+#: The 16-point Gauss-Legendre rule on [-1, 1], bit for bit numpy's
+#: `polynomial.legendre.leggauss(16)`, which is symmetric: the nodes in [0, 1]
+#: and their weights, as hex floats, mirrored.
+_GL_HALF_NODES = [float.fromhex(h) for h in (
+    "0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2",
+    "0x1.3c5a466d5e8b8p-1", "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1",
+    "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1",
+)]
+_GL_HALF_WEIGHTS = [float.fromhex(h) for h in (
+    "0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3",
+    "0x1.325f61bca3cbep-3", "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4",
+    "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6",
+)]
+_GL_NODES = np.array([-x for x in _GL_HALF_NODES[::-1]] + _GL_HALF_NODES)
+_GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
 
 
 def shell_integrals(config: CavityConfig, start_kr: float, stop_kr: float) -> tuple[float, float]:
     """Gauss-Legendre shell integrals of f_spin and f_oam over kr in [start_kr, stop_kr].
 
     Equal panels, at most a quarter wavelength (pi/2 in kr) wide and at least 8,
-    each a fixed-order 16-node dot product. They keep their digits far out in the
-    wave zone, where differences of the antiderivatives do not, and check the
-    normalization without sharing its formula.
+    each a fixed-order 16-node dot product with the constant rule `_GL_NODES`,
+    `_GL_WEIGHTS`, so no call imports numpy.polynomial or solves for its nodes.
+    They keep their digits far out in the wave zone, where differences of the
+    antiderivatives do not, and check the normalization without sharing its formula.
     """
     edges = np.linspace(start_kr, stop_kr, max(8, ceil(2.0 * (stop_kr - start_kr) / np.pi)) + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes, weights = _gauss_legendre()
-    points = mid[:, None] + half[:, None] * nodes[None, :]
+    points = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     x = points.ravel()
     k3 = config.k**3
     return tuple(
-        float(np.sum(half * ((f * x * x / k3).reshape(points.shape) @ weights)))
+        float(np.sum(half * ((f * x * x / k3).reshape(points.shape) @ _GL_WEIGHTS)))
         for f in _densities(x, config)
     )
 

@@ -536,6 +536,8 @@ def test_second_command_exits_2(capsys):
 
 def test_invalid_flags_exit_2(capsys):
     # argparse's refusals are one `error: ...` line, as every other refusal, with no usage block
+    # --m's choices are written out in cli, so that argparse runs before numpy loads
+    assert _OPTIONS["m"].choices == M_VALUES == tuple(sorted(angular.M_VALUES))
     for argv, message in (
         (["radial", "--bogus"], "unrecognized arguments: --bogus"),
         (["variance", "--m", "7"], "argument --m: invalid choice"),

@@ -17,15 +17,21 @@ import photonam
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+#: Imports photonam and, unless the argument is "", runs it through the CLI as
+#: one command line; prints the exit code (argparse's SystemExit included) and
+#: the modules loaded.
 PROBE = """
 import contextlib, io, json, sys
 import photonam
-command = sys.argv[1]
-if command:
+argv, code = sys.argv[1].split(), None
+if argv:
     import photonam.cli
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert photonam.cli.main([command]) == 0
-print(json.dumps(sorted(sys.modules)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = photonam.cli.main(argv)
+        except SystemExit as exc:  # --help and argparse's refusals
+            code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 #: Refuses every scipy import, then runs each argument list (one per line of
@@ -77,14 +83,24 @@ PUBLIC = {
 }
 
 
-def modules_after(command: str) -> set[str]:
-    """Modules loaded by `import photonam` and then, unless command is "", the command."""
+def probe(command: str) -> tuple[int | None, set[str]]:
+    """The exit code of the command line (None for "") and the modules loaded by
+    `import photonam` and then the command."""
     env = {**os.environ, "PYTHONPATH": SRC}
     result = subprocess.run(
         [sys.executable, "-c", PROBE, command], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout))
+    report = json.loads(result.stdout)
+    return report["code"], set(report["modules"])
+
+
+def modules_after(command: str) -> set[str]:
+    """Modules loaded by `import photonam` and then, unless command is "", the command,
+    which must exit 0."""
+    code, loaded = probe(command)
+    assert code in (None, 0)
+    return loaded
 
 
 def scipy_modules_after(command: str) -> set[str]:
@@ -139,17 +155,37 @@ def test_unknown_name_raises_attribute_error():
         photonam.no_such_name
 
 
-@pytest.mark.parametrize("command", ["radial", "algebra", "variance", "decay"])
+# no command loads numpy.polynomial: the shell quadrature's Gauss-Legendre rule
+# is a constant of radial, not solved for on the first shell integral
+@pytest.mark.parametrize("command", ["radial", "algebra", "variance", "decay",
+                                     "radial --format json"])
 def test_command_loads_no_twins_and_no_numpy_polynomial(command):
     loaded = modules_after(command)
     assert "photonam.twins" not in loaded
     assert "numpy.polynomial" not in loaded
 
 
-def test_verify_all_loads_twins_and_numpy_polynomial():
-    # the one default command that runs the twins checks and the shell quadrature
-    loaded = modules_after("verify-all")
-    assert {"photonam.twins", "numpy.polynomial"} <= loaded
+@pytest.mark.parametrize("command", ["entangle", "verify-all"])
+def test_pair_commands_load_twins_and_no_numpy_polynomial(command):
+    # the two commands that run the twins checks; verify-all also integrates over shells
+    loaded = modules_after(command)
+    assert "photonam.twins" in loaded
+    assert "numpy.polynomial" not in loaded
+
+
+@pytest.mark.parametrize("command, code", [
+    ("--help", 0),
+    ("variance --m 2", 2),
+    ("radial --kR nan", 2),
+    ("algebra --format csv", 2),
+    ("decay --samples 2000000", 2),
+])
+def test_help_and_early_refusals_load_no_numpy_and_no_submodule(command, code):
+    # argparse and the checks of _validate that need no module run before any import
+    exit_code, loaded = probe(command)
+    assert exit_code == code
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.split(".")[0] == "photonam"} == {"photonam", "photonam.cli"}
 
 
 def test_importtime_reports_every_submodule_a_command_loads():

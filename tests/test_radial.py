@@ -69,6 +69,12 @@ def reference_cumulatives(config: CavityConfig, x: float) -> tuple[float, float]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def test_shell_rule_is_numpys_gauss_legendre_bitwise():
+    # radial writes the rule out as hex floats; numpy solves for it
+    assert radial._GL_NODES.tobytes() == _GL_NODES.tobytes()
+    assert radial._GL_WEIGHTS.tobytes() == _GL_WEIGHTS.tobytes()
+
+
 def gl_panels(ell: int, edges) -> np.ndarray:
     """int t^2 j_ell(t)^2 dt over each panel between consecutive edges."""
     edges = np.asarray(edges, dtype=float)
@@ -301,8 +307,16 @@ def test_kernel_writes_its_rows_in_place():
 
 @pytest.mark.parametrize("x", [0.0, 1.5, 2.5, 4.0, 1e14])
 def test_kernel_at_a_scalar_matches_the_kernel_on_an_array(x):
-    # a 0-d argument writes its rows through 0-d views
+    # a 0-d argument takes the scalar path, _point_rows
     assert np.array_equal(radial._radial_functions(x), radial._radial_functions(np.array([x]))[:, 0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(x=st.one_of(st.floats(0.0, 1e14), st.floats(0.0, 4.0)))
+def test_scalar_kernel_rows_equal_one_element_array_rows_bitwise(x):
+    # the scalar path's float arithmetic and 0-d ufuncs round as the array path's loops;
+    # the second strategy crowds the draws around both series seams
+    assert radial._radial_functions(x).tobytes() == radial._radial_functions(np.array([x])).tobytes()
 
 
 def test_c0_large_argument_asymptotic():

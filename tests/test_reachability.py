@@ -8,9 +8,9 @@ depth (a lambda or a comprehension is part of the function around it), and
 fails on one that no command called, unless ALLOWED names it with a reason.
 
 `decay.__getattr__`, the module hook that serves the benchmark's `integrate`
-lookup, counts as reached without a benchmark: `cli`'s `from .decay import
-DecayParams` makes the import machinery probe the module for `__path__`, which
-calls it.
+lookup, counts as reached without a benchmark: `cli._decay_params`, which every
+command runs through `_validate`, imports `from .decay import DecayParams`, and
+the import machinery probes the module for `__path__`, which calls it.
 """
 
 import inspect
