@@ -87,24 +87,19 @@ def j_operators(space: FockSpace) -> AmOperatorTriple:
 
 @dataclass(frozen=True)
 class Su3GeneratorSet:
-    """Eight hermitian SU(3) generators over the three AM modes.
+    """Hermitian SU(3) generators over the three AM modes, as operators on a Fock space.
 
-    `diagonal_raw` holds the three occupation differences n_m - n_{m-1}
-    with the cyclic convention m-1 = +1 when m = -1; they sum to zero, so
-    only the first two enter the independent set. The entries are operators
-    on a Fock space, or in SU3_BLOCKS their 3x3 single-photon blocks.
+    `diagonal_raw` holds the three occupation differences n_m - n_{m-1} with the
+    cyclic convention m-1 = +1 when m = -1. They sum to zero, so all_generators()
+    leaves out the last: it returns the eight independent generators.
     """
 
     diagonal_raw: tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]
     offdiag_real: tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]
     offdiag_imag: tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]
 
-    @property
-    def diagonal(self) -> tuple[OperatorMatrix, OperatorMatrix]:
-        return self.diagonal_raw[:2]
-
     def all_generators(self) -> tuple[OperatorMatrix, ...]:
-        return self.diagonal + self.offdiag_real + self.offdiag_imag
+        return self.diagonal_raw[:2] + self.offdiag_real + self.offdiag_imag
 
 
 def _unit(row: int, col: int) -> np.ndarray:
@@ -114,19 +109,25 @@ def _unit(row: int, col: int) -> np.ndarray:
 #: Cyclic pairs (m, m-1) = (+1, 0), (0, -1), (-1, +1) as positions in M_VALUES.
 _CYCLIC_PAIRS = ((0, 1), (1, 2), (2, 0))
 
-#: Single-photon blocks of the SU(3) generators: per cyclic pair, n_m - n_{m-1}
-#: and the hermitian and anti-hermitian parts of the hop a_m^dagger a_{m-1}.
-SU3_BLOCKS = Su3GeneratorSet(
-    diagonal_raw=tuple(_unit(m, m) - _unit(n, n) for m, n in _CYCLIC_PAIRS),
-    offdiag_real=tuple(0.5 * (_unit(m, n) + _unit(n, m)) for m, n in _CYCLIC_PAIRS),
-    offdiag_imag=tuple((1.0 / 2j) * (_unit(m, n) - _unit(n, m)) for m, n in _CYCLIC_PAIRS),
+#: Single-photon blocks of the SU(3) generators, one read-only (9, 3, 3) array:
+#: per cyclic pair n_m - n_{m-1}, then per pair the hermitian and then the
+#: anti-hermitian part of the hop a_m^dagger a_{m-1}, the fields of
+#: Su3GeneratorSet in order.
+SU3_BLOCKS = np.array(
+    [_unit(m, m) - _unit(n, n) for m, n in _CYCLIC_PAIRS]
+    + [0.5 * (_unit(m, n) + _unit(n, m)) for m, n in _CYCLIC_PAIRS]
+    + [(1.0 / 2j) * (_unit(m, n) - _unit(n, m)) for m, n in _CYCLIC_PAIRS]
 )
+SU3_BLOCKS.setflags(write=False)
+
+#: Positions in SU3_BLOCKS of the eight independent generators: the choice of
+#: Su3GeneratorSet.all_generators, made over the block positions.
+SU3_INDEPENDENT = list(Su3GeneratorSet((0, 1, 2), (3, 4, 5), (6, 7, 8)).all_generators())
 
 
 def su3_generators(space: FockSpace) -> Su3GeneratorSet:
     """Hermitian SU(3) generator set with the cyclic lower-index convention."""
-    blocks = SU3_BLOCKS.diagonal_raw + SU3_BLOCKS.offdiag_real + SU3_BLOCKS.offdiag_imag
-    ops = bilinear(space, M_VALUES, blocks)
+    ops = bilinear(space, M_VALUES, SU3_BLOCKS)
     return Su3GeneratorSet(diagonal_raw=ops[:3], offdiag_real=ops[3:6], offdiag_imag=ops[6:])
 
 

@@ -94,12 +94,11 @@ def _flat_positions(sectors: Sectors, rows, cols) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Occupation-number basis with a total-occupation cutoff: row i of `occupations`."""
+    """Occupations within a total cutoff, row i of `occupations`; column k counts mode modes[k]."""
 
     modes: tuple[Hashable, ...]
     cutoff: int
     occupations: np.ndarray = field(repr=False, compare=False)
-    _positions: dict[Hashable, int] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -127,6 +126,11 @@ class FockSpace:
             return self._positions[mode]
         except KeyError:
             raise ValueError(f"unknown mode label {mode!r}") from None
+
+    @cached_property
+    def _positions(self) -> dict[Hashable, int]:
+        """The column of each mode label, derived from `modes`, whose labels are distinct."""
+        return dict(zip(self.modes, range(len(self.modes))))
 
     @cached_property
     def _radix(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +187,7 @@ def build_space(modes: Sequence[Hashable], cutoff: int) -> FockSpace:
     modes = tuple(modes)
     if not modes:
         raise ValueError("mode list must be non-empty")
-    positions = dict(zip(modes, range(len(modes))))
-    if len(positions) != len(modes):
+    if len(set(modes)) != len(modes):
         raise ValueError("mode labels must be unique")
     check_dim(len(modes), cutoff)
     # stars and bars: each choice of len(modes) bars among cutoff + len(modes)
@@ -194,7 +197,7 @@ def build_space(modes: Sequence[Hashable], cutoff: int) -> FockSpace:
     bars = np.fromiter(chain.from_iterable(combinations(range(cutoff + n), n)), np.intp, dim * n)
     occupations = np.diff(bars.reshape(dim, n), axis=1, prepend=-1) - 1
     occupations.setflags(write=False)
-    return FockSpace(modes=modes, cutoff=cutoff, occupations=occupations, _positions=positions)
+    return FockSpace(modes=modes, cutoff=cutoff, occupations=occupations)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angular import M_VALUES, SU3_BLOCKS
+from .angular import M_VALUES, SU3_BLOCKS, SU3_INDEPENDENT
 from .fock import (
     FockSpace,
     OperatorMatrix,
@@ -71,9 +71,6 @@ PARITY_BASIS = (
 #: Hamiltonian's pair terms and the radiated pair L^dagger |vac> are read from it.
 PAIR_COUPLING = _pair_state({(m, -m): 1.0 for m in M_VALUES})
 
-#: The eight SU(3) generator blocks as one (8, 3, 3) stack.
-_SU3_STACK = np.stack(SU3_BLOCKS.all_generators())
-
 
 def entanglement_measure(c1: complex, c2: complex) -> float:
     """mu = |c1| |c2|^2 of c1 psi1 + c2 psi2; zero on both product-state endpoints."""
@@ -86,7 +83,8 @@ def local_expectations(psi: np.ndarray) -> np.ndarray:
     Eight on photon 1, <psi| G (x) 1 |psi>, then eight on photon 2, <psi| 1 (x) G |psi>.
     """
     photons = np.stack([psi, psi.T])
-    return np.einsum("pia,kij,pja->pk", photons.conj(), _SU3_STACK, photons).real.ravel()
+    blocks = SU3_BLOCKS[SU3_INDEPENDENT]
+    return np.einsum("pia,kij,pja->pk", photons.conj(), blocks, photons).real.ravel()
 
 
 @dataclass(frozen=True)
@@ -130,22 +128,19 @@ PAIR_SECTOR = 2
 
 @dataclass(frozen=True)
 class AtomFieldSpace:
-    """Two-level atom tensor two counter-propagating three-mode photon families."""
+    """Two-level atom tensor two three-mode photon families, atom index major as ATOM_LEVELS."""
 
     field_space: FockSpace
 
     @property
-    def atom_dim(self) -> int:
-        return len(ATOM_LEVELS)
-
-    @property
     def dim(self) -> int:
-        return self.atom_dim * self.field_space.dim
+        return len(ATOM_LEVELS) * self.field_space.dim
 
     @cached_property
     def sectors(self) -> Sectors:
-        """Sectors of the conserved 2 N_exc = N_photons + 2 [atom = e]."""
-        return sectors_of(np.rint(2.0 * excitation_number(self)))
+        """Sectors of the conserved integer 2 N_exc = N_photons + 2 [atom = e]."""
+        photons = self.field_space.sectors.labels
+        return sectors_of(np.concatenate([photons + 2 * (level == "e") for level in ATOM_LEVELS]))
 
     def atom_index(self, level: str) -> int:
         try:
@@ -155,7 +150,7 @@ class AtomFieldSpace:
 
     def state(self, level: str, field_amplitudes: np.ndarray) -> np.ndarray:
         """Amplitudes of |level> tensor the field state, atom index major."""
-        amps = np.zeros((self.atom_dim, self.field_space.dim), dtype=complex)
+        amps = np.zeros((len(ATOM_LEVELS), self.field_space.dim), dtype=complex)
         amps[self.atom_index(level)] = field_amplitudes
         return amps.ravel()
 
@@ -193,8 +188,12 @@ def interaction_hamiltonian(
     couples to the excited atom. H conserves N_exc, so it is built as the blocks
     of space.sectors: the diagonal, then the terms of L, one per nonzero entry
     of C, in one ladder-map call, hops |g; n> to |e; n - pair>, and their exact
-    adjoints: H is exactly hermitian.
+    adjoints: H is exactly hermitian. A non-finite omega, omega0 or gamma
+    raises ValueError.
     """
+    for name, value in (("omega", omega), ("omega0", omega0), ("gamma_coupling", gamma_coupling)):
+        if not -np.inf < value < np.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
     fs = space.field_space
     g_offset, e_offset = (space.atom_index(level) * fs.dim for level in ("g", "e"))
     photons = fs.sectors.labels
@@ -212,16 +211,6 @@ def interaction_hamiltonian(
         np.concatenate([states, g_offset + src, e_offset + dst]),
         np.concatenate([diagonal, coupling, coupling.conj()]),
     )
-
-
-def excitation_number(space: AtomFieldSpace) -> np.ndarray:
-    """Diagonal of the conserved N_exc = |e><e| + N_photons / 2 over the basis.
-
-    The basis is atom index major, in the order of ATOM_LEVELS; 2 N_exc is an
-    integer on every state and labels the sectors of the Hamiltonian.
-    """
-    half = 0.5 * space.field_space.sectors.labels
-    return np.concatenate([half + (level == "e") for level in ATOM_LEVELS])
 
 
 @dataclass(frozen=True)
@@ -249,8 +238,13 @@ def selection_rule_check(
     photons each, so (c) decomposes the block less 2 omega, a global phase
     that keeps the overlap's rounding from growing with omega t. eigh reads
     one triangle of the block only, so a block that fails the entrywise
-    hermiticity check raises ValueError.
+    hermiticity check raises ValueError, as do a non-finite omega and a gamma
+    that is not finite and > 0.
     """
+    if not -np.inf < omega < np.inf:
+        raise ValueError(f"omega must be finite, got {omega}")
+    if not 0 < gamma_coupling < np.inf:
+        raise ValueError(f"gamma_coupling must be finite and > 0, got {gamma_coupling}")
     sector = space.sectors.indices[PAIR_SECTOR]
     block = h.blocks[PAIR_SECTOR]
     if not is_hermitian(block):

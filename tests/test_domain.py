@@ -5,6 +5,10 @@
 each kR and `decay --format json` at each omega0/gamma. The kR of two former
 failures of near_zone_spin_dominance, whose profile grid started past the
 central lobe of f_spin, are run too.
+
+The twins' omega, omega0 and gamma have no flag, so the selection rule is run
+in process: log-uniform omega in [1e-2, 1e8] and gamma in [1e-9, 1e2], each
+with omega0 = 2 omega, 3 omega and 2 omega + 1.
 """
 
 import json
@@ -12,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+from photonam import twins
 from photonam.cli import main
 
 DRAWS = 200
@@ -53,3 +58,19 @@ def test_every_command_passes_over_its_accepted_domain(capsys):
 @pytest.mark.parametrize("kR", ["5736.288000174625", "20000"])
 def test_verify_all_passes_where_a_sampled_profile_peaked_off_the_atom(capsys, kR):
     assert refused_runs(capsys, [["verify-all", "--kR", kR]]) == []
+
+
+def test_selection_rule_passes_over_the_twins_domain():
+    rng = np.random.default_rng(20240613)
+    omegas = 10.0 ** rng.uniform(-2.0, 8.0, DRAWS)
+    gammas = 10.0 ** rng.uniform(-9.0, 2.0, DRAWS)
+    space = twins.atom_field_space()
+    failed = []
+    for omega, gamma in zip(omegas.tolist(), gammas.tolist()):
+        for omega0 in (2.0 * omega, 3.0 * omega, 2.0 * omega + 1.0):
+            h = twins.interaction_hamiltonian(space, omega, omega0, gamma)
+            check = twins.selection_rule(twins.selection_rule_check(h, space, omega, gamma))
+            within = all(check.values[name] < bound for name, bound in check.bound.items())
+            if not (check.passed and within):
+                failed.append((omega, omega0, gamma, check.values))
+    assert failed == []

@@ -198,3 +198,17 @@ def test_importtime_reports_every_submodule_a_command_loads():
     assert result.returncode == 0, result.stderr
     reported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
     assert {f"photonam.{m}" for m in (*PUBLIC, "output", "cli")} <= reported
+
+
+def test_conftest_loads_every_local_module_a_full_run_loads():
+    # Hypothesis draws from the literals of the loaded local modules, so one that
+    # only some test module loads would make the draws depend on the selection
+    import conftest
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+    local = {
+        name for name, module in list(sys.modules.items())
+        if (getattr(module, "__file__", None) or "").startswith(root)
+        and os.sep + "tests" + os.sep not in module.__file__
+    }
+    assert local <= {"photonam", *conftest.LOCAL_MODULES}

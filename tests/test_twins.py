@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from photonam import twins
-from photonam.angular import SU3_BLOCKS
 from photonam.cli import main
 from ladder import (
     DenseOperator,
@@ -27,7 +26,6 @@ from photonam.twins import (
     AtomFieldSpace,
     atom_field_space,
     entanglement_measure,
-    excitation_number,
     interaction_hamiltonian,
     local_expectations,
     maximize_entanglement,
@@ -97,14 +95,29 @@ def test_measure_phase_invariance():
     assert rotated == pytest.approx(base, abs=1e-15)
 
 
+#: The eight independent SU(3) generators over (+1, 0, -1), written out: n_{+1} - n_0,
+#: n_0 - n_{-1}, then for the hops a_{+1}^dagger a_0, a_0^dagger a_{-1} and
+#: a_{-1}^dagger a_{+1} their hermitian parts, then their anti-hermitian parts.
+SU3_GENERATORS = np.array([
+    [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+    [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
+    [[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0]],
+    [[0, 0, 0], [0, 0, 0.5], [0, 0.5, 0]],
+    [[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]],
+    [[0, -0.5j, 0], [0.5j, 0, 0], [0, 0, 0]],
+    [[0, 0, 0], [0, 0, -0.5j], [0, 0.5j, 0]],
+    [[0, 0, 0.5j], [0, 0, 0], [-0.5j, 0, 0]],
+])
+
+
 def kron_expectations(psi: np.ndarray) -> np.ndarray:
     """Independent tensor-product route to the sixteen local expectations."""
     vec = psi.reshape(9)
     eye = np.eye(3)
     values = []
-    for block in SU3_BLOCKS.all_generators():
+    for block in SU3_GENERATORS:
         values.append(np.vdot(vec, np.kron(block, eye) @ vec).real)
-    for block in SU3_BLOCKS.all_generators():
+    for block in SU3_GENERATORS:
         values.append(np.vdot(vec, np.kron(eye, block) @ vec).real)
     return np.array(values)
 
@@ -210,6 +223,12 @@ def test_json_report_schema(capsys):
 # ---------------------------------------------------------------- hamiltonian
 
 
+def twice_excitation_number(space: AtomFieldSpace) -> np.ndarray:
+    """2 N_exc = N_photons + 2 [atom = e] over the atom-major basis, from the occupations."""
+    excited = 2 * (np.arange(2) == space.atom_index("e"))
+    return np.add.outer(excited, space.field_space.occupations.sum(axis=1)).ravel()
+
+
 @pytest.fixture(scope="module")
 def space():
     return atom_field_space()
@@ -254,8 +273,8 @@ def test_hamiltonian_blocks_are_exact(cutoff, omega, omega0, gamma):
     space = atom_field_space(cutoff)
     h = interaction_hamiltonian(space, omega, omega0, gamma)
     assert is_hermitian_operator(h, 0.0)
-    n_exc = DenseOperator(space, np.diag(excitation_number(space)))
-    assert commutator(dense(h), n_exc).max_abs() == 0.0
+    twice_n_exc = DenseOperator(space, np.diag(twice_excitation_number(space)))
+    assert commutator(dense(h), twice_n_exc).max_abs() == 0.0
     # independent route to the (e, g) pair block: products of per-state ladder matrices
     fs = space.field_space
     pair = sum(
@@ -310,17 +329,12 @@ def test_interaction_couples_even_states_only(space, hamiltonian):
 
 
 def test_excitation_number_conserved():
-    space = atom_field_space(3)
-    hamiltonian = interaction_hamiltonian(space, omega=1.0, omega0=2.0, gamma_coupling=0.05)
-    n_exc = excitation_number(space)
-    # the sector label 2 N_exc is an exact integer, so H commutes with N_exc exactly
-    twice = 2.0 * n_exc
-    assert np.array_equal(twice, np.round(twice))
-    assert np.array_equal(space.sectors.labels, twice)
-    assert commutator(dense(hamiltonian), DenseOperator(space, np.diag(n_exc))).max_abs() == 0.0
-    # the selection rule's sector, 2 N_exc = 2: |e; vac> and the 21 two-photon |g; n>
-    assert space.dim == 168
-    assert space.sectors.sizes[2] == 22
+    # the sector label is 2 N_exc, which H conserves (test_hamiltonian_blocks_are_exact)
+    for cutoff in (2, 3, 4, 5):
+        space = atom_field_space(cutoff)
+        assert np.array_equal(space.sectors.labels, twice_excitation_number(space))
+        # the selection rule's sector, 2 N_exc = 2: |e; vac> and the 21 two-photon |g; n>
+        assert space.sectors.sizes[twins.PAIR_SECTOR] == 22
 
 
 def test_selection_rule_report(space, hamiltonian, capsys, monkeypatch):
@@ -364,6 +378,35 @@ def test_selection_rule_check_rejects_non_hermitian(space, hamiltonian):
         selection_rule_check(from_dense(space, skewed), space, omega=1.0, gamma_coupling=0.05)
 
 
+_NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+@pytest.mark.parametrize("value", (0.0, -0.5, *_NON_FINITE))
+@pytest.mark.parametrize("name", ["omega", "omega0", "gamma_coupling"])
+def test_interaction_hamiltonian_refuses_non_finite_parameters(space, name, value):
+    # zero and negative values make a hermitian H; a non-finite one is one ValueError line
+    params = {"omega": 1.0, "omega0": 2.0, "gamma_coupling": 0.05, name: value}
+    if np.isfinite(value):
+        assert is_hermitian_operator(interaction_hamiltonian(space, **params), 0.0)
+        return
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got ") as refused:
+        interaction_hamiltonian(space, **params)
+    assert "\n" not in str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("gamma_coupling", v) for v in (0.0, -0.05, *_NON_FINITE)]
+    + [("omega", v) for v in _NON_FINITE],
+)
+def test_selection_rule_check_refuses_invalid_parameters(space, hamiltonian, name, value):
+    # unchecked, gamma = 0 divides by zero in the evolution times and a NaN omega fails in eigh
+    params = {"omega": 1.0, "gamma_coupling": 0.05, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite") as refused:
+        selection_rule_check(hamiltonian, space, **params)
+    assert "\n" not in str(refused.value)
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
     log_gamma=st.floats(-3.0, 0.0),
@@ -378,7 +421,7 @@ def test_radiated_pair_is_the_coupling_array(space, log_gamma, gamma_t, detuning
     # the sector's phase, so the phases carry no rounding of omega t.
     gamma, t = 10.0**log_gamma, gamma_t / 10.0**log_gamma
     h = interaction_hamiltonian(space, 1.0, 2.0 + detuning, gamma).matrix
-    h = h - 2.0 * np.diag(excitation_number(space))
+    h = h - np.diag(twice_excitation_number(space))
     energies, vectors = np.linalg.eigh(h)
     vac = np.zeros(space.field_space.dim, dtype=complex)
     vac[0] = 1.0
