@@ -91,7 +91,7 @@ class Su3GeneratorSet:
 
     `diagonal_raw` holds the three occupation differences n_m - n_{m-1} with the
     cyclic convention m-1 = +1 when m = -1. They sum to zero, so all_generators()
-    leaves out the last: it returns the eight independent generators.
+    returns the eight independent ones: the fields in order at SU3_INDEPENDENT.
     """
 
     diagonal_raw: tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]
@@ -99,7 +99,8 @@ class Su3GeneratorSet:
     offdiag_imag: tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]
 
     def all_generators(self) -> tuple[OperatorMatrix, ...]:
-        return self.diagonal_raw[:2] + self.offdiag_real + self.offdiag_imag
+        fields = self.diagonal_raw + self.offdiag_real + self.offdiag_imag
+        return tuple(fields[i] for i in SU3_INDEPENDENT)
 
 
 def _unit(row: int, col: int) -> np.ndarray:
@@ -120,9 +121,10 @@ SU3_BLOCKS = np.array(
 )
 SU3_BLOCKS.setflags(write=False)
 
-#: Positions in SU3_BLOCKS of the eight independent generators: the choice of
-#: Su3GeneratorSet.all_generators, made over the block positions.
-SU3_INDEPENDENT = list(Su3GeneratorSet((0, 1, 2), (3, 4, 5), (6, 7, 8)).all_generators())
+#: Positions of the eight independent generators in SU3_BLOCKS and in the fields
+#: of Su3GeneratorSet in order: all but the third raw diagonal, which is minus
+#: the sum of the first two.
+SU3_INDEPENDENT = (0, 1, 3, 4, 5, 6, 7, 8)
 
 
 def su3_generators(space: FockSpace) -> Su3GeneratorSet:

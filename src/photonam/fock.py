@@ -123,14 +123,9 @@ class FockSpace:
 
     def mode_position(self, mode: Hashable) -> int:
         try:
-            return self._positions[mode]
-        except KeyError:
+            return self.modes.index(mode)
+        except ValueError:
             raise ValueError(f"unknown mode label {mode!r}") from None
-
-    @cached_property
-    def _positions(self) -> dict[Hashable, int]:
-        """The column of each mode label, derived from `modes`, whose labels are distinct."""
-        return dict(zip(self.modes, range(len(self.modes))))
 
     @cached_property
     def _radix(self) -> tuple[np.ndarray, np.ndarray]:

@@ -72,6 +72,10 @@ PARITY_BASIS = (
 PAIR_COUPLING = _pair_state({(m, -m): 1.0 for m in M_VALUES})
 
 
+#: The eight independent SU(3) single-photon blocks that local_expectations contracts.
+_SU3_INDEPENDENT_BLOCKS = SU3_BLOCKS[list(SU3_INDEPENDENT)]
+
+
 def entanglement_measure(c1: complex, c2: complex) -> float:
     """mu = |c1| |c2|^2 of c1 psi1 + c2 psi2; zero on both product-state endpoints."""
     return abs(c1) * abs(c2) ** 2
@@ -83,8 +87,7 @@ def local_expectations(psi: np.ndarray) -> np.ndarray:
     Eight on photon 1, <psi| G (x) 1 |psi>, then eight on photon 2, <psi| 1 (x) G |psi>.
     """
     photons = np.stack([psi, psi.T])
-    blocks = SU3_BLOCKS[SU3_INDEPENDENT]
-    return np.einsum("pia,kij,pja->pk", photons.conj(), blocks, photons).real.ravel()
+    return np.einsum("pia,kij,pja->pk", photons.conj(), _SU3_INDEPENDENT_BLOCKS, photons).real.ravel()
 
 
 @dataclass(frozen=True)
@@ -239,12 +242,15 @@ def selection_rule_check(
     that keeps the overlap's rounding from growing with omega t. eigh reads
     one triangle of the block only, so a block that fails the entrywise
     hermiticity check raises ValueError, as do a non-finite omega and a gamma
-    that is not finite and > 0.
+    that is not finite and > 0 or whose longest time, 10 / gamma, overflows.
     """
     if not -np.inf < omega < np.inf:
         raise ValueError(f"omega must be finite, got {omega}")
-    if not 0 < gamma_coupling < np.inf:
-        raise ValueError(f"gamma_coupling must be finite and > 0, got {gamma_coupling}")
+    if not (0 < gamma_coupling < np.inf and 10.0 / float(gamma_coupling) < np.inf):
+        raise ValueError(
+            f"gamma_coupling must be finite and > 0, and 10 / gamma_coupling finite, "
+            f"got {gamma_coupling}"
+        )
     sector = space.sectors.indices[PAIR_SECTOR]
     block = h.blocks[PAIR_SECTOR]
     if not is_hermitian(block):

@@ -329,9 +329,11 @@ def test_interaction_couples_even_states_only(space, hamiltonian):
 
 
 def test_excitation_number_conserved():
-    # the sector label is 2 N_exc, which H conserves (test_hamiltonian_blocks_are_exact)
-    for cutoff in (2, 3, 4, 5):
+    # the sector label is 2 N_exc, which H conserves (test_hamiltonian_blocks_are_exact);
+    # the dimension is 2 comb(cutoff + 6, 6): two levels times six modes below the cutoff
+    for cutoff, dim in ((2, 56), (3, 168), (4, 420), (5, 924)):
         space = atom_field_space(cutoff)
+        assert space.dim == dim
         assert np.array_equal(space.sectors.labels, twice_excitation_number(space))
         # the selection rule's sector, 2 N_exc = 2: |e; vac> and the 21 two-photon |g; n>
         assert space.sectors.sizes[twins.PAIR_SECTOR] == 22
@@ -396,11 +398,12 @@ def test_interaction_hamiltonian_refuses_non_finite_parameters(space, name, valu
 
 @pytest.mark.parametrize(
     "name,value",
-    [("gamma_coupling", v) for v in (0.0, -0.05, *_NON_FINITE)]
+    [("gamma_coupling", v) for v in (0.0, -0.05, 1e-320, *_NON_FINITE)]
     + [("omega", v) for v in _NON_FINITE],
 )
 def test_selection_rule_check_refuses_invalid_parameters(space, hamiltonian, name, value):
-    # unchecked, gamma = 0 divides by zero in the evolution times and a NaN omega fails in eigh
+    # unchecked, gamma = 0 divides by zero in the evolution times, 10 / 1e-320
+    # overflows to an infinite time, and a NaN omega fails in eigh
     params = {"omega": 1.0, "gamma_coupling": 0.05, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be finite") as refused:
         selection_rule_check(hamiltonian, space, **params)
