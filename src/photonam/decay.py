@@ -175,17 +175,25 @@ def conservation_check(params: DecayParams, t):
     omega0/gamma >= 1e3, and at fixed G t it shrinks as omega0/gamma grows.
     """
     arr = _times(t)
-    tau = params.gamma * arr.ravel()
+    with np.errstate(over="ignore"):  # a G t past the float range is the t = inf limit
+        tau = params.gamma * arr.ravel()
     base = _base_weight_integral(params.omega0, params.gamma)
     fraction = _damped_oscillatory_weight(params.gamma / params.omega0, tau) / base
-    out = np.where(tau == 0.0, 0.0, 2.0 * (np.exp(-2.0 * tau) - fraction))
+    population = _excited_population(params.gamma, arr.ravel())
+    out = np.where(tau == 0.0, 0.0, 2.0 * (population - fraction))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _excited_population(gamma: float, t: np.ndarray) -> np.ndarray:
+    """|C(t)|^2 = exp(-2 G t): its t = inf limit 0, unwarned, where 2 G t overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(-2.0 * gamma * t)
 
 
 def sz_expectation(t, params: DecayParams):
     """<S_z(t)> = <L_z(t)> in units hbar: (1/2)(1 - exp(-2 G t))."""
     arr = _times(t)
-    out = 0.5 * (1.0 - np.exp(-2.0 * params.gamma * arr))
+    out = 0.5 * (1.0 - _excited_population(params.gamma, arr))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -210,7 +218,7 @@ def sz_curve(params: DecayParams) -> DecayCurve:
     arrays = dict(
         t=t.copy(),
         sz_expect=sz_expectation(t, params),
-        excited_pop=np.exp(-2.0 * params.gamma * t),
+        excited_pop=_excited_population(params.gamma, t),
         norm_residual=conservation_check(params, t),
     )
     for arr in arrays.values():

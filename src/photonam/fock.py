@@ -38,7 +38,7 @@ HERMITICITY_TOL = 1e-12
 #: most sectors. Operators are stored and multiplied block by block, so the
 #: largest block sets their cost. Three modes reach cutoff 20, a top sector of
 #: (20 + 1)(20 + 2) / 2 = 231 states, where a cold `algebra --cutoff 20` takes
-#: about 0.33 s (median of 7 runs, 2 cores, Python 3.11, numpy 2.4); 252 is six
+#: about 0.2 s (median of 7 runs, 2 cores, Python 3.11, numpy 2.4); 252 is six
 #: modes at cutoff 5, so the twins atom-field space keeps cutoffs up to 5.
 MAX_SECTOR_DIM = 252
 

@@ -242,15 +242,11 @@ def selection_rule_check(
     that keeps the overlap's rounding from growing with omega t. eigh reads
     one triangle of the block only, so a block that fails the entrywise
     hermiticity check raises ValueError, as do a non-finite omega and a gamma
-    that is not finite and > 0 or whose longest time, 10 / gamma, overflows.
+    that is not finite and > 0 or whose largest phase, max|E| * 10 / gamma over
+    the block's energies E less 2 omega, overflows.
     """
     if not -np.inf < omega < np.inf:
         raise ValueError(f"omega must be finite, got {omega}")
-    if not (0 < gamma_coupling < np.inf and 10.0 / float(gamma_coupling) < np.inf):
-        raise ValueError(
-            f"gamma_coupling must be finite and > 0, and 10 / gamma_coupling finite, "
-            f"got {gamma_coupling}"
-        )
     sector = space.sectors.indices[PAIR_SECTOR]
     block = h.blocks[PAIR_SECTOR]
     if not is_hermitian(block):
@@ -263,8 +259,18 @@ def selection_rule_check(
     coupling = abs(np.vdot(odd, block @ excited))
     eigen_residual = float(np.max(np.abs(block @ odd - 2.0 * omega * odd)))
 
-    times = tuple(scale / gamma_coupling for scale in (0.1, 1.0, 10.0))
     energies, vectors = np.linalg.eigh(block - 2.0 * omega * np.eye(len(block)))
+    # the largest phase, max|E| times the longest time, in Python floats, whose
+    # overflow is inf without a warning
+    if not (
+        0 < gamma_coupling < np.inf
+        and float(np.max(np.abs(energies))) * (10.0 / float(gamma_coupling)) < np.inf
+    ):
+        raise ValueError(
+            f"gamma_coupling must be finite and > 0, and max|E| * 10 / gamma_coupling "
+            f"finite, got {gamma_coupling}"
+        )
+    times = tuple(scale / gamma_coupling for scale in (0.1, 1.0, 10.0))
     odd_e, excited_e = vectors.conj().T @ odd, vectors.conj().T @ excited
     overlaps = [
         float(abs(np.vdot(odd_e, np.exp(-1j * energies * t) * excited_e))) for t in times

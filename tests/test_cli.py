@@ -416,7 +416,7 @@ _comment = st.just("") | st.text(
 @st.composite
 def _config_files(draw):
     """A valid RunConfig and a config file that spells it out in random order and spacing,
-    with or without a UTF-8 byte-order mark."""
+    with or without a UTF-8 byte-order mark, its lines ended by LF or CRLF."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
     fields = {
         "command": st.sampled_from(COMMANDS),
@@ -439,8 +439,8 @@ def _config_files(draw):
         # str of a float is its shortest round-tripping repr
         lines.append(draw(_blank) + key + draw(_blank) + "=" + draw(_blank) + str(values[key])
                      + draw(_blank) + draw(_comment))
-    bom = draw(st.sampled_from(["", "\ufeff"]))
-    return RunConfig(**values), bom + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    bom, end = draw(st.sampled_from(["", "\ufeff"])), draw(st.sampled_from(["\n", "\r\n"]))
+    return RunConfig(**values), bom + end.join(lines) + draw(st.sampled_from(["", end]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=80,
@@ -449,7 +449,7 @@ def _config_files(draw):
 def test_config_file_round_trip(tmp_path, case):
     config, text = case
     path = tmp_path / "round.cfg"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))  # the line ends as drawn
     assert load_config(str(path)) == config
 
 
@@ -460,7 +460,7 @@ def test_flags_and_config_file_agree(tmp_path, case):
     # the same values as --key=value flags, with the command as the positional
     config, text = case
     path = tmp_path / "same.cfg"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
     flags = [
         f"--{field.name.replace('_', '-')}={getattr(config, field.name)}"
         for field in fields(config)

@@ -4,6 +4,7 @@ The amplitude model (tests/decay_model.py) is the oracle of the closed-form
 conservation residual that photonam computes.
 """
 
+import sys
 import warnings
 
 import mpmath
@@ -273,6 +274,22 @@ def test_times_accept_infinity(params):
     assert conservation_check(params, np.inf) == 0.0
     assert sz_expectation(np.inf, params) == 0.5
     np.testing.assert_array_equal(conservation_check(params, np.array([0.0, np.inf])), [0.0, 0.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(depth=st.floats(0.0, 314.0), log_gamma=st.floats(-3.0, 3.0))
+def test_finite_times_up_to_the_float_maximum_warn_nothing(depth, log_gamma):
+    # t log-uniform in [1.8e-6, sys.float_info.max]: where G t or 2 G t passes the
+    # float range, the curves read their t = inf limits, quietly (the suite turns a
+    # RuntimeWarning into an error)
+    t, gamma = sys.float_info.max * 10.0**-depth, 10.0**log_gamma
+    params = DecayParams(omega0=1e3 * gamma, gamma=gamma, time_grid=np.array([0.0, t]))
+    sz, residual, curve = sz_expectation(t, params), conservation_check(params, t), sz_curve(params)
+    assert 0.0 <= sz <= 0.5 and np.isfinite(residual)
+    assert curve.sz_expect[1] == sz and curve.norm_residual[1] == residual
+    assert curve.excited_pop[1] + 2.0 * sz - 1.0 == 0.0
+    if gamma * t >= _DAMPED_TAU_MAX:
+        assert (sz, residual) == (0.5, 0.0)
 
 
 def test_sz_curve_structure():

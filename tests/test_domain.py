@@ -74,3 +74,28 @@ def test_selection_rule_passes_over_the_twins_domain():
             if not (check.passed and within):
                 failed.append((omega, omega0, gamma, check.values))
     assert failed == []
+
+
+def test_selection_rule_passes_or_refuses_down_to_subnormal_gamma():
+    # at gamma near the float floor the longest time 10 / gamma, or the phase
+    # max|E| t, overflows: such a call is refused in one line, never warned
+    rng = np.random.default_rng(20240614)
+    omegas = 10.0 ** rng.uniform(-2.0, 8.0, DRAWS)
+    gammas = 10.0 ** rng.uniform(-310.0, -9.0, DRAWS)
+    space = twins.atom_field_space()
+    failed, refused = [], 0
+    for omega, gamma in zip(omegas.tolist(), gammas.tolist()):
+        for omega0 in (2.0 * omega, 3.0 * omega, 2.0 * omega + 1.0):
+            h = twins.interaction_hamiltonian(space, omega, omega0, gamma)
+            try:
+                check = twins.selection_rule(twins.selection_rule_check(h, space, omega, gamma))
+            except ValueError as exc:
+                refused += 1
+                if not str(exc).startswith("gamma_coupling must be finite") or "\n" in str(exc):
+                    failed.append((omega, omega0, gamma, str(exc)))
+                continue
+            within = all(check.values[name] < bound for name, bound in check.bound.items())
+            if not (check.passed and within):
+                failed.append((omega, omega0, gamma, check.values))
+    assert failed == []
+    assert 0 < refused < 3 * DRAWS

@@ -1,8 +1,8 @@
 """Import hygiene: photonam runs on numpy alone, no command loads scipy, and a
 command loads only the modules it runs.
 
-`import photonam` loads no submodule and no numpy: each public name imports its
-submodule on first use. Each module-set case runs in a fresh interpreter,
+`import photonam` loads no submodule and no numpy: each submodule imports on
+first use. Each module-set case runs in a fresh interpreter,
 because the test process itself has imported scipy long before.
 """
 
@@ -67,20 +67,8 @@ COMMANDS = [
 ]
 
 
-#: Every public name of the package, by the submodule that defines it.
-PUBLIC = {
-    "angular": ["AlgebraReport", "AmOperatorTriple", "Su3GeneratorSet", "am_variances",
-                "density_commutator_check", "j_operators", "su3_generators",
-                "three_mode_space", "verify_su2"],
-    "decay": ["DecayCurve", "DecayParams", "conservation_check", "sz_curve", "sz_expectation"],
-    "fock": ["FockSpace", "OperatorMatrix", "annihilation", "build_space"],
-    "radial": ["CavityConfig", "RadialProfile", "ZoneReport", "f_oam", "f_spin",
-               "normalize_mode", "radial_profile", "spherical_bessel",
-               "wave_zone_discrepancy", "zone_report"],
-    "twins": ["AtomFieldSpace", "EntanglementOptimum", "SelectionRuleReport",
-              "atom_field_space", "entanglement_measure", "interaction_hamiltonian",
-              "local_expectations", "maximize_entanglement", "selection_rule_check"],
-}
+#: The submodules the package serves, each imported on first use.
+SUBMODULES = ["angular", "decay", "fock", "output", "radial", "twins"]
 
 
 def probe(command: str) -> tuple[int | None, set[str]]:
@@ -134,20 +122,29 @@ def test_import_photonam_loads_no_submodule_and_no_numpy():
     assert "photonam" in loaded and "numpy" not in loaded
 
 
-def test_every_public_name_resolves_through_its_submodule():
-    assert sorted(photonam.__all__) == sorted(name for names in PUBLIC.values() for name in names)
-    assert len(photonam.__all__) == 37
-    for module, names in PUBLIC.items():
-        for name in names:
-            assert getattr(photonam, name) is getattr(getattr(photonam, module), name)
+def test_each_submodule_resolves_lazily_to_itself():
+    # in a fresh interpreter, so that each name goes through the package's __getattr__
+    code = (
+        "import photonam, sys\n"
+        "for m in photonam.__all__:\n"
+        "    assert getattr(photonam, m) is sys.modules['photonam.' + m], m\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert photonam.__all__ == SUBMODULES
     assert photonam.__version__ == "0.1.0"
+    # a function or class is reached only where it is defined
+    assert callable(photonam.decay.sz_curve)
+    with pytest.raises(AttributeError, match="'sz_curve'"):
+        photonam.sz_curve
 
 
-def test_star_import_binds_exactly_the_public_names():
+def test_star_import_binds_exactly_the_submodules():
     namespace = {}
     exec("from photonam import *", namespace)
     namespace.pop("__builtins__")
-    assert set(namespace) == {name for names in PUBLIC.values() for name in names}
+    assert namespace == {module: sys.modules[f"photonam.{module}"] for module in SUBMODULES}
 
 
 def test_unknown_name_raises_attribute_error():
@@ -197,7 +194,7 @@ def test_importtime_reports_every_submodule_a_command_loads():
     )
     assert result.returncode == 0, result.stderr
     reported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
-    assert {f"photonam.{m}" for m in (*PUBLIC, "output", "cli")} <= reported
+    assert {f"photonam.{m}" for m in (*photonam.__all__, "cli")} <= reported
 
 
 def test_conftest_loads_every_local_module_a_full_run_loads():
