@@ -69,14 +69,20 @@ class DecayParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.omega0 / self.gamma < MIN_OMEGA0_OVER_GAMMA:
+        # quotients in Python floats, whose overflow is inf without a warning
+        omega0, gamma = float(self.omega0), float(self.gamma)
+        if omega0 / gamma < MIN_OMEGA0_OVER_GAMMA:
             raise ValueError(
                 f"omega0/gamma must be >= {MIN_OMEGA0_OVER_GAMMA} for Markov validity, "
-                f"got {self.omega0 / self.gamma}"
+                f"got {omega0 / gamma}"
             )
         grid = self.time_grid
         if grid is None:
-            grid = np.linspace(0.0, 10.0 / self.gamma, 201)
+            if 10.0 / gamma == math.inf:
+                raise ValueError(
+                    f"10/gamma, the default time grid's end, must be finite, got gamma {gamma}"
+                )
+            grid = np.linspace(0.0, 10.0 / gamma, 201)
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise ValueError("time_grid must be a non-empty 1-d array")

@@ -1,12 +1,13 @@
 """The output contract's number format: 12 significant digits in CSV and JSON.
 
-`csv_lines` writes every cell as `"%.12g" % value` does, byte for byte, with
-numpy doing the work for nearly every cell. For a cell x it takes the decimal
-exponent X = floor(log10 |x|), scales m = |x| 10^(11 - X) and rounds n = rint(m),
-so that n holds the 12 significant digits. The scaling is one product with a
-tabulated power of ten, exact for 0 <= 11 - X <= 22 and correctly rounded
-otherwise; with the product's own rounding that is at most two half-ulp
-errors, so m is within 1e12 2^-52 < 2.3e-4 of the exact product.
+`g12` states the format once. `csv_lines` writes every cell as `g12` writes
+it, byte for byte, with numpy doing the work for nearly every cell. For a cell
+x it takes the decimal exponent X = floor(log10 |x|), scales m = |x| 10^(11 - X)
+and rounds n = rint(m), so that n holds the 12 significant digits. The
+scaling is one product with a tabulated power of ten, exact for
+0 <= 11 - X <= 22 and correctly rounded otherwise; with the product's own
+rounding that is at most two half-ulp errors, so m is within
+1e12 2^-52 < 2.3e-4 of the exact product.
 
 A cell is certified when 1e11 < n < 1e12 and |m - n| < 0.5 - 1e-3. The
 margin of 1e-3 against the error of 2.3e-4 makes n the correctly rounded
@@ -14,8 +15,10 @@ margin of 1e-3 against the error of 2.3e-4 makes n the correctly rounded
 its exponent even where log10 misjudged a decade. |x| is clipped to
 [1e-250, 1e250] first, which keeps X inside the tables; a clipped cell scales
 to n = 1e11 and is not certified. The digits, point, sign and exponent of a
-certified cell are then laid out by table lookups as `%.12g` lays them out.
-Every other cell is written by `"%.12g" %` itself: zeros, non-finite values,
+certified cell are then laid out by table lookups. The tables of a decade X
+(its sign and "0.00" prefix, its digits before the point and its exponent)
+are read off the text `g12` writes for 10^X and -1, so the layout is `g12`'s
+own. Every other cell is written by `g12` itself: zeros, non-finite values,
 subnormals, |x| past 1e250, exact and near ties, and decade seams such as
 999999999999.5 and exact powers of ten. `tests/test_output.py` keeps the
 per-cell writer as the oracle.
@@ -40,7 +43,8 @@ CHUNK_CELLS = 2048
 _RECORD = 40
 _SEPARATOR_AT = 37
 
-#: Per-exponent tables are indexed by X + _X_OFFSET, for X in [-251, 250].
+#: Per-exponent tables are indexed by X + _X_OFFSET, for X in [-251, 250];
+#: _PREFIX holds the prefixes of negative cells _X.size entries on.
 _X_OFFSET = 260
 _X = np.arange(-_X_OFFSET, _X_OFFSET)
 #: 10^(11 - X), correctly rounded: parsed by float(), where numpy's power
@@ -51,17 +55,23 @@ _TIE_MARGIN = 0.5 - 1e-3
 _SPLIT = np.array([1e8, 1e4, 1.0])[:, None]
 
 
-def _tables() -> tuple[np.ndarray, ...]:
-    """The lookup tables of the layout, built with numpy arithmetic only."""
-    zero = ord("0")
-    fixed = (_X >= -4) & (_X < 12)
-    below_one = fixed & (_X < 0)
+def g12(value: float) -> str:
+    """A number as written to every output, at 12 significant digits: the format's one statement."""
+    return f"{value:.12g}"
 
+
+def _tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of the layout.
+
+    The digit words are built with numpy. The words of a decade X are read
+    off the text g12 writes for 10^X ("0.001", "1000", "1e-05") and the sign
+    off the text it writes for -1.
+    """
     # the four digits of every group g = 0..9999, most significant first
     digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, 10000)
     # a group's digits, each followed by an empty slot for the point
     quads = np.zeros((10000, 8), np.uint8)
-    quads[:, 0::2] = digits.T + zero
+    quads[:, 0::2] = digits.T + ord("0")
 
     # _SIGNIFICANT[10000 j + g]: digits of n through its last nonzero one when
     # group j is g, 0 for g = 0; the largest over j counts n's digits without
@@ -70,24 +80,16 @@ def _tables() -> tuple[np.ndarray, ...]:
     significant = np.where(last > 0, last + 4 * np.arange(3, dtype=np.int8)[:, None], 0)
     significant = significant.astype(np.int8).ravel()
 
-    # "0." and -X - 1 zeros before the digits of a fixed cell below one
-    prefix = np.zeros((len(_X), 8), np.uint8)
-    prefix[below_one, 1] = zero
-    prefix[below_one, 2] = ord(".")
-    for j in (1, 2, 3):
-        prefix[below_one & (-_X - 1 >= j), 2 + j] = zero
-
-    # "e", its sign and at least two digits of |X| for a scientific cell
-    exponent = np.zeros((len(_X), 8), np.uint8)
-    scientific, size = ~fixed, np.abs(_X)
-    exponent[scientific, 0] = ord("e")
-    exponent[scientific, 1] = np.where(_X < 0, ord("-"), ord("+"))[scientific]
-    exponent[:, 2] = np.where(scientific & (size >= 100), size // 100 % 10 + zero, 0)
-    exponent[scientific, 3] = size[scientific] // 10 % 10 + zero
-    exponent[scientific, 4] = size[scientific] % 10 + zero
-
-    # digits before the point: X + 1 fixed, 1 scientific, 0 after "0."
-    integer_digits = np.where(fixed, np.maximum(_X + 1, 0), 1)
+    # before the "1" of 10^X stands the decade's prefix ("0.00" or none); the
+    # zeros after it are further digits before the point, unless a prefix
+    # holds the point, and what follows them is the exponent ("e-05" or none)
+    prefix, _, rest = zip(*(g12(10.0**x).partition("1") for x in _X.tolist()))
+    exponent = [tail.lstrip("0") for tail in rest]
+    integer_digits = np.array(
+        [0 if head else 1 + len(tail) - len(e) for head, tail, e in zip(prefix, rest, exponent)]
+    )
+    # and a negative cell's prefix starts with the sign g12 writes for -1
+    prefix += tuple(g12(-1.0).removesuffix("1") + head for head in prefix)
 
     # word masks keeping the first j digits, and words with the point after
     # digit j - 1 (none for j = 0), as rows of three words per j = 0..12
@@ -95,22 +97,18 @@ def _tables() -> tuple[np.ndarray, ...]:
     slot = np.arange(24)
     keep = np.where((slot % 2 == 0) & (slot // 2 < j), 0xFF, 0).astype(np.uint8)
     point = np.where((slot % 2 == 1) & (slot // 2 == j - 1), ord("."), 0).astype(np.uint8)
-
-    sign = np.zeros((2, 8), np.uint8)
-    sign[1, 0] = ord("-")
     return (
         quads.view(np.uint64).ravel(),
         significant,
-        prefix.view(np.uint64).ravel(),
-        exponent.view(np.uint64).ravel(),
+        np.array(prefix, "S8").view(np.uint64),
+        np.array(exponent, "S8").view(np.uint64),
         integer_digits,
         keep.view(np.uint64).T.copy(),
         point.view(np.uint64).T.copy(),
-        sign.view(np.uint64).ravel(),
     )
 
 
-_QUADS, _SIGNIFICANT, _PREFIX, _EXPONENT, _INTEGER_DIGITS, _KEEP, _POINT, _SIGN = _tables()
+_QUADS, _SIGNIFICANT, _PREFIX, _EXPONENT, _INTEGER_DIGITS, _KEEP, _POINT = _tables()
 _SIGNIFICANT_OFFSET = (10000 * np.arange(3))[:, None]
 
 
@@ -123,11 +121,6 @@ class Check:
     #: what pass/fail compares against, as applied: a number, a (lo, hi) pair or a dict by reading
     bound: Any
     values: dict
-
-
-def g12(value: float) -> str:
-    """A number as written to every output, at 12 significant digits."""
-    return f"{value:.12g}"
 
 
 def certify(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,7 +140,7 @@ def certify(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _records(cells: np.ndarray) -> np.ndarray:
-    """A (len(cells), _RECORD) uint8 array: each cell laid out as "%.12g", NUL-padded."""
+    """A (len(cells), _RECORD) uint8 array: each cell laid out as g12 writes it, NUL-padded."""
     certified, index, n = certify(cells)
     groups = np.floor(n / _SPLIT)
     groups[1:] -= 1e4 * groups[:-1]
@@ -159,13 +152,13 @@ def _records(cells: np.ndarray) -> np.ndarray:
     digits |= _POINT.take(integer * (significant > integer), axis=1)
 
     words = np.empty((len(cells), _RECORD // 8), np.uint64)
-    words[:, 0] = _PREFIX.take(index) | _SIGN.take(np.signbit(cells).view(np.uint8))
+    words[:, 0] = _PREFIX.take(index + _X.size * np.signbit(cells))
     words[:, 1:4] = digits.T
     words[:, 4] = _EXPONENT.take(index)
     records = words.view(np.uint8)
     others = np.flatnonzero(~certified)
-    text = b"".join((b"%.12g" % value).ljust(_RECORD, b"\0") for value in cells[others].tolist())
-    records[others] = np.frombuffer(text, np.uint8).reshape(-1, _RECORD)
+    text = [g12(value) for value in cells[others].tolist()]
+    records[others] = np.array(text, f"S{_RECORD}").view(np.uint8).reshape(-1, _RECORD)
     return records
 
 

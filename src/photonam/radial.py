@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import ceil, factorial, prod
+from math import ceil, factorial, isfinite, prod
 
 import numpy as np
 
@@ -101,14 +101,23 @@ class CavityConfig:
         return base * c0 * c0, base * c2 * c2
 
 
+def _ell_row(ell: int) -> int:
+    """ell's row of the per-ell tables: ValueError unless ell is the integer 0 or 2.
+
+    A float is refused even where it equals 0 or 2, as is a bool.
+    """
+    if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell not in (0, 2):
+        raise ValueError(f"ell must be the integer 0 or 2, got {ell!r}")
+    return int(ell) // 2
+
+
 def spherical_bessel(ell: int, x):
     """j0 or j2 for finite x >= 0, scalar or array: its row of `_radial_functions`."""
-    if ell not in (0, 2):
-        raise ValueError(f"ell must be 0 or 2, got {ell}")
+    row = _ell_row(ell)
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0) & (arr < np.inf)):
         raise ValueError("argument must be finite and >= 0")
-    out = _radial_functions(arr)[ell // 2]
+    out = _radial_functions(arr)[row]
     return float(out) if arr.ndim == 0 else out
 
 
@@ -223,9 +232,7 @@ def normalize_mode(config: CavityConfig, ell: int) -> float:
 
     A_ell is the exact shell antiderivative, so c_ell has relative error < 1e-15.
     """
-    if ell not in (0, 2):
-        raise ValueError(f"ell must be 0 or 2, got {ell}")
-    raw = float(config._shell_antiderivatives[ell // 2])
+    raw = float(config._shell_antiderivatives[_ell_row(ell)])
     return float(np.sqrt(config.volume * config.k**3 / raw))
 
 
@@ -318,6 +325,9 @@ _GL_HALF_WEIGHTS = [float.fromhex(h) for h in (
 )]
 _GL_NODES = np.array([-x for x in _GL_HALF_NODES[::-1]] + _GL_HALF_NODES)
 _GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
+#: Most nodes shell_integrals lays: 62500 panels, kr intervals up to ~98175
+#: wide. shell_conservation's widest, [0, 500], takes 319 panels.
+_SHELL_NODES_MAX = 10**6
 
 
 def shell_integrals(config: CavityConfig, start_kr: float, stop_kr: float) -> tuple[float, float]:
@@ -329,7 +339,15 @@ def shell_integrals(config: CavityConfig, start_kr: float, stop_kr: float) -> tu
     They keep their digits far out in the wave zone, where differences of the
     antiderivatives do not, and check the normalization without sharing its formula.
     """
-    edges = np.linspace(start_kr, stop_kr, max(8, ceil(2.0 * (stop_kr - start_kr) / np.pi)) + 1)
+    # bounded before linspace allocates. In Python floats, which overflow to inf
+    # without a warning, a non-finite bound makes the panel count inf or NaN.
+    panels = 2.0 * (float(stop_kr) - float(start_kr)) / np.pi
+    if not (isfinite(panels) and panels * _GL_NODES.size <= _SHELL_NODES_MAX):
+        raise ValueError(
+            f"kr bounds must be finite and need at most {_SHELL_NODES_MAX} nodes, "
+            f"got [{start_kr}, {stop_kr}]"
+        )
+    edges = np.linspace(start_kr, stop_kr, max(8, ceil(panels)) + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     points = mid[:, None] + half[:, None] * _GL_NODES[None, :]

@@ -51,6 +51,13 @@ def test_params_validation():
             DecayParams(omega0=100.0, gamma=bad)
         with pytest.raises(ValueError):
             DecayParams(omega0=100.0, gamma=1.0, time_grid=np.array([0.0, bad]))
+    # 10/gamma overflows: one ValueError line, not a default grid to inf that warns;
+    # a finite grid is still accepted with the same gamma
+    for omega0, gamma in ((1.0, 1e-309), (1e308, 1e-308), (np.float64(1e308), np.float64(1e-308))):
+        with pytest.raises(ValueError, match="^10/gamma, the default time grid's end, must be finite"):
+            DecayParams(omega0=omega0, gamma=gamma)
+        grid = DecayParams(omega0=omega0, gamma=gamma, time_grid=np.array([0.0, 1.0])).time_grid
+        assert grid.tolist() == [0.0, 1.0]
 
 
 def test_excited_amplitude_values(params):

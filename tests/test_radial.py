@@ -183,6 +183,11 @@ def test_bessel_errors():
         spherical_bessel(0, -1.0)
     with pytest.raises(ValueError):
         spherical_bessel(1, 1.0)
+    # a float order equal to 0 or 2 is refused, not used as a row index
+    for ell in (2.0, 0.0, np.float64(2), True):
+        with pytest.raises(ValueError, match="^ell must be the integer 0 or 2, got [^\n]*$"):
+            spherical_bessel(ell, 1.0)
+    assert spherical_bessel(np.int64(2), 1.0) == spherical_bessel(2, 1.0)
 
 
 @pytest.mark.parametrize("ell", [0, 2])
@@ -354,6 +359,11 @@ def test_mode_amplitude_ratio_approaches_one():
 def test_normalize_mode_invalid_ell():
     with pytest.raises(ValueError):
         normalize_mode(CavityConfig(k=1.0, R=100.0), 1)
+    for ell in (2.0, 0.0, np.float64(2), False):
+        with pytest.raises(ValueError, match="^ell must be the integer 0 or 2, got [^\n]*$"):
+            normalize_mode(CavityConfig(k=1.0, R=100.0), ell)
+    cavity = CavityConfig(k=1.0, R=100.0)
+    assert normalize_mode(cavity, np.int64(2)) == normalize_mode(cavity, 2)
 
 
 def test_density_weights_computed_once_per_cavity(monkeypatch):
@@ -465,12 +475,23 @@ def test_zone_report_requires_minimum_sampling(config):
     assert zone_report(config, 100) == zone_report(config)
 
 
+def composite_simpson(x: np.ndarray, y: np.ndarray) -> float:
+    """Composite Simpson's rule on a uniform grid with an even number of intervals."""
+    assert (len(x) - 1) % 2 == 0
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    return float(h / 3.0 * (y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1]))
+
+
 @pytest.mark.parametrize("kR", [20.0, 100.0, 500.0])
 def test_shell_integral_conservation(kR):
+    # Simpson over the profile's own density columns, not its cumulative ones,
+    # which radial_profile normalizes to 1/2 at kR by construction; the origin,
+    # where kr^2 f vanishes, makes 2000 intervals
     profile = radial_profile(CavityConfig(k=1.0, R=kR), 2000)
-    assert abs(profile.cum_spin[-1] - 0.5) < 1e-6
-    assert abs(profile.cum_oam[-1] - 0.5) < 1e-6
-    assert abs(profile.cum_spin[-1] + profile.cum_oam[-1] - 1.0) < 2e-6
+    kr = np.concatenate(([0.0], profile.kr))
+    for density in (profile.f_spin, profile.f_oam):
+        integrand = np.concatenate(([0.0], density * profile.kr**2))
+        assert abs(composite_simpson(kr, integrand) - 0.5) < 1e-6
 
 
 def test_cumulative_against_closed_form(config):
@@ -628,6 +649,25 @@ def test_wave_zone_asymptotic_magnitude():
     i_s, i_l = radial.shell_integrals(wide, 800.0, 800.0 + 2.0 * np.pi)
     assert i_s == pytest.approx(expected, rel=0.01)
     assert i_l == pytest.approx(expected, rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [(math.nan, 5.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (math.inf, 0.0),
+     (0.0, 1e18), (0.0, 98175.0)],
+)
+def test_shell_integrals_refuse_unbounded_intervals(start, stop):
+    # one line before linspace allocates: a non-finite bound, or more than 10^6
+    # nodes (62500 panels of 16, kr intervals past 62500 pi / 2 ~ 98174.8)
+    cavity = CavityConfig(k=1.0, R=500.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^kr bounds must be finite and need at most "
+                                             r"1000000 nodes, got \[[^\n]*\]$"):
+            radial.shell_integrals(cavity, start, stop)
+        assert tracemalloc.get_traced_memory()[1] < 2**16
+    finally:
+        tracemalloc.stop()
 
 
 def test_shell_integrals_size_their_panels_from_the_interval(monkeypatch):
