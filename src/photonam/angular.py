@@ -254,9 +254,9 @@ def density_commutators(triple: AmOperatorTriple, config, tol: float) -> Check:
     return Check("density_commutators", passed, tol, {"max_residual": worst, "tolerance": tol})
 
 
-def variance_table(cutoff: int, tol: float) -> Check:
+def variance_table(tol: float) -> Check:
     """am_variances within tol of VARIANCES at every m, the m = 0 photon's the larger."""
-    got = {m: am_variances(m, cutoff) for m in VARIANCES}
+    got = {m: am_variances(m) for m in VARIANCES}
     worst = max(abs(g - w) for m, want in VARIANCES.items() for g, w in zip(got[m], want))
     passed = worst < tol and got[0][0] > got[1][0]
     return Check("variance_table", passed, tol, {"max_deviation": worst, "tolerance": tol})

@@ -41,6 +41,8 @@ ENTANGLE_OMEGA0 = 2.0
 ENTANGLE_COUPLING = 0.05
 
 #: Largest radial or decay grid; it is checked before anything is allocated.
+#: It is radial.MAX_SAMPLES, written out so that the refusal loads no numpy
+#: (tests/test_cli.py holds the two equal).
 MAX_SAMPLES = 10**6
 
 #: Fewest samples of every command but radial: the decay curve spans t = 0 to
@@ -52,10 +54,6 @@ MIN_DECAY_SAMPLES = 2
 #: before numpy loads (tests/test_cli.py holds the two equal).
 FORMATS = ("csv", "json")
 M_VALUES = (-1, 0, 1)
-
-
-class ConfigError(ValueError):
-    """Config file cannot be parsed; message carries the line number."""
 
 
 @dataclass
@@ -194,13 +192,13 @@ def cmd_verify_all(cfg: RunConfig) -> tuple[str, int]:
     zone = radial.zone_report(cavity)
     return _report_text([
         angular.su2_closure(triple, cfg.tol),
-        angular.variance_table(cfg.cutoff, cfg.tol),
+        angular.variance_table(cfg.tol),
         radial.shell_conservation(),
         radial.near_zone_spin_dominance(cavity, zone),
         radial.oam_peak_location(zone),
         radial.wave_zone_equality(),
         angular.density_commutators(triple, cavity, cfg.tol),
-        decay.decay_conservation(_decay_params(cfg, 41)),
+        decay.decay_conservation(),
         twins.entanglement_maximum(twins.maximize_entanglement()),
         twins.selection_rule(_selection_rule()),
     ])
@@ -253,30 +251,33 @@ _OPTIONS = {
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse a UTF-8 `key = value` config file, a byte-order mark allowed; `#` starts a comment."""
+    """Parse a UTF-8 `key = value` config file, a byte-order mark allowed; `#` starts a comment.
+
+    A file that cannot be read or parsed raises ValueError naming the path and the line.
+    """
     values = {}
     try:
         with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _OPTIONS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         option = _OPTIONS[key]
         try:
             values[key] = option.parse(value)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
         if option.choices is not None and values[key] not in option.choices:
             allowed = ", ".join(map(str, option.choices))
-            raise ConfigError(f"{path}:{lineno}: {key} must be one of {allowed}, got {value!r}")
+            raise ValueError(f"{path}:{lineno}: {key} must be one of {allowed}, got {value!r}")
     return RunConfig(**values)
 
 

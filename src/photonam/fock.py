@@ -244,8 +244,8 @@ class OperatorMatrix:
         return mat
 
 
-def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(matrix - matrix.conj().T)) <= tol) if matrix.size else True
+def is_hermitian(matrix: np.ndarray) -> bool:
+    return bool(np.max(np.abs(matrix - matrix.conj().T), initial=0.0) <= HERMITICITY_TOL)
 
 
 # kept as the dense per-state reference: perfbench/spans.py LAYERS looks it up by name

@@ -191,8 +191,8 @@ def interaction_hamiltonian(
     couples to the excited atom. H conserves N_exc, so it is built as the blocks
     of space.sectors: the diagonal, then the terms of L, one per nonzero entry
     of C, in one ladder-map call, hops |g; n> to |e; n - pair>, and their exact
-    adjoints: H is exactly hermitian. A non-finite omega, omega0 or gamma
-    raises ValueError.
+    adjoints: H is exactly hermitian. A non-finite omega, omega0 or gamma, or
+    one that makes an entry overflow, raises ValueError.
     """
     for name, value in (("omega", omega), ("omega0", omega0), ("gamma_coupling", gamma_coupling)):
         if not -np.inf < value < np.inf:
@@ -206,6 +206,15 @@ def interaction_hamiltonian(
                           for family in (FORWARD_MODES, BACKWARD_MODES)])
     lowered = np.stack([positions[0, fwd], positions[1, bwd]], axis=1)
     term, src, dst, amplitude = _hops(fs, np.empty((len(fwd), 0), dtype=np.intp), lowered)
+    # the largest entries in Python floats, whose overflow is inf without a warning:
+    # omega N + omega0 at the cutoff's N, and gamma times the largest pair amplitude
+    largest = (float(omega) * fs.cutoff + float(omega0),
+               float(gamma_coupling) * float(amplitude.max(initial=0.0)))
+    if not all(-np.inf < value < np.inf for value in largest):
+        raise ValueError(
+            "omega N + omega0 at the cutoff's N and gamma_coupling times each pair amplitude must "
+            f"be finite, got omega={omega}, omega0={omega0}, gamma_coupling={gamma_coupling}"
+        )
     coupling = gamma_coupling * PAIR_COUPLING[fwd[term], bwd[term]] * amplitude
     diagonal = np.concatenate([omega * photons + (level == "e") * omega0 for level in ATOM_LEVELS])
     return OperatorMatrix.from_entries(

@@ -18,7 +18,6 @@ from photonam.cli import (
     M_VALUES,
     MAX_SAMPLES,
     _OPTIONS,
-    ConfigError,
     RunConfig,
     _build_parser,
     _json_text,
@@ -216,6 +215,21 @@ def test_every_check_carries_the_bound_its_module_names(capsys):
     assert all(list(check)[:3] == ["name", "pass", "bound"] for check in algebra + verify)
 
 
+def test_verify_all_variance_and_decay_checks_read_no_flag(capsys):
+    # variance_table's one-photon variances hold at any cutoff, and decay_conservation
+    # fixes its own omega0 / gamma: their entries are the same bytes under every value
+    def entries(*flags):
+        _, out, _ = run_cli(capsys, "verify-all", *flags)
+        names = ("variance_table", "decay_conservation")
+        return [json.dumps(c) for c in json.loads(out)["checks"] if c["name"] in names]
+
+    want = entries("--cutoff", "3", "--omega0-over-gamma", "1e3")
+    assert len(want) == 2
+    for flags in (("--cutoff", "1"), ("--cutoff", "20"), ("--omega0-over-gamma", "50"),
+                  ("--omega0-over-gamma", "1e300")):
+        assert entries(*flags) == want, flags
+
+
 def count_calls(monkeypatch, targets):
     """Wrap each (module, name) of targets in a counter; return the counts by name."""
     counts = Counter()
@@ -358,7 +372,7 @@ def test_config_before_or_after_command(tmp_path, capsys, before):
 def test_config_file_not_utf8(tmp_path, capsys):
     config_file = tmp_path / "binary.cfg"
     config_file.write_bytes(b"kR = 50\n\xff\n")
-    with pytest.raises(ConfigError, match="cannot read config file"):
+    with pytest.raises(ValueError, match="cannot read config file"):
         load_config(str(config_file))
     code, out, err = run_cli(capsys, "radial", "--config", str(config_file))
     assert code == 2
@@ -369,7 +383,7 @@ def test_config_file_not_utf8(tmp_path, capsys):
 def test_config_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("kR = 50\nthis line has no equals sign\n")
-    with pytest.raises(ConfigError, match="bad.cfg:2"):
+    with pytest.raises(ValueError, match="bad.cfg:2"):
         load_config(str(bad))
     code, _, err = run_cli(capsys, "radial", "--config", str(bad))
     assert code == 2

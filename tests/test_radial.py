@@ -30,7 +30,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
-from photonam import radial
+from photonam import cli, radial
 from photonam.cli import main
 from photonam.radial import (
     CavityConfig,
@@ -226,6 +226,24 @@ def test_scalar_calls_equal_array_elements_bitwise(pairs, extra):
         assert [spherical_bessel(ell, x) for x in xs] == whole[row].tolist()
 
 
+@pytest.mark.parametrize("x", [4.9e102, 1e103, 1e200, 1.7e308])
+def test_kernel_far_out_warns_nothing(x):
+    # x^3 of the A_2 row overflows past ~5.6e102, 2x of the A_0 row past ~9e307: those
+    # rows go inf or NaN unwarned, scalar as array, while j0 and j2 keep their digits
+    scalar, array = radial._radial_functions(x), radial._radial_functions(np.array([x]))
+    assert scalar.tobytes() == array[:, 0].tobytes()
+    with mpmath.workdps(40):
+        big = mpmath.mpf(x)
+        sin, cos = mpmath.sin(big), mpmath.cos(big)
+        want = [float(sin / big), float((3 / big**2 - 1) * sin / big - 3 * cos / big**2)]
+    for ell, value in zip((0, 2), want):
+        assert spherical_bessel(ell, x) == scalar[ell // 2]
+        assert spherical_bessel(ell, np.array([x, x])).tolist() == [scalar[ell // 2]] * 2
+        assert spherical_bessel(ell, x) == pytest.approx(value, rel=1e-14, abs=0.0)
+    cavity = CavityConfig()
+    assert np.isfinite(f_spin(x, cavity)) and np.isfinite(f_oam(np.array([x]), cavity)).all()
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -247,6 +265,18 @@ def test_cavity_config_validation():
     assert config.kR == 100.0
     assert config.volume == pytest.approx(4.0 * np.pi * 50.0**3 / 3.0)
     assert config.wavelength == pytest.approx(np.pi)
+
+
+@pytest.mark.parametrize("scalar", [float, np.float64])
+def test_cavity_config_refuses_overflowing_cubes(scalar):
+    # a Python float cubed past the float range raises OverflowError, a numpy one warns
+    refusal = r"^volume and k\^3 must be finite, got R={}, k={}$"
+    with pytest.raises(ValueError, match=refusal.format(r"1e\+110", "1e-100")):
+        CavityConfig(scalar(1e-100), scalar(1e110))
+    with pytest.raises(ValueError, match=refusal.format("1e-100", r"1e\+110")):
+        CavityConfig(scalar(1e110), scalar(1e-100))
+    assert normalize_mode(CavityConfig(scalar(0.5), scalar(80.0)), 2) == normalize_mode(
+        CavityConfig(0.5, 80.0), 2)
 
 
 # ---------------------------------------------------------------- normalization
@@ -466,6 +496,23 @@ def test_density_refuses_nan_and_infinity(config, density, bad):
 def test_profile_requires_minimum_sampling(config):
     with pytest.raises(ValueError):
         radial_profile(config, 99)
+
+
+@pytest.mark.parametrize("n_samples", [10**12, radial.MAX_SAMPLES + 1, 150.5, "2000"])
+def test_profile_refuses_oversized_or_fractional_grids_before_allocating(config, n_samples):
+    # 10^12 samples asked numpy for 7.28 TiB, and a float count failed in linspace;
+    # zone_report, which reads no profile, validates n_samples the same way. The CLI
+    # writes the cap out, so that its --samples refusal loads no numpy
+    assert cli.MAX_SAMPLES == radial.MAX_SAMPLES
+    for report in (radial_profile, zone_report):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^n_samples must be an integer <= 1000000, got "
+                                                 r"[^\n]*$"):
+                report(config, n_samples)
+            assert tracemalloc.get_traced_memory()[1] < 2**16
+        finally:
+            tracemalloc.stop()
 
 
 def test_zone_report_requires_minimum_sampling(config):

@@ -397,6 +397,22 @@ def test_interaction_hamiltonian_refuses_non_finite_parameters(space, name, valu
 
 
 @pytest.mark.parametrize(
+    "cutoff,omega,omega0,gamma",
+    [(2, 1e308, 1e308, 0.05), (2, 1e308, -1e308, 0.05), (2, -1e308, 0.0, 0.05),
+     (2, 1e308 / 2, 1e308, 0.05), (5, 1.0, 2.0, 1e308), (5, 1.0, 2.0, -1e308)],
+)
+def test_interaction_hamiltonian_refuses_overflowing_entries(cutoff, omega, omega0, gamma):
+    # finite parameters whose omega N + omega0 or gamma times a pair amplitude (up to
+    # sqrt(6) at cutoff 5) overflow: one ValueError line, no inf in a block, no warning
+    with pytest.raises(ValueError, match=r"^omega N \+ omega0 at the cutoff's N and gamma_coupling "
+                                         r"times each pair amplitude must be finite, got [^\n]*$"):
+        interaction_hamiltonian(atom_field_space(cutoff), omega, omega0, gamma)
+    # just inside: the largest entries are finite and the Hamiltonian is built
+    h = interaction_hamiltonian(atom_field_space(2), 1e308 / 2, -1e308, 1e308)
+    assert np.isfinite(h.flat).all()
+
+
+@pytest.mark.parametrize(
     "name,value",
     [("gamma_coupling", v) for v in (0.0, -0.05, 1e-320, *_NON_FINITE)]
     + [("omega", v) for v in _NON_FINITE],
