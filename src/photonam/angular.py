@@ -220,8 +220,8 @@ def am_variances(m: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float, fl
     the variance is (B^2)_mm - (B_mm)^2 at any cutoff; the cutoff is only
     validated, as three_mode_space would, without building the basis.
     """
-    if m not in M_VALUES:
-        raise ValueError(f"m must be one of +1, 0, -1, got {m}")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m not in M_VALUES:
+        raise ValueError(f"m must be the integer +1, 0 or -1, got {m!r}")
     check_cutoff(cutoff)
     row = M_VALUES.index(m)
     return tuple(

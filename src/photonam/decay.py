@@ -67,10 +67,17 @@ class DecayParams:
     def __post_init__(self) -> None:
         for name in ("omega0", "gamma"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            # isfinite reads value as a Python float, so an int past int64 is
+            # read too, and one past the float range overflows: it is not finite
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not (finite and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        # quotients in Python floats, whose overflow is inf without a warning
-        omega0, gamma = float(self.omega0), float(self.gamma)
+            # Python floats, whose quotients overflow to inf without a warning
+            object.__setattr__(self, name, float(value))
+        omega0, gamma = self.omega0, self.gamma
         if omega0 / gamma < MIN_OMEGA0_OVER_GAMMA:
             raise ValueError(
                 f"omega0/gamma must be >= {MIN_OMEGA0_OVER_GAMMA} for Markov validity, "
@@ -83,7 +90,10 @@ class DecayParams:
                     f"10/gamma, the default time grid's end, must be finite, got gamma {gamma}"
                 )
             grid = np.linspace(0.0, 10.0 / gamma, 201)
-        grid = np.asarray(grid, dtype=float)
+        try:
+            grid = np.asarray(grid, dtype=float)
+        except OverflowError:  # an int past the float range
+            grid = np.array([np.inf])
         if grid.ndim != 1 or len(grid) == 0:
             raise ValueError("time_grid must be a non-empty 1-d array")
         if not np.all(np.isfinite(grid) & (grid >= 0)):
@@ -92,8 +102,14 @@ class DecayParams:
 
 
 def _times(t) -> np.ndarray:
-    """t as a float array; ValueError unless every entry is >= 0 (inf is, NaN is not)."""
-    arr = np.asarray(t, dtype=float)
+    """t as a float array; ValueError unless every entry is >= 0 (inf is, NaN is not).
+
+    An int past the float range, which numpy cannot convert, is refused too.
+    """
+    try:
+        arr = np.asarray(t, dtype=float)
+    except OverflowError:
+        raise ValueError("t must be a float or an int within the float range") from None
     if not np.all(arr >= 0):
         raise ValueError("t must be >= 0 and not NaN")
     return arr

@@ -148,14 +148,17 @@ class FockSpace:
 
 
 def check_dim(n_modes: int, cutoff: int) -> None:
-    """ValueError if cutoff < 0 or the space of n_modes modes at cutoff has a
-    photon-number sector of more than MAX_SECTOR_DIM states, or more sectors.
+    """ValueError unless cutoff is an integer, not a float or bool; if cutoff < 0;
+    or if the space of n_modes modes at cutoff has a photon-number sector of
+    more than MAX_SECTOR_DIM states, or more sectors.
 
     The top sector, the states holding exactly `cutoff` photons, is the
     largest: comb(cutoff + n_modes - 1, n_modes - 1) states, read without
     enumerating the basis. One mode has one state per sector, so there the
     cutoff + 1 sectors are what is bounded.
     """
+    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)):
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     largest = math.comb(cutoff + n_modes - 1, n_modes - 1)

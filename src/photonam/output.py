@@ -18,15 +18,18 @@ to n = 1e11 and is not certified. The digits, point, sign and exponent of a
 certified cell are then laid out by table lookups. The tables of a decade X
 (its sign and "0.00" prefix, its digits before the point and its exponent)
 are read off the text `g12` writes for 10^X and -1, so the layout is `g12`'s
-own. Every other cell is written by `g12` itself: zeros, non-finite values,
-subnormals, |x| past 1e250, exact and near ties, and decade seams such as
-999999999999.5 and exact powers of ten. `tests/test_output.py` keeps the
-per-cell writer as the oracle.
+own. The tables depend on no input and are built on the first CSV write, so
+a command that writes only JSON never builds them. Every other cell is
+written by `g12` itself: zeros, non-finite values, subnormals, |x| past
+1e250, exact and near ties, and decade seams such as 999999999999.5 and
+exact powers of ten. `tests/test_output.py` keeps the per-cell writer as the
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -44,7 +47,7 @@ _RECORD = 40
 _SEPARATOR_AT = 37
 
 #: Per-exponent tables are indexed by X + _X_OFFSET, for X in [-251, 250];
-#: _PREFIX holds the prefixes of negative cells _X.size entries on.
+#: the prefix table holds the prefixes of negative cells _X.size entries on.
 _X_OFFSET = 260
 _X = np.arange(-_X_OFFSET, _X_OFFSET)
 #: 10^(11 - X), correctly rounded: parsed by float(), where numpy's power
@@ -60,8 +63,9 @@ def g12(value: float) -> str:
     return f"{value:.12g}"
 
 
+@cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """The lookup tables of the layout.
+    """The lookup tables of the layout, built once per process on the first CSV write.
 
     The digit words are built with numpy. The words of a decade X are read
     off the text g12 writes for 10^X ("0.001", "1000", "1e-05") and the sign
@@ -73,7 +77,7 @@ def _tables() -> tuple[np.ndarray, ...]:
     quads = np.zeros((10000, 8), np.uint8)
     quads[:, 0::2] = digits.T + ord("0")
 
-    # _SIGNIFICANT[10000 j + g]: digits of n through its last nonzero one when
+    # significant[10000 j + g]: digits of n through its last nonzero one when
     # group j is g, 0 for g = 0; the largest over j counts n's digits without
     # trailing zeros
     last = (np.arange(1, 5, dtype=np.int8)[:, None] * (digits != 0)).max(axis=0)
@@ -108,7 +112,6 @@ def _tables() -> tuple[np.ndarray, ...]:
     )
 
 
-_QUADS, _SIGNIFICANT, _PREFIX, _EXPONENT, _INTEGER_DIGITS, _KEEP, _POINT = _tables()
 _SIGNIFICANT_OFFSET = (10000 * np.arange(3))[:, None]
 
 
@@ -141,20 +144,21 @@ def certify(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _records(cells: np.ndarray) -> np.ndarray:
     """A (len(cells), _RECORD) uint8 array: each cell laid out as g12 writes it, NUL-padded."""
+    quads, significant_digits, prefixes, exponents, integer_digits, keep, point = _tables()
     certified, index, n = certify(cells)
     groups = np.floor(n / _SPLIT)
     groups[1:] -= 1e4 * groups[:-1]
     groups = groups.astype(np.intp)
-    significant = _SIGNIFICANT.take(groups + _SIGNIFICANT_OFFSET).max(axis=0)
-    integer = _INTEGER_DIGITS.take(index)
-    digits = _QUADS.take(groups)
-    digits &= _KEEP.take(np.maximum(significant, integer), axis=1)
-    digits |= _POINT.take(integer * (significant > integer), axis=1)
+    significant = significant_digits.take(groups + _SIGNIFICANT_OFFSET).max(axis=0)
+    integer = integer_digits.take(index)
+    digits = quads.take(groups)
+    digits &= keep.take(np.maximum(significant, integer), axis=1)
+    digits |= point.take(integer * (significant > integer), axis=1)
 
     words = np.empty((len(cells), _RECORD // 8), np.uint64)
-    words[:, 0] = _PREFIX.take(index + _X.size * np.signbit(cells))
+    words[:, 0] = prefixes.take(index + _X.size * np.signbit(cells))
     words[:, 1:4] = digits.T
-    words[:, 4] = _EXPONENT.take(index)
+    words[:, 4] = exponents.take(index)
     records = words.view(np.uint8)
     others = np.flatnonzero(~certified)
     text = [g12(value) for value in cells[others].tolist()]

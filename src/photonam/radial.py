@@ -60,7 +60,13 @@ class CavityConfig:
     def __post_init__(self) -> None:
         for name in ("k", "R"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            # isfinite reads value as a Python float, so an int past int64 is
+            # read too, and one past the float range overflows: it is not finite
+            try:
+                finite = isfinite(value)
+            except OverflowError:
+                finite = False
+            if not (finite and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
             # a Python float, whose power past the float range raises OverflowError
             # where a numpy scalar's warns: the one check below serves both
@@ -116,12 +122,24 @@ def _ell_row(ell: int) -> int:
     return int(ell) // 2
 
 
+def _kernel_argument(x, name: str) -> np.ndarray:
+    """x as a float array; ValueError unless every entry is finite and >= 0.
+
+    An int past the float range, which numpy cannot convert, is refused too.
+    """
+    try:
+        arr = np.asarray(x, dtype=float)
+    except OverflowError:
+        arr = np.array(np.inf)
+    if not np.all((arr >= 0) & (arr < np.inf)):
+        raise ValueError(f"{name} must be finite and >= 0")
+    return arr
+
+
 def spherical_bessel(ell: int, x):
     """j0 or j2 for finite x >= 0, scalar or array: its row of `_radial_functions`."""
     row = _ell_row(ell)
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0) & (arr < np.inf)):
-        raise ValueError("argument must be finite and >= 0")
+    arr = _kernel_argument(x, "argument")
     out = _radial_functions(arr)[row]
     return float(out) if arr.ndim == 0 else out
 
@@ -258,9 +276,7 @@ def _spin_oam(j0, j2, config: CavityConfig):
 
 def _densities(kr, config: CavityConfig):
     """(f_spin, f_oam) at finite kr >= 0, floats for a scalar kr."""
-    x = np.asarray(kr, dtype=float)
-    if not np.all((x >= 0) & (x < np.inf)):
-        raise ValueError("kr must be finite and >= 0")
+    x = _kernel_argument(kr, "kr")
     rows = _radial_functions(x)[:2]
     return _spin_oam(*(rows.tolist() if x.ndim == 0 else rows), config)
 

@@ -17,6 +17,7 @@ expectations vanish.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -178,6 +179,14 @@ def pair_field_vector(space: AtomFieldSpace, amps: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _finite(value) -> bool:
+    """Whether value is finite as a Python float: an int past the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def interaction_hamiltonian(
     space: AtomFieldSpace, omega: float, omega0: float, gamma_coupling: float
 ) -> OperatorMatrix:
@@ -195,8 +204,10 @@ def interaction_hamiltonian(
     one that makes an entry overflow, raises ValueError.
     """
     for name, value in (("omega", omega), ("omega0", omega0), ("gamma_coupling", gamma_coupling)):
-        if not -np.inf < value < np.inf:
+        if not _finite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    # Python floats: numpy cannot take an int past int64 in omega * photons
+    omega, omega0, gamma_coupling = float(omega), float(omega0), float(gamma_coupling)
     fs = space.field_space
     g_offset, e_offset = (space.atom_index(level) * fs.dim for level in ("g", "e"))
     photons = fs.sectors.labels
@@ -208,8 +219,7 @@ def interaction_hamiltonian(
     term, src, dst, amplitude = _hops(fs, np.empty((len(fwd), 0), dtype=np.intp), lowered)
     # the largest entries in Python floats, whose overflow is inf without a warning:
     # omega N + omega0 at the cutoff's N, and gamma times the largest pair amplitude
-    largest = (float(omega) * fs.cutoff + float(omega0),
-               float(gamma_coupling) * float(amplitude.max(initial=0.0)))
+    largest = (omega * fs.cutoff + omega0, gamma_coupling * float(amplitude.max(initial=0.0)))
     if not all(-np.inf < value < np.inf for value in largest):
         raise ValueError(
             "omega N + omega0 at the cutoff's N and gamma_coupling times each pair amplitude must "
@@ -254,7 +264,7 @@ def selection_rule_check(
     that is not finite and > 0 or whose largest phase, max|E| * 10 / gamma over
     the block's energies E less 2 omega, overflows.
     """
-    if not -np.inf < omega < np.inf:
+    if not _finite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
     sector = space.sectors.indices[PAIR_SECTOR]
     block = h.blocks[PAIR_SECTOR]
@@ -272,7 +282,8 @@ def selection_rule_check(
     # the largest phase, max|E| times the longest time, in Python floats, whose
     # overflow is inf without a warning
     if not (
-        0 < gamma_coupling < np.inf
+        _finite(gamma_coupling)
+        and gamma_coupling > 0
         and float(np.max(np.abs(energies))) * (10.0 / float(gamma_coupling)) < np.inf
     ):
         raise ValueError(

@@ -18,8 +18,8 @@ import photonam
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: Imports photonam and, unless the argument is "", runs it through the CLI as
-#: one command line; prints the exit code (argparse's SystemExit included) and
-#: the modules loaded.
+#: one command line; prints the exit code (argparse's SystemExit included), the
+#: modules loaded and how many times the CSV layout tables were built.
 PROBE = """
 import contextlib, io, json, sys
 import photonam
@@ -31,7 +31,9 @@ if argv:
             code = photonam.cli.main(argv)
         except SystemExit as exc:  # --help and argparse's refusals
             code = exc.code
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+output = sys.modules.get("photonam.output")
+tables = output._tables.cache_info().misses if output else 0
+print(json.dumps({"code": code, "modules": sorted(sys.modules), "tables": tables}))
 """
 
 #: Refuses every scipy import, then runs each argument list (one per line of
@@ -71,16 +73,21 @@ COMMANDS = [
 SUBMODULES = ["angular", "decay", "fock", "output", "radial", "twins"]
 
 
-def probe(command: str) -> tuple[int | None, set[str]]:
-    """The exit code of the command line (None for "") and the modules loaded by
-    `import photonam` and then the command."""
+def report(command: str) -> dict:
+    """PROBE's report on the command line."""
     env = {**os.environ, "PYTHONPATH": SRC}
     result = subprocess.run(
         [sys.executable, "-c", PROBE, command], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
-    return report["code"], set(report["modules"])
+    return json.loads(result.stdout)
+
+
+def probe(command: str) -> tuple[int | None, set[str]]:
+    """The exit code of the command line (None for "") and the modules loaded by
+    `import photonam` and then the command."""
+    probed = report(command)
+    return probed["code"], set(probed["modules"])
 
 
 def modules_after(command: str) -> set[str]:
@@ -168,6 +175,23 @@ def test_pair_commands_load_twins_and_no_numpy_polynomial(command):
     loaded = modules_after(command)
     assert "photonam.twins" in loaded
     assert "numpy.polynomial" not in loaded
+
+
+@pytest.mark.parametrize("command, builds", [
+    ("algebra", 0),
+    ("variance", 0),
+    ("entangle", 0),
+    ("verify-all", 0),
+    ("radial --format json", 0),
+    ("decay --format json", 0),
+    ("radial", 1),
+    ("decay", 1),
+])
+def test_only_csv_commands_build_the_layout_tables(command, builds):
+    # the CSV writer builds its tables on its first write, once per process
+    probed = report(command)
+    assert probed["code"] == 0
+    assert probed["tables"] == builds
 
 
 @pytest.mark.parametrize("command, code", [
