@@ -21,7 +21,7 @@ import numpy as np
 
 from . import radial
 from .fock import FockSpace, OperatorMatrix, bilinear, build_space, check_dim
-from .output import Check
+from .output import Check, integer
 
 #: The photon modes, each labelled by its projection m: the mode order of the
 #: three-mode space and the row order of every 3x3 block.
@@ -48,8 +48,9 @@ def three_mode_space(cutoff: int = DEFAULT_CUTOFF) -> FockSpace:
 
 
 def check_cutoff(cutoff: int) -> None:
-    """ValueError unless cutoff admits a photon and three-mode sectors within MAX_SECTOR_DIM."""
-    if cutoff < 1:
+    """ValueError unless cutoff is an integer that admits a photon and three-mode sectors
+    within MAX_SECTOR_DIM."""
+    if integer(cutoff, "cutoff") < 1:
         raise ValueError(f"cutoff must be >= 1 to hold a photon, got {cutoff}")
     check_dim(len(M_VALUES), cutoff)
 
@@ -220,10 +221,8 @@ def am_variances(m: int, cutoff: int = DEFAULT_CUTOFF) -> tuple[float, float, fl
     the variance is (B^2)_mm - (B_mm)^2 at any cutoff; the cutoff is only
     validated, as three_mode_space would, without building the basis.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m not in M_VALUES:
-        raise ValueError(f"m must be the integer +1, 0 or -1, got {m!r}")
+    row = M_VALUES.index(integer(m, "m", M_VALUES))
     check_cutoff(cutoff)
-    row = M_VALUES.index(m)
     return tuple(
         float((block @ block)[row, row].real - block[row, row].real ** 2)
         for block in SPIN1_BLOCKS

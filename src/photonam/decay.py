@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .output import Check, csv_lines
+from .output import Check, csv_lines, nonnegative, real
 
 #: Integration window half-width in units of the decay width.
 WINDOW_WIDTHS = 40.0
@@ -66,17 +66,8 @@ class DecayParams:
 
     def __post_init__(self) -> None:
         for name in ("omega0", "gamma"):
-            value = getattr(self, name)
-            # isfinite reads value as a Python float, so an int past int64 is
-            # read too, and one past the float range overflows: it is not finite
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                finite = False
-            if not (finite and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
             # Python floats, whose quotients overflow to inf without a warning
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, real(getattr(self, name), name, positive=True))
         omega0, gamma = self.omega0, self.gamma
         if omega0 / gamma < MIN_OMEGA0_OVER_GAMMA:
             raise ValueError(
@@ -90,29 +81,10 @@ class DecayParams:
                     f"10/gamma, the default time grid's end, must be finite, got gamma {gamma}"
                 )
             grid = np.linspace(0.0, 10.0 / gamma, 201)
-        try:
-            grid = np.asarray(grid, dtype=float)
-        except OverflowError:  # an int past the float range
-            grid = np.array([np.inf])
+        grid = nonnegative(grid, "time_grid entries")
         if grid.ndim != 1 or len(grid) == 0:
             raise ValueError("time_grid must be a non-empty 1-d array")
-        if not np.all(np.isfinite(grid) & (grid >= 0)):
-            raise ValueError("time_grid entries must be finite and >= 0")
         object.__setattr__(self, "time_grid", grid)
-
-
-def _times(t) -> np.ndarray:
-    """t as a float array; ValueError unless every entry is >= 0 (inf is, NaN is not).
-
-    An int past the float range, which numpy cannot convert, is refused too.
-    """
-    try:
-        arr = np.asarray(t, dtype=float)
-    except OverflowError:
-        raise ValueError("t must be a float or an int within the float range") from None
-    if not np.all(arr >= 0):
-        raise ValueError("t must be >= 0 and not NaN")
-    return arr
 
 
 def _base_weight_integral(omega0: float, gamma: float) -> float:
@@ -196,7 +168,7 @@ def conservation_check(params: DecayParams, t):
     early times; by t ~ 1/G the magnitude is well below 0.02 for
     omega0/gamma >= 1e3, and at fixed G t it shrinks as omega0/gamma grows.
     """
-    arr = _times(t)
+    arr = nonnegative(t, "t", finite=False)
     with np.errstate(over="ignore"):  # a G t past the float range is the t = inf limit
         tau = params.gamma * arr.ravel()
     base = _base_weight_integral(params.omega0, params.gamma)
@@ -214,7 +186,7 @@ def _excited_population(gamma: float, t: np.ndarray) -> np.ndarray:
 
 def sz_expectation(t, params: DecayParams):
     """<S_z(t)> = <L_z(t)> in units hbar: (1/2)(1 - exp(-2 G t))."""
-    arr = _times(t)
+    arr = nonnegative(t, "t", finite=False)
     out = 0.5 * (1.0 - _excited_population(params.gamma, arr))
     return float(out) if arr.ndim == 0 else out
 

@@ -32,6 +32,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from .output import integer
+
 HERMITICITY_TOL = 1e-12
 
 #: Largest photon-number sector check_dim (and so build_space) admits, and the
@@ -157,8 +159,7 @@ def check_dim(n_modes: int, cutoff: int) -> None:
     enumerating the basis. One mode has one state per sector, so there the
     cutoff + 1 sectors are what is bounded.
     """
-    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)):
-        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
+    cutoff = integer(cutoff, "cutoff")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     largest = math.comb(cutoff + n_modes - 1, n_modes - 1)

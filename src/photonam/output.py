@@ -1,4 +1,5 @@
-"""The output contract's number format: 12 significant digits in CSV and JSON.
+"""The output contract's number format, 12 significant digits in CSV and JSON, and the
+readers of numeric inputs.
 
 `g12` states the format once. `csv_lines` writes every cell as `g12` writes
 it, byte for byte, with numpy doing the work for nearly every cell. For a cell
@@ -24,12 +25,20 @@ written by `g12` itself: zeros, non-finite values, subnormals, |x| past
 1e250, exact and near ties, and decade seams such as 999999999999.5 and
 exact powers of ten. `tests/test_output.py` keeps the per-cell writer as the
 oracle.
+
+The library's numeric inputs are read here too, one reader per kind, each
+refusing a bad value in one ValueError line: `real` reads a finite scalar as a
+Python float, `nonnegative` an array of entries >= 0 as float64, and `integer`
+a Python or numpy integer, never a bool or a float. An int past the float
+range is not finite to `real` and is refused by `nonnegative`, where math and
+numpy would raise OverflowError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import isfinite
 from typing import Any, Sequence
 
 import numpy as np
@@ -61,6 +70,48 @@ _SPLIT = np.array([1e8, 1e4, 1.0])[:, None]
 def g12(value: float) -> str:
     """A number as written to every output, at 12 significant digits: the format's one statement."""
     return f"{value:.12g}"
+
+
+def real(value, name: str, positive: bool = False) -> float:
+    """value as a Python float; ValueError unless it is finite, and > 0 where positive is set.
+
+    isfinite reads value as a Python float, so an int past int64 is read as the
+    float it equals, and one past the float range overflows: it is not finite.
+    """
+    try:
+        finite = isfinite(value)
+    except OverflowError:
+        finite = False
+    if not (finite and (value > 0 or not positive)):
+        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value}")
+    return float(value)
+
+
+def nonnegative(values, name: str, finite: bool = True) -> np.ndarray:
+    """values as a float64 array; ValueError unless every entry is >= 0, and finite where
+    finite is set: inf passes without it, NaN and an int past the float range never."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:  # an int past the float range, which numpy cannot convert
+        arr = np.array(np.nan)
+    admitted = (arr >= 0) & (arr < np.inf) if finite else arr >= 0  # NaN fails either
+    if not admitted.all():
+        limits = ("finite and >= 0" if finite
+                  else ">= 0 and not NaN, nor an int past the float range")
+        raise ValueError(f"{name} must be {limits}")
+    return arr
+
+
+def integer(value, name: str, allowed: Sequence[int] | None = None) -> int:
+    """value as a Python int; ValueError unless it is a Python or numpy integer, and one of
+    allowed where that is given. A bool or a float is refused, even one equal to an integer."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if allowed is None or int(value) in allowed:
+            return int(value)
+    want = "an integer" if allowed is None else (
+        "the integer " + ", ".join(map(str, allowed[:-1])) + f" or {allowed[-1]}"
+    )
+    raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 @cache

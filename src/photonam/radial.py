@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import ceil, factorial, isfinite, prod
+from math import ceil, factorial, prod
 
 import numpy as np
 
-from .output import Check, csv_lines
+from .output import Check, csv_lines, integer, nonnegative, real
 
 #: Per-ell seam of j_ell and of its shell antiderivative A_ell: below it the
 #: closed forms cancel (for ell = 2, j2 loses 7e-11 and A_2 1.2e-7 relative at
@@ -59,18 +59,9 @@ class CavityConfig:
 
     def __post_init__(self) -> None:
         for name in ("k", "R"):
-            value = getattr(self, name)
-            # isfinite reads value as a Python float, so an int past int64 is
-            # read too, and one past the float range overflows: it is not finite
-            try:
-                finite = isfinite(value)
-            except OverflowError:
-                finite = False
-            if not (finite and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
             # a Python float, whose power past the float range raises OverflowError
             # where a numpy scalar's warns: the one check below serves both
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, real(getattr(self, name), name, positive=True))
         if self.kR < MIN_KR:
             raise ValueError(f"kR must be >= {MIN_KR}, got {self.kR}")
         if self.kR > MAX_KR:
@@ -113,33 +104,14 @@ class CavityConfig:
 
 
 def _ell_row(ell: int) -> int:
-    """ell's row of the per-ell tables: ValueError unless ell is the integer 0 or 2.
-
-    A float is refused even where it equals 0 or 2, as is a bool.
-    """
-    if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell not in (0, 2):
-        raise ValueError(f"ell must be the integer 0 or 2, got {ell!r}")
-    return int(ell) // 2
-
-
-def _kernel_argument(x, name: str) -> np.ndarray:
-    """x as a float array; ValueError unless every entry is finite and >= 0.
-
-    An int past the float range, which numpy cannot convert, is refused too.
-    """
-    try:
-        arr = np.asarray(x, dtype=float)
-    except OverflowError:
-        arr = np.array(np.inf)
-    if not np.all((arr >= 0) & (arr < np.inf)):
-        raise ValueError(f"{name} must be finite and >= 0")
-    return arr
+    """ell's row of the per-ell tables: ValueError unless ell is the integer 0 or 2."""
+    return integer(ell, "ell", (0, 2)) // 2
 
 
 def spherical_bessel(ell: int, x):
     """j0 or j2 for finite x >= 0, scalar or array: its row of `_radial_functions`."""
     row = _ell_row(ell)
-    arr = _kernel_argument(x, "argument")
+    arr = nonnegative(x, "argument")
     out = _radial_functions(arr)[row]
     return float(out) if arr.ndim == 0 else out
 
@@ -276,7 +248,7 @@ def _spin_oam(j0, j2, config: CavityConfig):
 
 def _densities(kr, config: CavityConfig):
     """(f_spin, f_oam) at finite kr >= 0, floats for a scalar kr."""
-    x = _kernel_argument(kr, "kr")
+    x = nonnegative(kr, "kr")
     rows = _radial_functions(x)[:2]
     return _spin_oam(*(rows.tolist() if x.ndim == 0 else rows), config)
 
@@ -313,8 +285,9 @@ class RadialProfile:
 def _check_samples(n_samples: int) -> None:
     """ValueError, before anything is allocated, unless n_samples is an integer in
     [MIN_SAMPLES, MAX_SAMPLES]."""
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples <= MAX_SAMPLES):
-        raise ValueError(f"n_samples must be an integer <= {MAX_SAMPLES}, got {n_samples!r}")
+    n_samples = integer(n_samples, "n_samples")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be an integer <= {MAX_SAMPLES}, got {n_samples}")
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
 
@@ -375,10 +348,11 @@ def shell_integrals(config: CavityConfig, start_kr: float, stop_kr: float) -> tu
     They keep their digits far out in the wave zone, where differences of the
     antiderivatives do not, and check the normalization without sharing its formula.
     """
-    # bounded before linspace allocates. In Python floats, which overflow to inf
-    # without a warning, a non-finite bound makes the panel count inf or NaN.
-    panels = 2.0 * (float(stop_kr) - float(start_kr)) / np.pi
-    if not (isfinite(panels) and panels * _GL_NODES.size <= _SHELL_NODES_MAX):
+    # bounded before linspace allocates, in Python floats, which overflow to inf
+    # without a warning: a panel count past the float range is inf
+    start_kr, stop_kr = real(start_kr, "start_kr"), real(stop_kr, "stop_kr")
+    panels = 2.0 * (stop_kr - start_kr) / np.pi
+    if not panels * _GL_NODES.size <= _SHELL_NODES_MAX:
         raise ValueError(
             f"kr bounds must be finite and need at most {_SHELL_NODES_MAX} nodes, "
             f"got [{start_kr}, {stop_kr}]"
@@ -400,10 +374,11 @@ def wave_zone_discrepancy(config: CavityConfig, start_kr: float) -> float:
 
     Windowed integrals are compared instead of pointwise ratios because both
     densities vanish at shared nodes in the wave zone. A window that leaves
-    the cavity, or a NaN start_kr, raises ValueError.
+    the cavity, or a NaN start_kr, raises ValueError. The bounds are compared, not
+    summed, so an int past the float range is compared exactly, not converted.
     """
     width = 2.0 * np.pi
-    if not (start_kr >= 0 and start_kr + width <= config.kR):
+    if not 0 <= start_kr <= config.kR - width:
         raise ValueError("window must lie inside the cavity")
     i_s, i_l = shell_integrals(config, start_kr, start_kr + width)
     return abs(i_s - i_l) / i_s

@@ -17,7 +17,6 @@ expectations vanish.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -33,7 +32,7 @@ from .fock import (
     is_hermitian,
     sectors_of,
 )
-from .output import Check
+from .output import Check, integer, real
 
 #: The twins' modes, each labelled by its projection m and propagation direction.
 FORWARD_MODES = tuple((m, "fwd") for m in M_VALUES)
@@ -161,7 +160,7 @@ class AtomFieldSpace:
 
 def atom_field_space(cutoff: int = 2) -> AtomFieldSpace:
     """The cutoff must admit the emitted pair: below 2 the pair term is zero."""
-    if cutoff < 2:
+    if integer(cutoff, "cutoff") < 2:
         raise ValueError(f"cutoff must be >= 2 to hold a photon pair, got {cutoff}")
     field = build_space(FORWARD_MODES + BACKWARD_MODES, cutoff)
     return AtomFieldSpace(field_space=field)
@@ -177,14 +176,6 @@ def pair_field_vector(space: AtomFieldSpace, amps: np.ndarray) -> np.ndarray:
     # row (a, b) of the nine occupations is |1_{m_a} fwd, 1_{m_b} bwd>
     vec[fs.index_of((fwd[:, None] + bwd[None, :]).reshape(9, -1)).reshape(3, 3)] = amps
     return vec
-
-
-def _finite(value) -> bool:
-    """Whether value is finite as a Python float: an int past the float range is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def interaction_hamiltonian(
@@ -203,11 +194,9 @@ def interaction_hamiltonian(
     adjoints: H is exactly hermitian. A non-finite omega, omega0 or gamma, or
     one that makes an entry overflow, raises ValueError.
     """
-    for name, value in (("omega", omega), ("omega0", omega0), ("gamma_coupling", gamma_coupling)):
-        if not _finite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
     # Python floats: numpy cannot take an int past int64 in omega * photons
-    omega, omega0, gamma_coupling = float(omega), float(omega0), float(gamma_coupling)
+    omega, omega0 = real(omega, "omega"), real(omega0, "omega0")
+    gamma_coupling = real(gamma_coupling, "gamma_coupling")
     fs = space.field_space
     g_offset, e_offset = (space.atom_index(level) * fs.dim for level in ("g", "e"))
     photons = fs.sectors.labels
@@ -264,8 +253,8 @@ def selection_rule_check(
     that is not finite and > 0 or whose largest phase, max|E| * 10 / gamma over
     the block's energies E less 2 omega, overflows.
     """
-    if not _finite(omega):
-        raise ValueError(f"omega must be finite, got {omega}")
+    omega = real(omega, "omega")
+    gamma_coupling = real(gamma_coupling, "gamma_coupling", positive=True)
     sector = space.sectors.indices[PAIR_SECTOR]
     block = h.blocks[PAIR_SECTOR]
     if not is_hermitian(block):
@@ -281,11 +270,7 @@ def selection_rule_check(
     energies, vectors = np.linalg.eigh(block - 2.0 * omega * np.eye(len(block)))
     # the largest phase, max|E| times the longest time, in Python floats, whose
     # overflow is inf without a warning
-    if not (
-        _finite(gamma_coupling)
-        and gamma_coupling > 0
-        and float(np.max(np.abs(energies))) * (10.0 / float(gamma_coupling)) < np.inf
-    ):
+    if not float(np.max(np.abs(energies))) * (10.0 / gamma_coupling) < np.inf:
         raise ValueError(
             f"gamma_coupling must be finite and > 0, and max|E| * 10 / gamma_coupling "
             f"finite, got {gamma_coupling}"

@@ -17,6 +17,7 @@ import functools
 import json
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -504,11 +505,14 @@ def test_profile_refuses_oversized_or_fractional_grids_before_allocating(config,
     # zone_report, which reads no profile, validates n_samples the same way. The CLI
     # writes the cap out, so that its --samples refusal loads no numpy
     assert cli.MAX_SAMPLES == radial.MAX_SAMPLES
+    if isinstance(n_samples, int):
+        refusal = f"n_samples must be an integer <= 1000000, got {n_samples}"
+    else:
+        refusal = f"n_samples must be an integer, got {n_samples!r}"
     for report in (radial_profile, zone_report):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"^n_samples must be an integer <= 1000000, got "
-                                                 r"[^\n]*$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
                 report(config, n_samples)
             assert tracemalloc.get_traced_memory()[1] < 2**16
         finally:
@@ -707,10 +711,15 @@ def test_shell_integrals_refuse_unbounded_intervals(start, stop):
     # one line before linspace allocates: a non-finite bound, or more than 10^6
     # nodes (62500 panels of 16, kr intervals past 62500 pi / 2 ~ 98174.8)
     cavity = CavityConfig(k=1.0, R=500.0)
+    if not math.isfinite(start):
+        refusal = f"start_kr must be finite, got {start}"
+    elif not math.isfinite(stop):
+        refusal = f"stop_kr must be finite, got {stop}"
+    else:
+        refusal = f"kr bounds must be finite and need at most 1000000 nodes, got [{start}, {stop}]"
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^kr bounds must be finite and need at most "
-                                             r"1000000 nodes, got \[[^\n]*\]$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             radial.shell_integrals(cavity, start, stop)
         assert tracemalloc.get_traced_memory()[1] < 2**16
     finally:

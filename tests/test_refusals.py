@@ -4,9 +4,12 @@ OverflowError from numpy or math, and the large values a float holds are
 accepted.
 
 An int past int64 (10**20) is read as the Python float it equals; one past
-the float range (10**400) is not finite. A cutoff or m that is a float or a
-bool is refused even where it equals an integer; numpy integers are accepted.
+the float range (10**400) is not finite. A cutoff, m or n_samples that is a
+float or a bool is refused as a non-integer even where it equals an integer, and
+before its range is read; numpy integers are accepted.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +17,15 @@ import pytest
 from photonam.angular import am_variances, three_mode_space
 from photonam.decay import DecayParams, conservation_check, sz_expectation
 from photonam.fock import build_space
-from photonam.radial import CavityConfig, f_oam, f_spin, spherical_bessel
+from photonam.radial import (
+    CavityConfig,
+    f_oam,
+    f_spin,
+    radial_profile,
+    shell_integrals,
+    spherical_bessel,
+    wave_zone_discrepancy,
+)
 from photonam.twins import atom_field_space, interaction_hamiltonian, selection_rule_check
 
 BIG = 10**400
@@ -22,7 +33,7 @@ CAVITY = CavityConfig()
 PARAMS = DecayParams(100.0, 1.0)
 TWINS = atom_field_space(2)
 H = interaction_hamiltonian(TWINS, 1.0, 2.0, 0.1)
-TIME_REFUSAL = "t must be a float or an int within the float range"
+TIME_REFUSAL = "t must be >= 0 and not NaN, nor an int past the float range"
 
 #: (call, pattern of the one-line refusal, or None where the call is accepted
 #: and returns True)
@@ -55,6 +66,12 @@ CASES = {
     "spherical_bessel past floats": (
         lambda: spherical_bessel(0, BIG), "argument must be finite and >= 0"
     ),
+    "shell_integrals stop past floats": (
+        lambda: shell_integrals(CAVITY, 0, BIG), r"stop_kr must be finite, got 10{400}"
+    ),
+    "wave zone window start past floats": (
+        lambda: wave_zone_discrepancy(CAVITY, BIG), "window must lie inside the cavity"
+    ),
     "conservation_check past floats": (
         lambda: conservation_check(PARAMS, BIG), TIME_REFUSAL
     ),
@@ -76,14 +93,25 @@ CASES = {
     ),
     "selection rule gamma past floats": (
         lambda: selection_rule_check(H, TWINS, 1.0, BIG),
-        r"gamma_coupling must be finite and > 0, and max\|E\| \* 10 / gamma_coupling finite, "
-        r"got 10{400}",
+        r"gamma_coupling must be finite and > 0, got 10{400}",
     ),
     "three_mode_space float cutoff": (
         lambda: three_mode_space(2.5), r"cutoff must be an integer, got 2\.5"
     ),
     "three_mode_space bool cutoff": (
         lambda: three_mode_space(True), "cutoff must be an integer, got True"
+    ),
+    "three_mode_space fractional cutoff below 1": (
+        lambda: three_mode_space(0.5), r"cutoff must be an integer, got 0\.5"
+    ),
+    "am_variances fractional cutoff below 1": (
+        lambda: am_variances(0, 0.5), r"cutoff must be an integer, got 0\.5"
+    ),
+    "atom_field_space fractional cutoff below 2": (
+        lambda: atom_field_space(1.5), r"cutoff must be an integer, got 1\.5"
+    ),
+    "atom_field_space bool cutoff": (
+        lambda: atom_field_space(True), "cutoff must be an integer, got True"
     ),
     "atom_field_space integral float cutoff": (
         lambda: atom_field_space(2.0), r"cutoff must be an integer, got 2\.0"
@@ -95,10 +123,17 @@ CASES = {
         lambda: build_space((1, 0, -1), 5.5), r"cutoff must be an integer, got 5\.5"
     ),
     "am_variances bool m": (
-        lambda: am_variances(True), r"m must be the integer \+1, 0 or -1, got True"
+        lambda: am_variances(True), r"m must be the integer 1, 0 or -1, got True"
     ),
     "am_variances integral float m": (
-        lambda: am_variances(1.0), r"m must be the integer \+1, 0 or -1, got 1\.0"
+        lambda: am_variances(1.0), r"m must be the integer 1, 0 or -1, got 1\.0"
+    ),
+    "radial_profile bool n_samples": (
+        lambda: radial_profile(CAVITY, True), "n_samples must be an integer, got True"
+    ),
+    "radial_profile numpy bool n_samples": (
+        lambda: radial_profile(CAVITY, np.True_),
+        f"n_samples must be an integer, got {re.escape(repr(np.True_))}",
     ),
     "omega0 past int64 accepted": (lambda: DecayParams(10**20, 1).omega0 == 1e20, None),
     "int R accepted": (lambda: CavityConfig(1, 10**2) == CavityConfig(1.0, 100.0), None),
