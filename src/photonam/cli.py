@@ -41,13 +41,9 @@ ENTANGLE_OMEGA0 = 2.0
 ENTANGLE_COUPLING = 0.05
 
 #: Largest radial or decay grid; it is checked before anything is allocated.
-#: It is radial.MAX_SAMPLES, written out so that the refusal loads no numpy
-#: (tests/test_cli.py holds the two equal).
+#: It is output.MAX_SAMPLES, written out so that the refusal loads no numpy
+#: (tests/test_radial.py holds the two equal).
 MAX_SAMPLES = 10**6
-
-#: Fewest samples of every command but radial: the decay curve spans t = 0 to
-#: 10 / gamma, the smallest grid any command accepts.
-MIN_DECAY_SAMPLES = 2
 
 #: The values --format and --m accept; a config file must keep to them too.
 #: M_VALUES is sorted(angular.M_VALUES), written out so that argparse runs
@@ -139,14 +135,12 @@ def cmd_variance(cfg: RunConfig) -> tuple[str, int]:
     return _json_text({"m": cfg.m, "varJx": var_x, "varJy": var_y, "varJz": var_z}), 0
 
 
-def _decay_params(cfg: RunConfig, n_times: int) -> decay.DecayParams:
-    import numpy as np
-
+def _decay_params(cfg: RunConfig) -> decay.DecayParams:
     # a from-import probes decay for __path__, which calls decay.__getattr__ (tests/test_reachability.py)
     from .decay import DecayParams
 
-    # gamma = 1: times in units of 1 / gamma, n_times of them from 0 to 10
-    return DecayParams(cfg.omega0_over_gamma, 1.0, np.linspace(0.0, 10.0, n_times))
+    # gamma = 1: times in units of 1 / gamma, from 0 to 10
+    return DecayParams(cfg.omega0_over_gamma, 1.0)
 
 
 def cmd_decay(cfg: RunConfig) -> tuple[str, int]:
@@ -154,9 +148,9 @@ def cmd_decay(cfg: RunConfig) -> tuple[str, int]:
 
     fmt = cfg.format or "csv"
     samples = cfg.samples if cfg.samples is not None else 200
-    params = _decay_params(cfg, samples)
+    params = _decay_params(cfg)
     if fmt == "csv":
-        curve = decay.sz_curve(params)
+        curve = decay.sz_curve(params, samples)
         return "\n".join(decay.decay_csv_lines(curve)) + "\n", 0
     residual = decay.conservation_check(params, 10.0)
     ok = abs(residual) < decay.DECAY_RESIDUAL_MAX
@@ -325,14 +319,15 @@ def _validate(cfg: RunConfig) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     if cfg.samples is not None and cfg.samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {cfg.samples}")
-    from . import angular, radial
+    from . import angular, decay, radial
 
-    fewest = radial.MIN_SAMPLES if cfg.command == "radial" else MIN_DECAY_SAMPLES
+    # the decay curve's minimum is the smallest grid any command accepts
+    fewest = (radial if cfg.command == "radial" else decay).MIN_SAMPLES
     if cfg.samples is not None and cfg.samples < fewest:
         raise ValueError(f"samples must be >= {fewest}, got {cfg.samples}")
     angular.check_cutoff(cfg.cutoff)
     _cavity(cfg)
-    _decay_params(cfg, 1)
+    _decay_params(cfg)
 
 
 def _write(text: str, path: str | None) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .output import Check, csv_lines, nonnegative, real
+from .output import Check, csv_lines, nonnegative, real, row_count
 
 #: Integration window half-width in units of the decay width.
 WINDOW_WIDTHS = 40.0
@@ -32,6 +32,10 @@ DECAY_RESIDUAL_MAX = 0.02
 
 #: Markov validity floor for the transition-frequency-to-width ratio.
 MIN_OMEGA0_OVER_GAMMA = 50.0
+
+#: Fewest points of a decay curve, which spans t = 0 to 10 / gamma;
+#: output.MAX_SAMPLES is the most.
+MIN_SAMPLES = 2
 
 #: From this G t on the damped oscillatory weight is 0: e^{-z} in `_exp1`
 #: overflows near 709, and e^{-G t} < 1e-304 leaves the weight subnormal already.
@@ -48,7 +52,7 @@ _SERIES_COEFFS = np.array([(-1.0) ** k / (k * math.factorial(k)) for k in range(
 def __getattr__(name: str):
     # Only for the benchmark's tracing hook (perfbench/spans.py), which still
     # reads `decay.integrate` to count quadratures this module no longer makes.
-    # It loads scipy.integrate on first access; it goes away with ROADMAP item 1.
+    # It loads scipy.integrate on first access; it goes away with ROADMAP item 22.
     if name == "integrate":
         from scipy import integrate
 
@@ -56,13 +60,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DecayParams:
-    """Transition frequency, decay width, and output time grid (c = hbar = 1)."""
+    """Transition frequency and decay width (c = hbar = 1)."""
 
     omega0: float
     gamma: float
-    time_grid: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("omega0", "gamma"):
@@ -74,17 +77,8 @@ class DecayParams:
                 f"omega0/gamma must be >= {MIN_OMEGA0_OVER_GAMMA} for Markov validity, "
                 f"got {omega0 / gamma}"
             )
-        grid = self.time_grid
-        if grid is None:
-            if 10.0 / gamma == math.inf:
-                raise ValueError(
-                    f"10/gamma, the default time grid's end, must be finite, got gamma {gamma}"
-                )
-            grid = np.linspace(0.0, 10.0 / gamma, 201)
-        grid = nonnegative(grid, "time_grid entries")
-        if grid.ndim != 1 or len(grid) == 0:
-            raise ValueError("time_grid must be a non-empty 1-d array")
-        object.__setattr__(self, "time_grid", grid)
+        if 10.0 / gamma == math.inf:
+            raise ValueError(f"10/gamma, the decay curve's end, must be finite, got gamma {gamma}")
 
 
 def _base_weight_integral(omega0: float, gamma: float) -> float:
@@ -193,7 +187,7 @@ def sz_expectation(t, params: DecayParams):
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Decay observables on the parameter time grid (sz_expect in units hbar)."""
+    """Decay observables on a uniform time grid from 0 to 10 / gamma (sz_expect in units hbar)."""
 
     t: np.ndarray = field(repr=False)
     sz_expect: np.ndarray = field(repr=False)
@@ -201,16 +195,17 @@ class DecayCurve:
     norm_residual: np.ndarray = field(repr=False)
 
 
-def sz_curve(params: DecayParams) -> DecayCurve:
-    """Closed-form AM expectation curve with a per-time conservation residual.
+def sz_curve(params: DecayParams, n_samples: int = 201) -> DecayCurve:
+    """Closed-form AM expectation curve with a per-time conservation residual, on
+    n_samples uniform times from 0 to 10 / gamma.
 
     excited_pop decays as the AM expectation grows, and norm_residual reports
     how well the calibrated photon weight completes the excited population
     to one.
     """
-    t = params.time_grid
+    t = np.linspace(0.0, 10.0 / params.gamma, row_count(n_samples, MIN_SAMPLES))
     arrays = dict(
-        t=t.copy(),
+        t=t,
         sz_expect=sz_expectation(t, params),
         excited_pop=_excited_population(params.gamma, t),
         norm_residual=conservation_check(params, t),

@@ -28,10 +28,11 @@ oracle.
 
 The library's numeric inputs are read here too, one reader per kind, each
 refusing a bad value in one ValueError line: `real` reads a finite scalar as a
-Python float, `nonnegative` an array of entries >= 0 as float64, and `integer`
-a Python or numpy integer, never a bool or a float. An int past the float
-range is not finite to `real` and is refused by `nonnegative`, where math and
-numpy would raise OverflowError.
+Python float, `nonnegative` an array of entries >= 0 as float64, `integer`
+a Python or numpy integer, never a bool or a float, and `row_count` the row
+count of a radial or decay table, an integer from the table's minimum to
+MAX_SAMPLES. An int past the float range is not finite to `real` and is
+refused by `nonnegative`, where math and numpy would raise OverflowError.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ _POW10 = np.array([float(f"1e{11 - x}") for x in _X.tolist()])
 _CLIP = (1e-250, 1e250)
 _TIE_MARGIN = 0.5 - 1e-3
 _SPLIT = np.array([1e8, 1e4, 1.0])[:, None]
+
+#: Most rows of a radial profile or a decay curve, whose every column takes
+#: 8 bytes a row: 8 MB at MAX_SAMPLES.
+MAX_SAMPLES = 10**6
 
 
 def g12(value: float) -> str:
@@ -112,6 +117,17 @@ def integer(value, name: str, allowed: Sequence[int] | None = None) -> int:
         "the integer " + ", ".join(map(str, allowed[:-1])) + f" or {allowed[-1]}"
     )
     raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
+def row_count(n_samples, fewest: int) -> int:
+    """n_samples as a Python int; ValueError, before a table is allocated, unless it is an
+    integer in [fewest, MAX_SAMPLES]."""
+    n_samples = integer(n_samples, "n_samples")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be an integer <= {MAX_SAMPLES}, got {n_samples}")
+    if n_samples < fewest:
+        raise ValueError(f"n_samples must be >= {fewest}, got {n_samples}")
+    return n_samples
 
 
 @cache

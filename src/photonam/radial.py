@@ -22,7 +22,7 @@ from math import ceil, factorial, prod
 
 import numpy as np
 
-from .output import Check, csv_lines, integer, nonnegative, real
+from .output import Check, csv_lines, integer, nonnegative, real, row_count
 
 #: Per-ell seam of j_ell and of its shell antiderivative A_ell: below it the
 #: closed forms cancel (for ell = 2, j2 loses 7e-11 and A_2 1.2e-7 relative at
@@ -34,10 +34,8 @@ _SERIES_TERMS = 24
 
 MIN_KR = 20.0
 
-#: Fewest and most points of a radial profile grid, whose every column takes
-#: 8 bytes a point: 8 MB at MAX_SAMPLES.
+#: Fewest points of a radial profile grid; output.MAX_SAMPLES is the most.
 MIN_SAMPLES = 100
-MAX_SAMPLES = 10**6
 
 #: Largest kR. At 1e14 floats near 0.8 R are 1/64 apart, so each node of the
 #: wave-zone window's 8 panels, pi/4 wide, rounds by under 1% of a panel; past
@@ -282,16 +280,6 @@ class RadialProfile:
         return len(self.kr)
 
 
-def _check_samples(n_samples: int) -> None:
-    """ValueError, before anything is allocated, unless n_samples is an integer in
-    [MIN_SAMPLES, MAX_SAMPLES]."""
-    n_samples = integer(n_samples, "n_samples")
-    if n_samples > MAX_SAMPLES:
-        raise ValueError(f"n_samples must be an integer <= {MAX_SAMPLES}, got {n_samples}")
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
-
-
 def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile:
     """Uniform kr grid over (0, kR] with cumulative shell integrals.
 
@@ -299,7 +287,7 @@ def radial_profile(config: CavityConfig, n_samples: int = 2000) -> RadialProfile
     cum_spin = (hbar/3)(2 a0 - a2/2) and cum_oam = (hbar/2) a2. Both end at
     hbar/2 by construction, so they do not check the normalization.
     """
-    _check_samples(n_samples)
+    n_samples = row_count(n_samples, MIN_SAMPLES)
     kR = config.kR
     grid = np.linspace(kR / n_samples, kR, n_samples)  # its last point is kR exactly
     j0, j2, a0, a2 = _radial_functions(grid)
@@ -340,7 +328,8 @@ _SHELL_NODES_MAX = 10**6
 
 
 def shell_integrals(config: CavityConfig, start_kr: float, stop_kr: float) -> tuple[float, float]:
-    """Gauss-Legendre shell integrals of f_spin and f_oam over kr in [start_kr, stop_kr].
+    """Gauss-Legendre shell integrals of f_spin and f_oam over kr in [start_kr, stop_kr],
+    an interval inside the cavity: 0 <= start_kr <= stop_kr <= kR.
 
     Equal panels, at most a quarter wavelength (pi/2 in kr) wide and at least 8,
     each a fixed-order 16-node dot product with the constant rule `_GL_NODES`,
@@ -348,15 +337,15 @@ def shell_integrals(config: CavityConfig, start_kr: float, stop_kr: float) -> tu
     They keep their digits far out in the wave zone, where differences of the
     antiderivatives do not, and check the normalization without sharing its formula.
     """
-    # bounded before linspace allocates, in Python floats, which overflow to inf
-    # without a warning: a panel count past the float range is inf
+    # bounded before linspace allocates
     start_kr, stop_kr = real(start_kr, "start_kr"), real(stop_kr, "stop_kr")
+    if not 0.0 <= start_kr <= stop_kr <= config.kR:
+        raise ValueError(f"kr bounds must satisfy 0 <= start_kr <= stop_kr <= kR = {config.kR}, "
+                         f"got [{start_kr}, {stop_kr}]")
     panels = 2.0 * (stop_kr - start_kr) / np.pi
     if not panels * _GL_NODES.size <= _SHELL_NODES_MAX:
-        raise ValueError(
-            f"kr bounds must be finite and need at most {_SHELL_NODES_MAX} nodes, "
-            f"got [{start_kr}, {stop_kr}]"
-        )
+        raise ValueError(f"kr bounds must be finite and need at most {_SHELL_NODES_MAX} nodes, "
+                         f"got [{start_kr}, {stop_kr}]")
     edges = np.linspace(start_kr, stop_kr, max(8, ceil(panels)) + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -380,7 +369,8 @@ def wave_zone_discrepancy(config: CavityConfig, start_kr: float) -> float:
     width = 2.0 * np.pi
     if not 0 <= start_kr <= config.kR - width:
         raise ValueError("window must lie inside the cavity")
-    i_s, i_l = shell_integrals(config, start_kr, start_kr + width)
+    # start_kr + width can round an ulp past kR when the window ends at the wall
+    i_s, i_l = shell_integrals(config, start_kr, min(start_kr + width, config.kR))
     return abs(i_s - i_l) / i_s
 
 
@@ -428,7 +418,7 @@ def zone_report(config: CavityConfig, n_samples: int = 2000) -> ZoneReport:
     starting at 0.8 R, clipped to fit inside the cavity. No diagnostic depends
     on n_samples; it is validated as radial_profile's is.
     """
-    _check_samples(n_samples)
+    row_count(n_samples, MIN_SAMPLES)
     spin_near, oam_near = _densities(0.2 * np.pi, config)
     start = min(0.8 * config.kR, config.kR - 2.0 * np.pi)
     peak_r = _oam_peak_kr() / config.k

@@ -86,10 +86,10 @@ def test_criterion_07_density_commutators():
 
 def test_criterion_08_decay_curve_and_conservation():
     grid = np.linspace(0.0, 10.0, 101)
-    params = decay.DecayParams(omega0=1000.0, gamma=1.0, time_grid=grid)
-    curve = decay.sz_curve(params)
+    params = decay.DecayParams(omega0=1000.0, gamma=1.0)
+    curve = decay.sz_curve(params, 101)
     closed_form = 0.5 * (1.0 - np.exp(-2.0 * params.gamma * grid))
-    ok = np.array_equal(curve.sz_expect, closed_form)
+    ok = np.array_equal(curve.t, grid) and np.array_equal(curve.sz_expect, closed_form)
     residuals = []
     for ratio in (1e2, 1e3, 1e4):
         p = decay.DecayParams(omega0=ratio, gamma=1.0)

@@ -18,6 +18,7 @@ from decay_model import calibration_constant, excited_amplitude, photon_amplitud
 from photonam.decay import (
     _DAMPED_TAU_MAX,
     _SERIES_RADIUS,
+    _excited_population,
     _exp1,
     CSV_HEADER,
     DecayParams,
@@ -40,24 +41,15 @@ def test_params_validation():
         DecayParams(omega0=100.0, gamma=0.0)
     with pytest.raises(ValueError):
         DecayParams(omega0=100.0, gamma=10.0)  # ratio below Markov floor
-    with pytest.raises(ValueError):
-        DecayParams(omega0=100.0, gamma=1.0, time_grid=np.array([-1.0]))
-    with pytest.raises(ValueError):
-        DecayParams(omega0=100.0, gamma=1.0, time_grid=np.array([]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             DecayParams(omega0=bad, gamma=1.0)
         with pytest.raises(ValueError):
             DecayParams(omega0=100.0, gamma=bad)
-        with pytest.raises(ValueError):
-            DecayParams(omega0=100.0, gamma=1.0, time_grid=np.array([0.0, bad]))
-    # 10/gamma overflows: one ValueError line, not a default grid to inf that warns;
-    # a finite grid is still accepted with the same gamma
+    # 10/gamma overflows: one ValueError line, not a curve to inf that warns
     for omega0, gamma in ((1.0, 1e-309), (1e308, 1e-308), (np.float64(1e308), np.float64(1e-308))):
-        with pytest.raises(ValueError, match="^10/gamma, the default time grid's end, must be finite"):
+        with pytest.raises(ValueError, match="^10/gamma, the decay curve's end, must be finite"):
             DecayParams(omega0=omega0, gamma=gamma)
-        grid = DecayParams(omega0=omega0, gamma=gamma, time_grid=np.array([0.0, 1.0])).time_grid
-        assert grid.tolist() == [0.0, 1.0]
 
 
 def test_excited_amplitude_values(params):
@@ -232,9 +224,28 @@ def test_window_weight_quiet_just_below_the_cutoff(params):
 
 def test_curve_residual_matches_pointwise_check():
     grid = np.linspace(0.0, 10.0, 41)
-    p = DecayParams(omega0=1000.0, gamma=1.0, time_grid=grid)
+    p = DecayParams(omega0=1000.0, gamma=1.0)
     pointwise = [conservation_check(p, float(t)) for t in grid]
-    np.testing.assert_array_equal(sz_curve(p).norm_residual, pointwise)
+    curve = sz_curve(p, 41)
+    np.testing.assert_array_equal(curve.t, grid)
+    np.testing.assert_array_equal(curve.norm_residual, pointwise)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(n=st.integers(2, 5000), log_gamma=st.floats(-300.0, 300.0))
+def test_curve_columns_are_the_functions_on_its_grid(n, log_gamma):
+    # the curve lays n uniform times from 0 to 10 / gamma; each column is, bit for
+    # bit, its function on a grid built here
+    gamma = 10.0**log_gamma
+    params = DecayParams(1e3 * gamma, gamma)
+    curve = sz_curve(params, n)
+    t = np.linspace(0.0, 10.0 / gamma, n)
+    np.testing.assert_array_equal(curve.t, t)
+    np.testing.assert_array_equal(curve.sz_expect, sz_expectation(t, params))
+    np.testing.assert_array_equal(curve.excited_pop, np.exp(-2.0 * gamma * t))
+    np.testing.assert_array_equal(curve.norm_residual, conservation_check(params, t))
+    assert not any(column.flags.writeable for column in
+                   (curve.t, curve.sz_expect, curve.excited_pop, curve.norm_residual))
 
 
 def test_conservation_small_at_late_time(params):
@@ -290,19 +301,17 @@ def test_finite_times_up_to_the_float_maximum_warn_nothing(depth, log_gamma):
     # float range, the curves read their t = inf limits, quietly (the suite turns a
     # RuntimeWarning into an error)
     t, gamma = sys.float_info.max * 10.0**-depth, 10.0**log_gamma
-    params = DecayParams(omega0=1e3 * gamma, gamma=gamma, time_grid=np.array([0.0, t]))
-    sz, residual, curve = sz_expectation(t, params), conservation_check(params, t), sz_curve(params)
+    params, times = DecayParams(omega0=1e3 * gamma, gamma=gamma), np.array([0.0, t])
+    sz, residual = sz_expectation(t, params), conservation_check(params, t)
     assert 0.0 <= sz <= 0.5 and np.isfinite(residual)
-    assert curve.sz_expect[1] == sz and curve.norm_residual[1] == residual
-    assert curve.excited_pop[1] + 2.0 * sz - 1.0 == 0.0
+    assert sz_expectation(times, params)[1] == sz and conservation_check(params, times)[1] == residual
+    assert _excited_population(gamma, times)[1] + 2.0 * sz - 1.0 == 0.0
     if gamma * t >= _DAMPED_TAU_MAX:
         assert (sz, residual) == (0.5, 0.0)
 
 
 def test_sz_curve_structure():
-    grid = np.linspace(0.0, 10.0, 41)
-    params = DecayParams(omega0=1000.0, gamma=1.0, time_grid=grid)
-    curve = sz_curve(params)
+    curve = sz_curve(DecayParams(omega0=1000.0, gamma=1.0), 41)
     assert curve.sz_expect[0] == 0.0
     assert np.all(np.diff(curve.sz_expect) >= 0.0)
     assert np.all(curve.sz_expect <= 0.5)
@@ -313,9 +322,7 @@ def test_sz_curve_structure():
 
 
 def test_decay_csv(params):
-    grid = np.linspace(0.0, 10.0, 11)
-    p = DecayParams(omega0=1000.0, gamma=1.0, time_grid=grid)
-    curve = sz_curve(p)
+    curve = sz_curve(params, 11)
     lines = decay_csv_lines(curve)
     assert lines[0] == CSV_HEADER
     assert len(lines) == 12

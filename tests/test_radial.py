@@ -31,7 +31,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
-from photonam import cli, radial
+from photonam import cli, decay, output, radial
 from photonam.cli import main
 from photonam.radial import (
     CavityConfig,
@@ -499,17 +499,19 @@ def test_profile_requires_minimum_sampling(config):
         radial_profile(config, 99)
 
 
-@pytest.mark.parametrize("n_samples", [10**12, radial.MAX_SAMPLES + 1, 150.5, "2000"])
+@pytest.mark.parametrize("n_samples", [10**12, output.MAX_SAMPLES + 1, 150.5, "2000"])
 def test_profile_refuses_oversized_or_fractional_grids_before_allocating(config, n_samples):
     # 10^12 samples asked numpy for 7.28 TiB, and a float count failed in linspace;
-    # zone_report, which reads no profile, validates n_samples the same way. The CLI
-    # writes the cap out, so that its --samples refusal loads no numpy
-    assert cli.MAX_SAMPLES == radial.MAX_SAMPLES
+    # zone_report, which reads no profile, and the decay curve validate n_samples the
+    # same way. The CLI writes the cap out, so that its --samples refusal loads no numpy
+    assert cli.MAX_SAMPLES == output.MAX_SAMPLES
     if isinstance(n_samples, int):
         refusal = f"n_samples must be an integer <= 1000000, got {n_samples}"
     else:
         refusal = f"n_samples must be an integer, got {n_samples!r}"
-    for report in (radial_profile, zone_report):
+    params = decay.DecayParams(1e3, 1.0)
+    curve = lambda _, n: decay.sz_curve(params, n)
+    for report in (radial_profile, zone_report, curve):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
@@ -705,16 +707,20 @@ def test_wave_zone_asymptotic_magnitude():
 @pytest.mark.parametrize(
     "start, stop",
     [(math.nan, 5.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (math.inf, 0.0),
-     (0.0, 1e18), (0.0, 98175.0)],
+     (0.0, 1e18), (0.0, 98175.0), (0.0, 1e14), (-50.0, 0.0), (10.0, 0.0)],
 )
 def test_shell_integrals_refuse_unbounded_intervals(start, stop):
-    # one line before linspace allocates: a non-finite bound, or more than 10^6
-    # nodes (62500 panels of 16, kr intervals past 62500 pi / 2 ~ 98174.8)
-    cavity = CavityConfig(k=1.0, R=500.0)
+    # one line before linspace allocates: a non-finite bound, an interval outside
+    # [0, kR] or reversed, or more than 10^6 nodes (62500 panels of 16, kr
+    # intervals past 62500 pi / 2 ~ 98174.8), which only a cavity past that kR reaches
+    cavity = CavityConfig(k=1.0, R=radial.MAX_KR)
     if not math.isfinite(start):
         refusal = f"start_kr must be finite, got {start}"
     elif not math.isfinite(stop):
         refusal = f"stop_kr must be finite, got {stop}"
+    elif not 0.0 <= start <= stop <= cavity.kR:
+        refusal = ("kr bounds must satisfy 0 <= start_kr <= stop_kr <= kR = 100000000000000.0, "
+                   f"got [{start}, {stop}]")
     else:
         refusal = f"kr bounds must be finite and need at most 1000000 nodes, got [{start}, {stop}]"
     tracemalloc.start()
@@ -755,7 +761,7 @@ def test_shell_integrals_match_fine_panel_oracle(kR, wavelengths, place):
     cavity = CavityConfig(k=1.0, R=kR)
     width = min(wavelengths * 2.0 * np.pi, kR)
     start = place * (kR - width)
-    stop = start + width
+    stop = min(start + width, kR)  # the sum can round an ulp past the wall
     edges = np.linspace(start, stop, math.ceil(64.0 * width / (2.0 * np.pi)) + 1)
     raw0, raw2 = (math.fsum(gl_panels(ell, edges)) for ell in (0, 2))
     w0, w2 = cavity.density_weights

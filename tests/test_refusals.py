@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from photonam.angular import am_variances, three_mode_space
-from photonam.decay import DecayParams, conservation_check, sz_expectation
+from photonam.decay import DecayParams, conservation_check, sz_curve, sz_expectation
 from photonam.fock import build_space
 from photonam.radial import (
     CavityConfig,
@@ -34,6 +34,13 @@ PARAMS = DecayParams(100.0, 1.0)
 TWINS = atom_field_space(2)
 H = interaction_hamiltonian(TWINS, 1.0, 2.0, 0.1)
 TIME_REFUSAL = "t must be >= 0 and not NaN, nor an int past the float range"
+
+
+def outside_cavity(start: float, stop: float) -> str:
+    """The refusal of a shell_integrals interval that leaves the kR = 100 cavity."""
+    return re.escape(
+        f"kr bounds must satisfy 0 <= start_kr <= stop_kr <= kR = 100.0, got [{start}, {stop}]"
+    )
 
 #: (call, pattern of the one-line refusal, or None where the call is accepted
 #: and returns True)
@@ -57,9 +64,6 @@ CASES = {
     "gamma past floats": (
         lambda: DecayParams(100, BIG), r"gamma must be finite and > 0, got 10{400}"
     ),
-    "time grid past floats": (
-        lambda: DecayParams(100, 1, time_grid=[0, BIG]), "time_grid entries must be finite and >= 0"
-    ),
     "f_spin past floats": (lambda: f_spin(BIG, CAVITY), "kr must be finite and >= 0"),
     "f_spin list past floats": (lambda: f_spin([1.0, BIG], CAVITY), "kr must be finite and >= 0"),
     "f_oam past floats": (lambda: f_oam(BIG, CAVITY), "kr must be finite and >= 0"),
@@ -68,6 +72,15 @@ CASES = {
     ),
     "shell_integrals stop past floats": (
         lambda: shell_integrals(CAVITY, 0, BIG), r"stop_kr must be finite, got 10{400}"
+    ),
+    "shell_integrals past the cavity wall": (
+        lambda: shell_integrals(CAVITY, 0.0, 1000.0), outside_cavity(0.0, 1000.0)
+    ),
+    "shell_integrals reversed interval": (
+        lambda: shell_integrals(CAVITY, 10.0, 0.0), outside_cavity(10.0, 0.0)
+    ),
+    "shell_integrals negative start": (
+        lambda: shell_integrals(CAVITY, -50.0, 0.0), outside_cavity(-50.0, 0.0)
     ),
     "wave zone window start past floats": (
         lambda: wave_zone_discrepancy(CAVITY, BIG), "window must lie inside the cavity"
@@ -135,6 +148,21 @@ CASES = {
         lambda: radial_profile(CAVITY, np.True_),
         f"n_samples must be an integer, got {re.escape(repr(np.True_))}",
     ),
+    "sz_curve one sample": (lambda: sz_curve(PARAMS, 1), "n_samples must be >= 2, got 1"),
+    "sz_curve past the row cap": (
+        lambda: sz_curve(PARAMS, 10**6 + 1), "n_samples must be an integer <= 1000000, got 1000001"
+    ),
+    "sz_curve integral float n_samples": (
+        lambda: sz_curve(PARAMS, 2.0), r"n_samples must be an integer, got 2\.0"
+    ),
+    "sz_curve bool n_samples": (
+        lambda: sz_curve(PARAMS, True), "n_samples must be an integer, got True"
+    ),
+    "sz_curve numpy bool n_samples": (
+        lambda: sz_curve(PARAMS, np.True_),
+        f"n_samples must be an integer, got {re.escape(repr(np.True_))}",
+    ),
+    "sz_curve numpy n_samples accepted": (lambda: len(sz_curve(PARAMS, np.int64(2)).t) == 2, None),
     "omega0 past int64 accepted": (lambda: DecayParams(10**20, 1).omega0 == 1e20, None),
     "int R accepted": (lambda: CavityConfig(1, 10**2) == CavityConfig(1.0, 100.0), None),
     "numpy cutoff accepted": (
